@@ -18,7 +18,8 @@ import sys
 import numpy as np
 
 from . import bench, graphs, ialm, pgd, sampling, scaled_pgd, theory
-from .errors import FormatError, ParameterError
+from .errors import (AlignmentError, DivergenceError, FormatError, GenerationError,
+                     InputError, ParameterError)
 
 _SOLVERS = ("pgd", "scaled-pgd", "ialm")
 
@@ -337,7 +338,8 @@ def main(argv=None):
         if args.command == "theory":
             return cmd_theory_run(args)
         raise ParameterError(f"unknown command {args.command!r}")
-    except (ParameterError, FormatError) as exc:
+    except (ParameterError, InputError, FormatError, GenerationError, DivergenceError,
+            AlignmentError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -64,13 +64,27 @@ class SamplingPattern:
         # CSR index pointer; valid because edges are sorted by row.
         return np.searchsorted(self.rows, np.arange(self.n1 + 1)).astype(np.int64)
 
+    @cached_property
+    def _csr_index(self):
+        # Validated and cast once, then shared by every csr_with_values
+        # result; read-only so an in-place index edit (eliminate_zeros,
+        # prune) fails instead of corrupting the pattern's other matrices.
+        mat = scipy.sparse.csr_matrix(
+            (np.ones(self.m), self.cols.copy(), self.row_ptr), shape=(self.n1, self.n2)
+        )
+        indices, indptr = mat.indices, mat.indptr
+        indices.flags.writeable = False
+        indptr.flags.writeable = False
+        return indices, indptr
+
     def csr_with_values(self, values):
         """CSR matrix supported on the edge set, data aligned with ``edges``."""
         values = np.asarray(values, dtype=np.float64)
         if values.shape != (self.m,):
             raise ParameterError(f"expected {self.m} values, got {values.shape}")
+        indices, indptr = self._csr_index
         mat = scipy.sparse.csr_matrix(
-            (values, self.cols.copy(), self.row_ptr), shape=(self.n1, self.n2)
+            (values, indices, indptr), shape=(self.n1, self.n2), copy=False
         )
         mat.has_canonical_format = True
         return mat

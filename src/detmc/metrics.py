@@ -181,18 +181,23 @@ def gauge_distance(pair, gt, fallback=True):
     )
 
 
-def relative_error(X, Y, gt, block=256):
-    """``||X @ Y.T - M*||_F / ||M*||_F`` accumulated in row blocks."""
-    M = gt.matrix
-    denom = np.linalg.norm(M)
+def relative_error(X, Y, gt):
+    """``||X @ Y.T - U S V.T||_F / ||S||_2`` against ``gt.svd`` in factored form.
+
+    ``X @ Y.T - U S V.T = [X, -U S] @ [Y, V].T``; with ``R_a`` and ``R_b``
+    the R factors of those two stacked matrices, the numerator equals
+    ``||R_a @ R_b.T||_F``.  The cost is O((n1 + n2) r^2) and no n1 x n2
+    product is formed.  The reference is the ground truth's SVD, not
+    ``gt.matrix``: the two differ by at most 1e-10 relative when the truth
+    came from ``sampling.ground_truth``.
+    """
+    svd = gt.svd
+    denom = np.linalg.norm(svd.S)
     if denom == 0:
         raise ParameterError("ground-truth matrix is zero")
-    acc = 0.0
-    for lo in range(0, X.shape[0], block):
-        hi = min(lo + block, X.shape[0])
-        diff = X[lo:hi] @ Y.T - M[lo:hi]
-        acc += float((diff * diff).sum())
-    return float(np.sqrt(acc)) / denom
+    Ra = np.linalg.qr(np.hstack([X, -(svd.U * svd.S)]), mode="r")
+    Rb = np.linalg.qr(np.hstack([Y, svd.V]), mode="r")
+    return float(np.linalg.norm(Ra @ Rb.T)) / denom
 
 
 def relative_error_dense(Mhat, gt):

@@ -108,18 +108,18 @@ class IterationTrace:
         return None
 
 
+def _clip_rows(A, clip_bound):
+    norms = np.sqrt((A * A).sum(axis=1))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        scale = np.where(norms > clip_bound, clip_bound / norms, 1.0)
+    return A * scale[:, None]
+
+
 def project_rows(pair, clip_bound):
     """Clip every row of the stacked factor to norm at most ``clip_bound``."""
     if clip_bound <= 0:
         raise ParameterError("clip bound must be positive")
-
-    def clip(A):
-        norms = np.sqrt((A * A).sum(axis=1))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            scale = np.where(norms > clip_bound, clip_bound / norms, 1.0)
-        return A * scale[:, None]
-
-    return FactorPair(clip(pair.X), clip(pair.Y))
+    return FactorPair(_clip_rows(pair.X, clip_bound), _clip_rows(pair.Y, clip_bound))
 
 
 def spectral_init(obs, r, mu):
@@ -141,17 +141,20 @@ def spectral_init(obs, r, mu):
     return project_rows(pair, clip_bound), znorm, clip_bound
 
 
+def _gram_gap(X, Y):
+    return X.T @ X - Y.T @ Y
+
+
 def loss(pair, obs, lam):
     """(1/rate)*||residual on the pattern||_F^2 + (lam/4)*||X'X - Y'Y||_F^2."""
     K = observed_residual(pair.X, pair.Y, obs)
-    return _loss_from_residual(K, pair, obs, lam)
+    return _loss_from_residual(K, _gram_gap(pair.X, pair.Y), obs, lam)
 
 
-def _loss_from_residual(K, pair, obs, lam):
+def _loss_from_residual(K, gap, obs, lam):
     fit = float((K.data**2).sum()) / obs.rate
     if lam == 0:
         return fit
-    gap = pair.X.T @ pair.X - pair.Y.T @ pair.Y
     return fit + 0.25 * lam * float((gap * gap).sum())
 
 
@@ -163,18 +166,18 @@ def gradient(pair, obs, lam):
     lam * X (X'X - Y'Y) and its mirror.
     """
     K = observed_residual(pair.X, pair.Y, obs)
-    return _gradient_from_residual(K, pair, obs, lam)
+    gX, gY = _gradient_from_residual(K, pair.X, pair.Y, _gram_gap(pair.X, pair.Y),
+                                     obs, lam)
+    return FactorPair(gX, gY)
 
 
-def _gradient_from_residual(K, pair, obs, lam):
-    X, Y = pair.X, pair.Y
+def _gradient_from_residual(K, X, Y, gap, obs, lam):
     gX = (2.0 / obs.rate) * (K @ Y)
     gY = (2.0 / obs.rate) * (K.T @ X)
     if lam != 0:
-        gap = X.T @ X - Y.T @ Y
         gX = gX + lam * (X @ gap)
         gY = gY - lam * (Y @ gap)
-    return FactorPair(gX, gY)
+    return gX, gY
 
 
 def solve(obs, r, config=None, gt=None):
@@ -182,8 +185,8 @@ def solve(obs, r, config=None, gt=None):
 
     With a ground truth, iterations stop once the relative recovery error
     drops below ``config.tol``; otherwise on loss stagnation.  A loss that
-    increases for 50 consecutive iterations raises ``DivergenceError``
-    with the partial trace attached.
+    increases for 50 consecutive iterations, or stops being finite, raises
+    ``DivergenceError`` with the partial trace attached.
     """
     config = config or PgdConfig()
     mu = gt.coherence_mu if gt is not None else config.mu
@@ -203,12 +206,16 @@ def solve(obs, r, config=None, gt=None):
         "clip_bound": clip_bound, "stepsize_denominator": denom,
     })
 
+    # the iterate stays as plain arrays inside the loop; the finite-loss
+    # check below is what guards it against NaN and Inf
+    X, Y = pair.X, pair.Y
+
     def log(k, loss_val):
         evaluate = gt is not None and (k % config.eval_every == 0 or k == config.max_iter)
-        rel = metrics.relative_error(pair.X, pair.Y, gt) if evaluate else float("nan")
+        rel = metrics.relative_error(X, Y, gt) if evaluate else float("nan")
         dist = (
-            metrics.rotation_distance(pair, gt).distance
-            if (config.log_dist and evaluate)
+            metrics.rotation_distance(FactorPair(X, Y), gt).distance
+            if (config.log_dist and evaluate and np.isfinite(loss_val))
             else float("nan")
         )
         trace.append(k, loss_val, rel, dist, solver_seconds)
@@ -220,8 +227,9 @@ def solve(obs, r, config=None, gt=None):
     loss_floor_ref = None
     for k in range(config.max_iter + 1):
         t0 = time.perf_counter()
-        K = observed_residual(pair.X, pair.Y, obs)
-        loss_k = _loss_from_residual(K, pair, obs, config.lam)
+        K = observed_residual(X, Y, obs)
+        gap = _gram_gap(X, Y)
+        loss_k = _loss_from_residual(K, gap, obs, config.lam)
         solver_seconds += time.perf_counter() - t0
 
         if loss_floor_ref is None:
@@ -266,10 +274,9 @@ def solve(obs, r, config=None, gt=None):
         prev_loss = loss_k
 
         t0 = time.perf_counter()
-        grad = _gradient_from_residual(K, pair, obs, config.lam)
-        pair = project_rows(
-            FactorPair(pair.X - step * grad.X, pair.Y - step * grad.Y), clip_bound
-        )
+        gX, gY = _gradient_from_residual(K, X, Y, gap, obs, config.lam)
+        X = _clip_rows(X - step * gX, clip_bound)
+        Y = _clip_rows(Y - step * gY, clip_bound)
         solver_seconds += time.perf_counter() - t0
 
-    return pair, trace
+    return FactorPair(X, Y), trace

@@ -88,7 +88,10 @@ def observed_residual(X, Y, obs):
         raise ParameterError(
             f"factor shapes {X.shape}, {Y.shape} do not match pattern"
         )
-    vals = np.einsum("ij,ij->i", X[pat.rows], Y[pat.cols]) - obs.values
+    # np.take gathers rows several times faster than X[pat.rows], same values
+    vals = np.einsum(
+        "ij,ij->i", np.take(X, pat.rows, axis=0), np.take(Y, pat.cols, axis=0)
+    ) - obs.values
     return pat.csr_with_values(vals)
 
 
@@ -153,7 +156,12 @@ def ground_truth_from_svd(U, S, V):
 
 
 def ground_truth(M, rank):
-    """Wrap an exactly rank-``rank`` matrix; rejects matrices that are not."""
+    """Wrap an exactly rank-``rank`` matrix; rejects matrices that are not.
+
+    The stored ``matrix`` is ``M`` itself, which may differ from its
+    truncated SVD ``svd`` by up to 1e-10 relative in Frobenius norm;
+    ``metrics.relative_error`` measures against ``svd``.
+    """
     M = as_matrix(M)
     tsvd = top_r_svd(M, rank)
     err = np.linalg.norm(M - tsvd.reconstruct())

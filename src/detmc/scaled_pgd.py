@@ -56,7 +56,10 @@ def project_rows(pair, budget):
     """
     if budget <= 0:
         raise ParameterError("incoherence budget must be positive")
-    X, Y = pair.X, pair.Y
+    return FactorPair(*_scale_rows(pair.X, pair.Y, budget))
+
+
+def _scale_rows(X, Y, budget):
     n1, n2 = X.shape[0], Y.shape[0]
     gy = Y.T @ Y
     gx = X.T @ X
@@ -65,7 +68,7 @@ def project_rows(pair, budget):
     with np.errstate(divide="ignore"):
         sx = np.minimum(1.0, budget / (np.sqrt(n1) * xprod))
         sy = np.minimum(1.0, budget / (np.sqrt(n2) * yprod))
-    return FactorPair(X * sx[:, None], Y * sy[:, None])
+    return X * sx[:, None], Y * sy[:, None]
 
 
 def _resolve_budget(config, tsvd, gt):
@@ -108,16 +111,15 @@ def _pinv_gram(G, threshold):
 def step(pair, obs, eta, pinv_threshold=1e-12):
     """One preconditioned gradient step; both blocks use the same residual."""
     K = observed_residual(pair.X, pair.Y, obs)
-    return _step_from_residual(K, pair, obs, eta, pinv_threshold)
+    return FactorPair(*_step_from_residual(K, pair.X, pair.Y, obs, eta, pinv_threshold))
 
 
-def _step_from_residual(K, pair, obs, eta, pinv_threshold):
-    X, Y = pair.X, pair.Y
+def _step_from_residual(K, X, Y, obs, eta, pinv_threshold):
     gy_inv = _pinv_gram(Y.T @ Y, pinv_threshold)
     gx_inv = _pinv_gram(X.T @ X, pinv_threshold)
     Xn = X - (eta / obs.rate) * ((K @ Y) @ gy_inv)
     Yn = Y - (eta / obs.rate) * ((K.T @ X) @ gx_inv)
-    return FactorPair(Xn, Yn)
+    return Xn, Yn
 
 
 def solve(obs, r, config=None, gt=None):
@@ -133,12 +135,15 @@ def solve(obs, r, config=None, gt=None):
         "solver": "scaled-pgd", "eta": config.eta, "budget": budget,
     })
 
+    # plain arrays inside the loop, as in pgd.solve
+    X, Y = pair.X, pair.Y
+
     def log(k, loss_val):
         evaluate = gt is not None and (k % config.eval_every == 0 or k == config.max_iter)
-        rel = metrics.relative_error(pair.X, pair.Y, gt) if evaluate else float("nan")
+        rel = metrics.relative_error(X, Y, gt) if evaluate else float("nan")
         dist = (
-            metrics.gauge_distance(pair, gt).distance
-            if (config.log_dist and evaluate)
+            metrics.gauge_distance(FactorPair(X, Y), gt).distance
+            if (config.log_dist and evaluate and np.isfinite(loss_val))
             else float("nan")
         )
         trace.append(k, loss_val, rel, dist, solver_seconds)
@@ -150,7 +155,7 @@ def solve(obs, r, config=None, gt=None):
     loss_floor_ref = None
     for k in range(config.max_iter + 1):
         t0 = time.perf_counter()
-        K = observed_residual(pair.X, pair.Y, obs)
+        K = observed_residual(X, Y, obs)
         loss_k = 0.5 * float((K.data**2).sum()) / obs.rate
         solver_seconds += time.perf_counter() - t0
 
@@ -196,9 +201,9 @@ def solve(obs, r, config=None, gt=None):
         prev_loss = loss_k
 
         t0 = time.perf_counter()
-        pair = _step_from_residual(K, pair, obs, config.eta, config.pinv_threshold)
+        X, Y = _step_from_residual(K, X, Y, obs, config.eta, config.pinv_threshold)
         if not np.isinf(budget):
-            pair = project_rows(pair, budget)
+            X, Y = _scale_rows(X, Y, budget)
         solver_seconds += time.perf_counter() - t0
 
-    return pair, trace
+    return FactorPair(X, Y), trace

@@ -4,7 +4,8 @@ import json
 import numpy as np
 import pytest
 
-from detmc import bench, cli, graphs, sampling
+from detmc import bench, cli, graphs, sampling, theory
+from detmc.errors import AlignmentError, GenerationError
 
 
 def run_cli(capsys, *argv):
@@ -152,3 +153,72 @@ class TestConfigFile:
                           "--n1", "8", "--n2", "8", "--d1", "2",
                           "--config", str(cfg))
         assert code == 2
+
+
+class TestErrorExitCodes:
+    """Every ``detmc.errors`` type ends the run with exit 2 and one line."""
+
+    @staticmethod
+    def assert_one_line_error(capsys, code):
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+
+    @staticmethod
+    def write_instance(tmp_path):
+        gt = bench.synthetic_low_rank(40, 40, 2, 2.0, seed=1)
+        g = graphs.random_biregular(40, 40, 12, seed=2)
+        obs = sampling.observe(gt.matrix, g)
+        obs_path, graph_path = tmp_path / "obs.mtx", tmp_path / "g.edges"
+        sampling.save_observed(obs, obs_path)
+        graphs.save_edges(g, graph_path)
+        return obs_path, graph_path
+
+    def complete(self, obs_path, graph_path, tmp_path, *extra):
+        return cli.main(["complete", "--observed", str(obs_path),
+                         "--graph", str(graph_path), "--rank", "2",
+                         "--out", str(tmp_path / "completed.mtx"), *extra])
+
+    def test_parameter_error(self, capsys):
+        code = cli.main(["graph", "gen", "--kind", "lps", "--p", "13", "--q", "5"])
+        self.assert_one_line_error(capsys, code)
+
+    def test_format_error(self, tmp_path, capsys):
+        obs_path, graph_path = self.write_instance(tmp_path)
+        obs_path.write_text("not a MatrixMarket file\n")
+        code = self.complete(obs_path, graph_path, tmp_path)
+        self.assert_one_line_error(capsys, code)
+
+    def test_input_error(self, tmp_path, capsys):
+        obs_path, graph_path = self.write_instance(tmp_path)
+        lines = obs_path.read_text().splitlines()
+        i, j, _ = lines[2].split()
+        lines[2] = f"{i} {j} nan"
+        obs_path.write_text("\n".join(lines) + "\n")
+        code = self.complete(obs_path, graph_path, tmp_path)
+        self.assert_one_line_error(capsys, code)
+
+    def test_divergence_error(self, tmp_path, capsys):
+        # a huge mu lifts the row clip, so a large step overflows the loss
+        obs_path, graph_path = self.write_instance(tmp_path)
+        code = self.complete(obs_path, graph_path, tmp_path,
+                             "--solver", "pgd", "--eta", "50", "--mu", "1e200")
+        self.assert_one_line_error(capsys, code)
+
+    def test_generation_error(self, tmp_path, capsys, monkeypatch):
+        def fail(*args, **kwargs):
+            raise GenerationError("duplicate-edge repair exceeded the attempt cap")
+
+        monkeypatch.setattr(graphs, "random_biregular", fail)
+        code = cli.main(["graph", "gen", "--kind", "random", "--n1", "8", "--n2", "8",
+                         "--d1", "2", "--out", str(tmp_path / "g.edges")])
+        self.assert_one_line_error(capsys, code)
+
+    def test_alignment_error(self, capsys, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AlignmentError("gauge alignment stalled at gradient norm 1.00e-03")
+
+        monkeypatch.setattr(theory, "run_all", fail)
+        code = cli.main(["theory", "run", "--n", "16", "--r", "1", "--d", "4",
+                         "--trials", "1"])
+        self.assert_one_line_error(capsys, code)

@@ -175,7 +175,24 @@ class TestRelativeError:
         X = rng.standard_normal((600, 2))
         Y = rng.standard_normal((40, 2))
         dense = np.linalg.norm(X @ Y.T - gt.matrix) / np.linalg.norm(gt.matrix)
-        assert metrics.relative_error(X, Y, gt, block=128) == pytest.approx(dense, rel=1e-12)
+        assert metrics.relative_error(X, Y, gt) == pytest.approx(dense, rel=1e-12)
+
+    @pytest.mark.parametrize("err", [1e-1, 1e-6, 1e-9])
+    def test_factored_form_matches_dense_recompute(self, err):
+        # Both values carry an absolute rounding error of a few eps * ||M||,
+        # so they can differ by about eps / err relative.  The largest gap
+        # measured on shapes up to 1092 x 1092 was 2 * eps / err.
+        gt = bench.synthetic_low_rank(300, 200, 3, 4.0, seed=25)
+        rng = np.random.default_rng(26)
+        X, Y = gt.left_factor, gt.right_factor
+        DX = rng.standard_normal(X.shape)
+        DY = rng.standard_normal(Y.shape)
+        X = X + err * DX * (np.linalg.norm(X) / np.linalg.norm(DX))
+        Y = Y + err * DY * (np.linalg.norm(Y) / np.linalg.norm(DY))
+        val = metrics.relative_error(X, Y, gt)
+        dense = np.linalg.norm(X @ Y.T - gt.matrix) / np.linalg.norm(gt.matrix)
+        assert 0.1 * err < dense < 10 * err
+        assert val == pytest.approx(dense, rel=100 * np.finfo(float).eps / err)
 
 
 class TestFitLinearRate:

@@ -224,6 +224,18 @@ class TestSolve:
         assert exc.value.trace is not None
         assert len(exc.value.trace.iterations) >= 1
 
+    def test_non_finite_iterate_raises_divergence(self, small_instance):
+        gt, g, obs = small_instance
+        # eta / denominator overflows to an infinite step, so the first
+        # update turns the iterate into NaN
+        cfg = pgd.PgdConfig(eta=1e300, stepsize_denominator=1e-300, max_iter=10,
+                            log_dist=True)
+        with pytest.raises(DivergenceError) as exc:
+            pgd.solve(obs, gt.rank, cfg, gt=gt)
+        trace = exc.value.trace
+        assert trace.iterations == [0, 1]
+        assert np.isfinite(trace.loss[0]) and not np.isfinite(trace.loss[1])
+
     def test_stops_without_ground_truth(self):
         gt = bench.synthetic_low_rank(30, 30, 2, 2.0, seed=4)
         g = graphs.random_biregular(30, 30, 12, seed=3)

@@ -131,6 +131,36 @@ class TestSparseProducts:
         assert np.allclose(K @ Y, Kd @ Y, atol=1e-12)
         assert np.allclose(K.T @ X, Kd.T @ X, atol=1e-12)
 
+    @pytest.mark.parametrize("kind", ["biregular", "bernoulli"])
+    def test_residual_matches_dense_and_fancy_gather(self, kind):
+        gt = bench.synthetic_low_rank(40, 30, 3, 2.0, seed=11)
+        if kind == "biregular":
+            pat = graphs.random_biregular(40, 30, 6, seed=12)
+        else:
+            pat = graphs.bernoulli_mask(40, 30, 0.2, seed=12)
+        obs = sampling.observe(gt.matrix, pat)
+        rng = np.random.default_rng(13)
+        X = rng.standard_normal((40, 3))
+        Y = rng.standard_normal((30, 3))
+        K = sampling.observed_residual(X, Y, obs)
+        dense = (X @ Y.T)[pat.rows, pat.cols] - obs.values
+        assert np.allclose(K.data, dense, rtol=0, atol=1e-12)
+        # the same values, bit for bit, as a fancy-indexed row gather
+        fancy = np.einsum("ij,ij->i", X[pat.rows], Y[pat.cols]) - obs.values
+        assert np.array_equal(K.data, fancy)
+        assert np.array_equal(K.indices, pat.cols)
+        assert np.array_equal(K.indptr, pat.row_ptr)
+
+    def test_residuals_share_read_only_index_arrays(self, small_instance):
+        gt, g, obs = small_instance
+        X, Y = gt.left_factor, gt.right_factor
+        K1 = sampling.observed_residual(X, Y, obs)
+        K2 = sampling.observed_residual(2 * X, Y, obs)
+        assert np.shares_memory(K1.indices, K2.indices)
+        with pytest.raises(ValueError):
+            K1.indices[0] = K1.indices[1]
+        assert np.array_equal(K2.indices, g.cols)
+
     def test_residual_shape_mismatch(self, small_instance):
         gt, g, obs = small_instance
         with pytest.raises(ParameterError):

@@ -281,3 +281,14 @@ class TestSolve:
         )
         with pytest.raises(DivergenceError):
             scaled_pgd.solve(obs, gt.rank, cfg, gt=gt)
+
+    def test_non_finite_iterate_raises_divergence(self, small_instance):
+        gt, g, obs = small_instance
+        # the first step overflows; the projection then turns Inf into NaN
+        cfg = scaled_pgd.ScaledPgdConfig(eta=1e300, allow_large_eta=True, max_iter=10,
+                                         log_dist=True)
+        with pytest.raises(DivergenceError) as exc:
+            scaled_pgd.solve(obs, gt.rank, cfg, gt=gt)
+        trace = exc.value.trace
+        assert trace.iterations == [0, 1]
+        assert np.isfinite(trace.loss[0]) and not np.isfinite(trace.loss[1])
