@@ -10,7 +10,7 @@ import csv
 import json
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -84,36 +84,42 @@ class TrialRecord:
     fitted_rate: float = float("nan")
 
 
-def _solver_config(name, cfg, log_dist=False, max_iter=None):
-    max_iter = max_iter if max_iter is not None else cfg.max_iter
+SOLVERS = {
+    "pgd": pgd.PgdConfig,
+    "scaled-pgd": scaled_pgd.ScaledPgdConfig,
+    "ialm": ialm.IalmConfig,
+}
+
+
+def solve(name, obs, r, gt=None, **settings):
+    """Run solver ``name`` (a key of ``SOLVERS``) on ``obs`` at rank ``r``.
+
+    The config is built from the ``settings`` that are not None and are
+    fields of that solver's config class; the rest are ignored, so callers
+    can pass one set of settings to every solver.  Returns the solver's
+    ``(factor pair or dense estimate, trace)``.
+    """
+    if name not in SOLVERS:
+        raise ParameterError(f"unknown solver {name!r}")
+    config_cls = SOLVERS[name]
+    names = {f.name for f in fields(config_cls)}
+    config = config_cls(**{k: v for k, v in settings.items()
+                           if v is not None and k in names})
+    # the solve functions are looked up here, at call time, so that a
+    # rebinding of ``pgd.solve`` and the like (tracing, tests) is honoured
     if name == "pgd":
-        kw = {"max_iter": max_iter, "tol": cfg.tol, "lam": cfg.lam,
-              "log_dist": log_dist, "eval_every": cfg.eval_every,
-              "stall_window": cfg.stall_window}
-        if cfg.eta is not None:
-            kw["eta"] = cfg.eta
-        return pgd.PgdConfig(**kw)
+        return pgd.solve(obs, r, config, gt=gt)
     if name == "scaled-pgd":
-        kw = {"max_iter": max_iter, "tol": cfg.tol, "log_dist": log_dist,
-              "eval_every": cfg.eval_every, "stall_window": cfg.stall_window}
-        if cfg.eta is not None:
-            kw["eta"] = cfg.eta
-        return scaled_pgd.ScaledPgdConfig(**kw)
-    if name == "ialm":
-        return ialm.IalmConfig(max_iter=max_iter, tol=cfg.tol)
-    raise ParameterError(f"unknown solver {name!r}")
+        return scaled_pgd.solve(obs, r, config, gt=gt)
+    return ialm.solve(obs, config, gt=gt)
 
 
-def run_trial(solver, obs, r, gt, cfg, log_dist=False, max_iter=None):
+def run_trial(solver, obs, r, gt, cfg):
     """One solver run wrapped into a TrialRecord (plus the trace)."""
-    sconf = _solver_config(solver, cfg, log_dist=log_dist, max_iter=max_iter)
     try:
-        if solver == "pgd":
-            _, trace = pgd.solve(obs, r, sconf, gt=gt)
-        elif solver == "scaled-pgd":
-            _, trace = scaled_pgd.solve(obs, r, sconf, gt=gt)
-        else:
-            _, trace = ialm.solve(obs, sconf, gt=gt)
+        _, trace = solve(solver, obs, r, gt, max_iter=cfg.max_iter, tol=cfg.tol,
+                         eta=cfg.eta, lam=cfg.lam, eval_every=cfg.eval_every,
+                         stall_window=cfg.stall_window)
         diverged = False
     except DivergenceError as exc:
         trace = exc.trace
@@ -140,6 +146,7 @@ def run_phase_transition(cfg, solver="pgd", kappa=1.0):
     """Success-ratio sweep over sampling rates for certified-graph vs
     Bernoulli sampling.  Returns rows (sampler, p, success_ratio, mean_iters).
     """
+    trial_cfg = replace(cfg, tol=cfg.success_threshold)  # run until a success
     rows = []
     for d in cfg.degrees:
         try:
@@ -163,14 +170,6 @@ def run_phase_transition(cfg, solver="pgd", kappa=1.0):
             else:
                 pattern = bernoulli_mask(cfg.n1, cfg.n2, p, mask_seed)
             obs = observe(gt.matrix, pattern)
-            trial_cfg = ExperimentConfig(
-                n1=cfg.n1, n2=cfg.n2, r=cfg.r, trials=1,
-                tol=cfg.success_threshold, seed=cfg.seed, eta=cfg.eta,
-                lam=cfg.lam, max_iter=cfg.max_iter,
-                success_threshold=cfg.success_threshold,
-                eval_every=cfg.eval_every,
-                stall_window=cfg.stall_window,
-            )
             rec, _ = run_trial(solver, obs, cfg.r, gt, trial_cfg)
             return sampler, rec
 

@@ -17,11 +17,9 @@ import sys
 
 import numpy as np
 
-from . import bench, graphs, ialm, pgd, sampling, scaled_pgd, theory
+from . import bench, graphs, sampling, theory
 from .errors import (AlignmentError, DivergenceError, FormatError, GenerationError,
                      InputError, ParameterError)
-
-_SOLVERS = ("pgd", "scaled-pgd", "ialm")
 
 
 def _parse_value(text):
@@ -57,7 +55,7 @@ def _add_common(parser):
     parser.add_argument("--tol", type=float, default=None)
     parser.add_argument("--eta", type=float, default=None)
     parser.add_argument("--lambda", dest="lam", type=float, default=0.5)
-    parser.add_argument("--solver", choices=_SOLVERS, default="pgd")
+    parser.add_argument("--solver", choices=tuple(bench.SOLVERS), default="pgd")
     parser.add_argument("--config", default=None, help="key=value defaults file")
 
 
@@ -213,20 +211,10 @@ def cmd_complete(args):
     g = graphs.load_edges(args.graph)
     obs = sampling.load_observed(args.observed, g)
     tol = args.tol if args.tol is not None else 1e-6
-    if args.solver == "pgd":
-        kw = {"max_iter": args.max_iter, "tol": tol, "lam": args.lam, "mu": args.mu}
-        if args.eta is not None:
-            kw["eta"] = args.eta
-        pair, trace = pgd.solve(obs, args.rank, pgd.PgdConfig(**kw))
-        M = pair.X @ pair.Y.T
-    elif args.solver == "scaled-pgd":
-        kw = {"max_iter": args.max_iter, "tol": tol, "mu": args.mu}
-        if args.eta is not None:
-            kw["eta"] = args.eta
-        pair, trace = scaled_pgd.solve(obs, args.rank, scaled_pgd.ScaledPgdConfig(**kw))
-        M = pair.X @ pair.Y.T
-    else:
-        M, trace = ialm.solve(obs, ialm.IalmConfig(max_iter=args.max_iter, tol=tol))
+    M, trace = bench.solve(args.solver, obs, args.rank, max_iter=args.max_iter, tol=tol,
+                           eta=args.eta, lam=args.lam, mu=args.mu)
+    if not isinstance(M, np.ndarray):
+        M = M.X @ M.Y.T
     out = args.out or "completed.mtx"
     sampling.save_dense_array(M, out)
     feas = float(
@@ -238,6 +226,7 @@ def cmd_complete(args):
         "iterations": int(trace.iterations[-1]),
         "final_loss": float(trace.loss[-1]),
         "observed_residual": feas,
+        "stop_reason": trace.meta["stop_reason"],
     }, sort_keys=True))
     return 0
 

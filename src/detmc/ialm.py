@@ -59,7 +59,8 @@ def solve(obs, config=None, gt=None):
     Returns the dense estimate and an iteration trace whose ``loss`` column
     records the nuclear norm of the running iterate.  Stops on relative
     recovery error below tol when a ground truth is supplied, otherwise on
-    primal feasibility below tol.
+    primal feasibility below tol; ``trace.meta["stop_reason"]`` is "tol",
+    "max-iter", or "diverged" before a ``DivergenceError``.
     """
     config = config or IalmConfig()
     pat = obs.pattern
@@ -100,18 +101,23 @@ def solve(obs, config=None, gt=None):
         if prev_feas is not None and feas > prev_feas:
             bad_streak += 1
             if bad_streak >= _DIVERGENCE_PATIENCE:
+                trace.meta["stop_reason"] = "diverged"
                 raise DivergenceError("feasibility worsened repeatedly", trace)
         else:
             bad_streak = 0
         prev_feas = feas
 
         if gt is not None and rel < config.tol:
+            trace.meta["stop_reason"] = "tol"
             break
         if gt is None and feas < config.tol:
             # feasibility alone is forced by the penalty schedule; require
             # the iterate itself to have settled before stopping
             if prev_A is not None and np.linalg.norm(A - prev_A) < config.tol * d_norm:
+                trace.meta["stop_reason"] = "tol"
                 break
         prev_A = A.copy()
+    else:
+        trace.meta["stop_reason"] = "max-iter"
 
     return A, trace

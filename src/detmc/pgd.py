@@ -4,10 +4,15 @@ The iterate is the factor pair (X, Y); the loss charges the squared
 residual on the observed entries (rescaled by the sampling rate) plus a
 balancing penalty on X'X - Y'Y.  Rows of the stacked factor are clipped
 to an incoherence bound derived from the spectral initialization.
+
+``iterate`` is the outer loop of both factored solvers (this one and
+``scaled_pgd``): timing, the trace, the divergence guards and the stop
+rules live there, and each ``solve`` supplies only its loss, step and
+projection.  ``bench.solve`` runs any solver by name.
 """
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -44,9 +49,6 @@ class FactorPair:
 
     def stacked(self):
         return np.vstack([self.X, self.Y])
-
-    def copy(self):
-        return FactorPair(self.X.copy(), self.Y.copy())
 
 
 @dataclass
@@ -109,8 +111,16 @@ class IterationTrace:
 
 
 def _clip_rows(A, clip_bound):
-    norms = np.sqrt((A * A).sum(axis=1))
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        norms = np.sqrt((A * A).sum(axis=1))
+        inf = np.isinf(norms)
+        if inf.any():
+            # squares overflow for entries above ~1e154: measure those
+            # finite rows again scaled by their largest entry, so that they
+            # are clipped to the bound instead of zeroed
+            big = inf & np.isfinite(A).all(axis=1)
+            peak = np.abs(A[big]).max(axis=1, keepdims=True)
+            norms[big] = peak[:, 0] * np.sqrt(((A[big] / peak) ** 2).sum(axis=1))
         scale = np.where(norms > clip_bound, clip_bound / norms, 1.0)
     return A * scale[:, None]
 
@@ -193,90 +203,103 @@ def solve(obs, r, config=None, gt=None):
 
     t0 = time.perf_counter()
     pair, znorm, clip_bound = spectral_init(obs, r, mu)
-    solver_seconds = time.perf_counter() - t0
+    init_seconds = time.perf_counter() - t0
     if config.clip_bound is not None:
         clip_bound = config.clip_bound
         pair = project_rows(pair, clip_bound)
     denom = config.stepsize_denominator or znorm**2
     step = config.eta / denom
-    config = replace(config, clip_bound=clip_bound, stepsize_denominator=denom)
 
     trace = IterationTrace(meta={
         "solver": "pgd", "eta": config.eta, "lam": config.lam,
         "clip_bound": clip_bound, "stepsize_denominator": denom,
     })
 
+    def objective(X, Y):
+        K = observed_residual(X, Y, obs)
+        gap = _gram_gap(X, Y)
+        return _loss_from_residual(K, gap, obs, config.lam), (K, gap)
+
+    def advance(X, Y, state):
+        K, gap = state
+        gX, gY = _gradient_from_residual(K, X, Y, gap, obs, config.lam)
+        return _clip_rows(X - step * gX, clip_bound), _clip_rows(Y - step * gY, clip_bound)
+
+    return iterate(pair, objective, advance, metrics.rotation_distance, config, gt,
+                   trace, init_seconds)
+
+
+def iterate(pair, objective, advance, distance, config, gt, trace, solver_seconds):
+    """The outer loop of both factored solvers, started at ``pair``.
+
+    ``objective(X, Y)`` returns ``(loss, state)``, ``advance(X, Y, state)``
+    the next iterate (step and projection), and ``distance`` is the
+    alignment metric logged under ``config.log_dist``.  Stop rules, in
+    order: "tol", "stall", then without a ground truth "loss-floor" and
+    "stagnation"; else "max-iter".  The reason goes to
+    ``trace.meta["stop_reason"]``, "diverged" before a ``DivergenceError``.
+    ``solver_seconds`` starts at the initialization's time.
+    """
     # the iterate stays as plain arrays inside the loop; the finite-loss
-    # check below is what guards it against NaN and Inf
+    # check is what guards it against NaN and Inf, so numpy's overflow
+    # warnings on the way there are noise
     X, Y = pair.X, pair.Y
-
-    def log(k, loss_val):
-        evaluate = gt is not None and (k % config.eval_every == 0 or k == config.max_iter)
-        rel = metrics.relative_error(X, Y, gt) if evaluate else float("nan")
-        dist = (
-            metrics.rotation_distance(FactorPair(X, Y), gt).distance
-            if (config.log_dist and evaluate and np.isfinite(loss_val))
-            else float("nan")
-        )
-        trace.append(k, loss_val, rel, dist, solver_seconds)
-        return rel
-
     prev_loss = None
     bad_streak = 0
     checkpoint = None
     loss_floor_ref = None
-    for k in range(config.max_iter + 1):
-        t0 = time.perf_counter()
-        K = observed_residual(X, Y, obs)
-        gap = _gram_gap(X, Y)
-        loss_k = _loss_from_residual(K, gap, obs, config.lam)
-        solver_seconds += time.perf_counter() - t0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(config.max_iter + 1):
+            t0 = time.perf_counter()
+            loss_k, state = objective(X, Y)
+            solver_seconds += time.perf_counter() - t0
 
-        if loss_floor_ref is None:
-            loss_floor_ref = max(loss_k, 1e-300)
-        rel = log(k, loss_k)
-        if not np.isfinite(loss_k):
-            raise DivergenceError("loss is no longer finite", trace)
-        # meaningful growth only: plateau jitter at a constrained optimum
-        # or at the fp floor must not trip the guard
-        if prev_loss is not None and loss_k > prev_loss * (1 + 1e-9):
-            bad_streak += 1
-            if bad_streak >= _DIVERGENCE_PATIENCE:
+            if loss_floor_ref is None:
+                loss_floor_ref = max(loss_k, 1e-300)
+            evaluate = gt is not None and (k % config.eval_every == 0 or k == config.max_iter)
+            rel = metrics.relative_error(X, Y, gt) if evaluate else float("nan")
+            dist = float("nan")
+            if config.log_dist and evaluate and np.isfinite(loss_k):
+                dist = distance(FactorPair(X, Y), gt).distance
+            trace.append(k, loss_k, rel, dist, solver_seconds)
+            # meaningful growth only: plateau jitter at a constrained optimum
+            # or at the fp floor must not trip the guard
+            if prev_loss is not None and loss_k > prev_loss * (1 + 1e-9):
+                bad_streak += 1
+            else:
+                bad_streak = 0
+            if not np.isfinite(loss_k) or bad_streak >= _DIVERGENCE_PATIENCE:
+                trace.meta["stop_reason"] = "diverged"
                 raise DivergenceError(
-                    f"loss increased for {bad_streak} consecutive iterations", trace
-                )
-        else:
-            bad_streak = 0
+                    f"loss increased for {bad_streak} consecutive iterations"
+                    if np.isfinite(loss_k) else "loss is no longer finite", trace)
 
-        if gt is not None and rel < config.tol:
-            break
-        if (
-            gt is not None
-            and config.stall_window > 0
-            and not np.isnan(rel)
-        ):
-            if checkpoint is not None and k - checkpoint[0] >= config.stall_window:
-                _, crel = checkpoint
-                if rel > 10 * config.tol and rel > 0.98 * crel:
-                    break  # no meaningful progress; hopeless at this budget
-                checkpoint = (k, rel)
-            elif checkpoint is None:
-                checkpoint = (k, rel)
-        if gt is None:
-            if loss_k <= _LOSS_FLOOR_REL * loss_floor_ref:
+            stop = None
+            if gt is not None and rel < config.tol:
+                stop = "tol"
+            elif gt is not None and config.stall_window > 0 and not np.isnan(rel):
+                if checkpoint is None:
+                    checkpoint = (k, rel)
+                elif k - checkpoint[0] >= config.stall_window:
+                    if rel > 10 * config.tol and rel > 0.98 * checkpoint[1]:
+                        stop = "stall"  # no meaningful progress; hopeless at this budget
+                    checkpoint = (k, rel)
+            elif gt is None:
+                if loss_k <= _LOSS_FLOOR_REL * loss_floor_ref:
+                    stop = "loss-floor"
+                elif prev_loss is not None and abs(prev_loss - loss_k) <= (
+                    _LOSS_STALL_REL * max(loss_k, 1e-300)
+                ):
+                    stop = "stagnation"
+            if stop is None and k == config.max_iter:
+                stop = "max-iter"
+            if stop is not None:
+                trace.meta["stop_reason"] = stop
                 break
-            if prev_loss is not None and abs(prev_loss - loss_k) <= _LOSS_STALL_REL * max(
-                loss_k, 1e-300
-            ):
-                break
-        if k == config.max_iter:
-            break
-        prev_loss = loss_k
+            prev_loss = loss_k
 
-        t0 = time.perf_counter()
-        gX, gY = _gradient_from_residual(K, X, Y, gap, obs, config.lam)
-        X = _clip_rows(X - step * gX, clip_bound)
-        Y = _clip_rows(Y - step * gY, clip_bound)
-        solver_seconds += time.perf_counter() - t0
+            t0 = time.perf_counter()
+            X, Y = advance(X, Y, state)
+            solver_seconds += time.perf_counter() - t0
 
     return FactorPair(X, Y), trace

@@ -5,17 +5,19 @@ factor's Gram matrix, which removes the condition-number dependence of
 the convergence rate.  The projection rescales rows whose contribution to
 the product exceeds an incoherence budget, using the closed form evaluated
 against the pre-projection co-factor.
+
+``solve`` runs the loop shared with the unscaled solver, ``pgd.iterate``;
+``bench.solve`` runs any solver by name.
 """
 
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import metrics
-from .errors import DivergenceError, ParameterError
-from .pgd import (FactorPair, IterationTrace, _DIVERGENCE_PATIENCE,
-                  _LOSS_FLOOR_REL, _LOSS_STALL_REL)
+from .errors import ParameterError
+from .pgd import FactorPair, IterationTrace, iterate
 from .sampling import observed_residual, rescaled_top_svd
 
 _ETA_CAP = 0.145
@@ -128,82 +130,19 @@ def solve(obs, r, config=None, gt=None):
 
     t0 = time.perf_counter()
     pair, budget = spectral_init(obs, r, config, gt=gt)
-    solver_seconds = time.perf_counter() - t0
-    config = replace(config, budget=budget)
+    init_seconds = time.perf_counter() - t0
 
     trace = IterationTrace(meta={
         "solver": "scaled-pgd", "eta": config.eta, "budget": budget,
     })
 
-    # plain arrays inside the loop, as in pgd.solve
-    X, Y = pair.X, pair.Y
-
-    def log(k, loss_val):
-        evaluate = gt is not None and (k % config.eval_every == 0 or k == config.max_iter)
-        rel = metrics.relative_error(X, Y, gt) if evaluate else float("nan")
-        dist = (
-            metrics.gauge_distance(FactorPair(X, Y), gt).distance
-            if (config.log_dist and evaluate and np.isfinite(loss_val))
-            else float("nan")
-        )
-        trace.append(k, loss_val, rel, dist, solver_seconds)
-        return rel
-
-    prev_loss = None
-    bad_streak = 0
-    checkpoint = None
-    loss_floor_ref = None
-    for k in range(config.max_iter + 1):
-        t0 = time.perf_counter()
+    def objective(X, Y):
         K = observed_residual(X, Y, obs)
-        loss_k = 0.5 * float((K.data**2).sum()) / obs.rate
-        solver_seconds += time.perf_counter() - t0
+        return 0.5 * float((K.data**2).sum()) / obs.rate, K
 
-        if loss_floor_ref is None:
-            loss_floor_ref = max(loss_k, 1e-300)
-        rel = log(k, loss_k)
-        if not np.isfinite(loss_k):
-            raise DivergenceError("loss is no longer finite", trace)
-        # meaningful growth only: plateau jitter at a constrained optimum
-        # or at the fp floor must not trip the guard
-        if prev_loss is not None and loss_k > prev_loss * (1 + 1e-9):
-            bad_streak += 1
-            if bad_streak >= _DIVERGENCE_PATIENCE:
-                raise DivergenceError(
-                    f"loss increased for {bad_streak} consecutive iterations", trace
-                )
-        else:
-            bad_streak = 0
-
-        if gt is not None and rel < config.tol:
-            break
-        if (
-            gt is not None
-            and config.stall_window > 0
-            and not np.isnan(rel)
-        ):
-            if checkpoint is not None and k - checkpoint[0] >= config.stall_window:
-                _, crel = checkpoint
-                if rel > 10 * config.tol and rel > 0.98 * crel:
-                    break  # no meaningful progress; hopeless at this budget
-                checkpoint = (k, rel)
-            elif checkpoint is None:
-                checkpoint = (k, rel)
-        if gt is None:
-            if loss_k <= _LOSS_FLOOR_REL * loss_floor_ref:
-                break
-            if prev_loss is not None and abs(prev_loss - loss_k) <= _LOSS_STALL_REL * max(
-                loss_k, 1e-300
-            ):
-                break
-        if k == config.max_iter:
-            break
-        prev_loss = loss_k
-
-        t0 = time.perf_counter()
+    def advance(X, Y, K):
         X, Y = _step_from_residual(K, X, Y, obs, config.eta, config.pinv_threshold)
-        if not np.isinf(budget):
-            X, Y = _scale_rows(X, Y, budget)
-        solver_seconds += time.perf_counter() - t0
+        return (X, Y) if np.isinf(budget) else _scale_rows(X, Y, budget)
 
-    return FactorPair(X, Y), trace
+    return iterate(pair, objective, advance, metrics.gauge_distance, config, gt,
+                   trace, init_seconds)

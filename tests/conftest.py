@@ -1,4 +1,3 @@
-import numpy as np
 import pytest
 
 from detmc import bench, graphs, sampling
@@ -26,8 +25,3 @@ def small_instance():
     gt = bench.synthetic_low_rank(30, 30, 2, 2.0, seed=4)
     g = graphs.random_biregular(30, 30, 6, seed=3)
     return gt, g, sampling.observe(gt.matrix, g)
-
-
-def complete_graph(n1, n2):
-    rows, cols = np.divmod(np.arange(n1 * n2), n2)
-    return graphs.BiregularGraph(n1, n2, np.column_stack([rows, cols]))

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from detmc import bench, graphs, metrics, pgd, sampling, scaled_pgd, theory
-from conftest import complete_graph
+from support import complete_graph
 
 
 def report(num, name, detail=""):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from detmc import bench
+from detmc import bench, ialm, pgd, scaled_pgd
 from detmc.errors import ParameterError
 
 
@@ -85,6 +85,34 @@ class TestPhaseTransition:
         with pytest.warns(UserWarning):
             rows = bench.run_phase_transition(cfg, solver="pgd")
         assert rows[0]["sampler"] == "skipped"
+
+
+class TestSolve:
+    def test_settings_routed_by_config_fields(self, monkeypatch):
+        # each solver gets the settings that are fields of its config, None
+        # meaning the default; the solver is looked up on its module per call
+        seen = {}
+
+        def record(*args, gt=None):
+            seen[type(args[-1])] = args[-1]
+            return None, None
+
+        for module in (pgd, scaled_pgd, ialm):
+            monkeypatch.setattr(module, "solve", record)
+        for name in bench.SOLVERS:
+            bench.solve(name, None, 2, max_iter=7, tol=1e-3, eta=0.12, lam=0.25,
+                        mu=3.0, stall_window=None)
+        assert seen == {
+            pgd.PgdConfig: pgd.PgdConfig(max_iter=7, tol=1e-3, eta=0.12, lam=0.25,
+                                         mu=3.0),
+            scaled_pgd.ScaledPgdConfig: scaled_pgd.ScaledPgdConfig(
+                max_iter=7, tol=1e-3, eta=0.12, mu=3.0),
+            ialm.IalmConfig: ialm.IalmConfig(max_iter=7, tol=1e-3),
+        }
+
+    def test_unknown_solver(self):
+        with pytest.raises(ParameterError):
+            bench.solve("sgd", None, 2)
 
 
 class TestSolverComparison:

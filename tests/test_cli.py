@@ -51,6 +51,10 @@ class TestGraphCommands:
 
 
 class TestComplete:
+    # what ends each blind run below: the loss floor for the factored
+    # solvers, feasibility below tol for the nuclear-norm baseline
+    STOP_REASON = {"pgd": "loss-floor", "scaled-pgd": "loss-floor", "ialm": "tol"}
+
     @pytest.mark.parametrize("solver", ["pgd", "scaled-pgd", "ialm"])
     def test_end_to_end(self, tmp_path, capsys, solver):
         gt = bench.synthetic_low_rank(40, 40, 2, 2.0, seed=1)
@@ -71,6 +75,7 @@ class TestComplete:
         assert code == 0
         summary = json.loads(out)
         assert summary["observed_residual"] < 1e-3
+        assert summary["stop_reason"] == self.STOP_REASON[solver]
         M = sampling.load_dense_array(out_path)
         rel = np.linalg.norm(M - gt.matrix) / np.linalg.norm(gt.matrix)
         assert rel < 1e-3
@@ -198,6 +203,7 @@ class TestErrorExitCodes:
         code = self.complete(obs_path, graph_path, tmp_path)
         self.assert_one_line_error(capsys, code)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_divergence_error(self, tmp_path, capsys):
         # a huge mu lifts the row clip, so a large step overflows the loss
         obs_path, graph_path = self.write_instance(tmp_path)

@@ -5,7 +5,7 @@ import pytest
 
 from detmc import graphs
 from detmc.errors import FormatError, ParameterError
-from conftest import complete_graph
+from support import complete_graph
 
 
 class TestRandomBiregular:

@@ -3,7 +3,7 @@ import pytest
 
 from detmc import bench, graphs, ialm, sampling
 from detmc.errors import ParameterError
-from conftest import complete_graph
+from support import complete_graph
 
 
 def nuclear_norm(A):
@@ -57,6 +57,14 @@ class TestSolve:
         Mhat, trace = ialm.solve(obs, ialm.IalmConfig(tol=1e-4), gt=gt)
         assert trace.final_rel_error < 1e-4
         assert trace.iterations[-1] <= 5
+        assert trace.meta["stop_reason"] == "tol"
+
+    def test_max_iter_stop(self):
+        gt = bench.synthetic_low_rank(30, 30, 2, 2.0, seed=4)
+        obs = sampling.observe(gt.matrix, graphs.random_biregular(30, 30, 12, seed=3))
+        _, trace = ialm.solve(obs, ialm.IalmConfig(max_iter=3), gt=gt)
+        assert trace.iterations[-1] == 3
+        assert trace.meta["stop_reason"] == "max-iter"
 
     def test_partial_observation_desk_instance(self):
         gt = bench.synthetic_low_rank(256, 256, 3, 1.0, seed=4)
@@ -75,6 +83,7 @@ class TestSolve:
         Mhat, trace = ialm.solve(obs, ialm.IalmConfig(tol=1e-6, max_iter=200))
         feas = np.linalg.norm(Mhat[g.rows, g.cols] - obs.values) / np.linalg.norm(obs.values)
         assert feas < 1e-5
+        assert trace.meta["stop_reason"] == "tol"
 
     def test_config_validation(self):
         with pytest.raises(ParameterError):

@@ -3,7 +3,7 @@ import pytest
 
 from detmc import bench, graphs, metrics, pgd, sampling
 from detmc.errors import DivergenceError, ParameterError
-from conftest import complete_graph
+from support import complete_graph
 
 
 def lifted_loss_oracle(pair, gt, g, lam):
@@ -142,6 +142,13 @@ class TestProjectRows:
         assert np.allclose(out.X, [[3.0, 4.0]])
         assert np.allclose(out.Y, [[0.0, 1.0]])
 
+    def test_clips_row_whose_squares_overflow(self):
+        # 1e200**2 overflows; the row must still come out at the bound
+        pair = pgd.FactorPair(np.array([[1e200, 1e200]]), np.array([[0.0, 1.0]]))
+        out = pgd.project_rows(pair, 1.0)
+        assert np.linalg.norm(out.X[0]) == pytest.approx(1.0, rel=1e-12)
+        assert np.array_equal(out.Y, pair.Y)
+
     def test_row_norms_bounded(self):
         rng = np.random.default_rng(9)
         pair = pgd.FactorPair(rng.standard_normal((30, 3)) * 3, rng.standard_normal((20, 3)) * 3)
@@ -216,6 +223,7 @@ class TestSolve:
         assert np.allclose(rot.X, pair.X @ R0, atol=1e-8)
         assert np.allclose(rot.Y, pair.Y @ R0, atol=1e-8)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_divergence_guard(self, small_instance):
         gt, g, obs = small_instance
         cfg = pgd.PgdConfig(eta=500.0, max_iter=300, tol=1e-8, clip_bound=1e300)
@@ -223,7 +231,9 @@ class TestSolve:
             pgd.solve(obs, gt.rank, cfg, gt=gt)
         assert exc.value.trace is not None
         assert len(exc.value.trace.iterations) >= 1
+        assert exc.value.trace.meta["stop_reason"] == "diverged"
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_non_finite_iterate_raises_divergence(self, small_instance):
         gt, g, obs = small_instance
         # eta / denominator overflows to an infinite step, so the first
@@ -235,6 +245,7 @@ class TestSolve:
         trace = exc.value.trace
         assert trace.iterations == [0, 1]
         assert np.isfinite(trace.loss[0]) and not np.isfinite(trace.loss[1])
+        assert trace.meta["stop_reason"] == "diverged"
 
     def test_stops_without_ground_truth(self):
         gt = bench.synthetic_low_rank(30, 30, 2, 2.0, seed=4)
@@ -255,6 +266,46 @@ class TestSolve:
         keep = dists[:-1] > floor
         ratios = (dists[1:] / dists[:-1])[keep]
         assert ratios.max() <= 1.0 + 1e-10
+
+
+class TestStopReason:
+    """``trace.meta["stop_reason"]`` names the rule that ended the run; the
+    loop is shared, so both factored solvers are checked."""
+
+    @staticmethod
+    def instance(pattern):
+        gt = bench.synthetic_low_rank(30, 30, 2, 2.0, seed=4)
+        return gt, sampling.observe(gt.matrix, pattern)
+
+    @pytest.mark.parametrize("solver", ["pgd", "scaled-pgd"])
+    def test_with_ground_truth(self, small_instance, solver):
+        gt, g, obs = small_instance
+        _, trace = bench.solve(solver, obs, gt.rank, gt, max_iter=3)
+        assert trace.meta["stop_reason"] == "max-iter"
+        assert trace.iterations[-1] == 3
+        _, trace = bench.solve(solver, obs, gt.rank, gt, tol=1e-10, stall_window=20)
+        assert trace.meta["stop_reason"] == "stall"
+        assert trace.iterations[-1] == 40
+        gt, obs = self.instance(graphs.random_biregular(30, 30, 12, seed=3))
+        _, trace = bench.solve(solver, obs, gt.rank, gt, tol=1e-6)
+        assert trace.meta["stop_reason"] == "tol"
+        assert trace.final_rel_error < 1e-6
+
+    @pytest.mark.parametrize("solver, settings", [
+        ("pgd", {"eta": 0.25}),
+        # the default incoherence estimate over-clips the scaled solver's
+        # blind runs here; 8 is the value of the README's blind example
+        ("scaled-pgd", {"mu": 8.0}),
+    ])
+    def test_without_ground_truth(self, solver, settings):
+        gt, obs = self.instance(graphs.random_biregular(30, 30, 12, seed=3))
+        _, trace = bench.solve(solver, obs, gt.rank, **settings)
+        assert trace.meta["stop_reason"] == "loss-floor"
+        assert trace.loss[-1] <= pgd._LOSS_FLOOR_REL * trace.loss[0]
+        gt, obs = self.instance(complete_graph(30, 30))
+        _, trace = bench.solve(solver, obs, gt.rank, **settings)
+        assert trace.meta["stop_reason"] == "stagnation"
+        assert trace.iterations[-1] < 2000
 
 
 class TestConfig:

@@ -3,7 +3,7 @@ import pytest
 
 from detmc import bench, graphs, sampling
 from detmc.errors import FormatError, ParameterError
-from conftest import complete_graph
+from support import complete_graph
 
 
 def dense_mask(g):

@@ -4,7 +4,7 @@ import scipy.optimize
 
 from detmc import bench, graphs, metrics, pgd, sampling, scaled_pgd
 from detmc.errors import DivergenceError, ParameterError
-from conftest import complete_graph
+from support import complete_graph
 
 
 def ball_projection_oracle(X, Y, budget):
@@ -274,14 +274,17 @@ class TestSolve:
         cfg = scaled_pgd.ScaledPgdConfig(eta=0.2, allow_large_eta=True)
         assert cfg.eta == 0.2
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_divergence_guard(self, small_instance):
         gt, g, obs = small_instance
         cfg = scaled_pgd.ScaledPgdConfig(
             eta=50.0, allow_large_eta=True, max_iter=400, tol=1e-10, budget=np.inf
         )
-        with pytest.raises(DivergenceError):
+        with pytest.raises(DivergenceError) as exc:
             scaled_pgd.solve(obs, gt.rank, cfg, gt=gt)
+        assert exc.value.trace.meta["stop_reason"] == "diverged"
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_non_finite_iterate_raises_divergence(self, small_instance):
         gt, g, obs = small_instance
         # the first step overflows; the projection then turns Inf into NaN
@@ -292,3 +295,4 @@ class TestSolve:
         trace = exc.value.trace
         assert trace.iterations == [0, 1]
         assert np.isfinite(trace.loss[0]) and not np.isfinite(trace.loss[1])
+        assert trace.meta["stop_reason"] == "diverged"

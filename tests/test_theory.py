@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from detmc import bench, graphs, theory
-from conftest import complete_graph
+from support import complete_graph
 
 
 @pytest.fixture(scope="module")
