@@ -14,6 +14,11 @@ Two generators are provided:
 
 ``certify`` measures the top two singular values of the bipartite
 adjacency matrix and reports whether the graph passes the Ramanujan test.
+It takes both from Lanczos runs on the sparse adjacency (sigma2 after
+deflating the constant pair), falling back to a dense SVD only for the
+complete graph, whose deflated operator is zero.  The certificate is
+measured once per graph and cached on it, like ``adjacency``: a graph's
+edges are not to be edited after construction.
 """
 
 import math
@@ -26,7 +31,6 @@ import scipy.sparse
 import scipy.sparse.linalg
 
 from .errors import FormatError, GenerationError, ParameterError
-from .kernels import DENSE_SVD_CUTOFF
 
 _SWAP_ATTEMPT_CAP = 1_000_000
 
@@ -120,6 +124,11 @@ class BiregularGraph(SamplingPattern):
     def rate(self):
         """Fraction of entries observed: d1/n2 (= d2/n1)."""
         return self.d1 / self.n2
+
+    @cached_property
+    def certificate(self):
+        """The ``SpectralCertificate``, measured on first access (see ``certify``)."""
+        return _measure_certificate(self)
 
     def __repr__(self):
         return (
@@ -369,7 +378,7 @@ def lps_graph(p, q):
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class SpectralCertificate:
     """Measured spectral data of a biregular adjacency matrix."""
 
@@ -391,8 +400,8 @@ class SpectralCertificate:
         }
 
 
-def _sparse_top_two(g):
-    """sigma1 / sigma2 of a large adjacency without densifying.
+def _top_two(g):
+    """sigma1 / sigma2 of the adjacency, by Lanczos on the sparse matrix.
 
     The constant pair is an exact singular pair of any biregular adjacency
     (value sqrt(d1*d2)); sigma2 is the top singular value after deflating it.
@@ -401,12 +410,19 @@ def _sparse_top_two(g):
     """
     A = g.adjacency
     n1, n2 = g.n1, g.n2
+    complete = g.d1 == n2  # includes every graph with a one-vertex side
+    if complete:
+        # rank one: the deflated operator is zero and svds cannot start on
+        # it (nor take k=1 on a one-vertex side), so use a dense SVD
+        s = np.linalg.svd(A.toarray(), compute_uv=False)
+        return float(s[0]), float(s[1]) if s.size > 1 else 0.0
+
     u1 = np.full(n1, 1.0 / math.sqrt(n1))
     v1 = np.full(n2, 1.0 / math.sqrt(n2))
     s1_exact = math.sqrt(g.d1 * g.d2)
 
     sigma1 = scipy.sparse.linalg.svds(
-        A.astype(np.float64), k=1, v0=np.ones(min(n1, n2)), return_singular_vectors=False
+        A, k=1, v0=np.ones(min(n1, n2)), return_singular_vectors=False
     )[0]
 
     def matvec(x):
@@ -428,23 +444,8 @@ def _sparse_top_two(g):
     return float(sigma1), float(sigma2)
 
 
-def certify(g):
-    """Measure sigma1, sigma2 and the Ramanujan test for a biregular graph.
-
-    The Ramanujan flag additionally requires a strict spectral gap
-    (sigma2 below sigma1): a repeated top singular value means the top
-    singular vectors are not the constant pair, e.g. for disconnected
-    graphs, so the constant-vector assumption fails.
-    """
-    if not isinstance(g, BiregularGraph):
-        raise ParameterError("certification requires a biregular graph")
-    if max(g.n1, g.n2) <= DENSE_SVD_CUTOFF:
-        s = np.linalg.svd(g.adjacency.toarray(), compute_uv=False)
-        sigma1 = float(s[0])
-        sigma2 = float(s[1]) if s.size > 1 else 0.0
-    else:
-        sigma1, sigma2 = _sparse_top_two(g)
-
+def _measure_certificate(g):
+    sigma1, sigma2 = _top_two(g)
     s1_exact = math.sqrt(g.d1 * g.d2)
     bound = math.sqrt(g.d1 - 1) + math.sqrt(g.d2 - 1)
     g1_res = float(
@@ -467,6 +468,23 @@ def certify(g):
         g1_residual=g1_res,
         is_ramanujan=is_ram,
     )
+
+
+def certify(g):
+    """Measure sigma1, sigma2 and the Ramanujan test for a biregular graph.
+
+    The Ramanujan flag additionally requires a strict spectral gap
+    (sigma2 below sigma1): a repeated top singular value means the top
+    singular vectors are not the constant pair, e.g. for disconnected
+    graphs, so the constant-vector assumption fails.
+
+    The certificate is measured once, on the first call, and cached on the
+    graph (``g.certificate``); later calls return the same frozen object.
+    Like ``adjacency``, the cache assumes the graph's edges are not edited.
+    """
+    if not isinstance(g, BiregularGraph):
+        raise ParameterError("certification requires a biregular graph")
+    return g.certificate
 
 
 # ---------------------------------------------------------------------------

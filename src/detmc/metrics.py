@@ -99,7 +99,11 @@ class _GaugeObjective:
         return fx + fy, (Gx + Gy).ravel()
 
     def newton_polish(self, Q, tol, max_iter=60):
-        """Damped Newton on the gauge, Hessian by differencing the gradient."""
+        """Damped Newton on the gauge, Hessian by differencing the gradient.
+
+        Stops early at a fixed point: an accepted step that rounds away
+        leaves ``q`` as it was, so every later iteration would repeat it.
+        """
         r2 = self.r * self.r
         q = Q.ravel().copy()
         f, g = self.value_grad(q)
@@ -124,11 +128,13 @@ class _GaugeObjective:
                     continue
                 fn, gn = self.value_grad(q + step)
                 if fn <= f + 1e-12 * abs(f):
-                    q, f, g = q + step, fn, gn
                     break
                 lam *= 10
             else:
                 break
+            if np.array_equal(q + step, q):
+                break
+            q, f, g = q + step, fn, gn
         return q.reshape(self.r, self.r), f, g
 
 

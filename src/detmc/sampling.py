@@ -265,8 +265,9 @@ def save_observed(obs, path):
     with open(path, "w") as fh:
         fh.write(_MM_HEADER + "\n")
         fh.write(f"{pat.n1} {pat.n2} {pat.m}\n")
-        for (i, j), v in zip(pat.edges, obs.values):
-            fh.write(f"{i + 1} {j + 1} {float(v)!r}\n")
+        entries = map("{} {} {!r}".format, (pat.rows + 1).tolist(),
+                      (pat.cols + 1).tolist(), obs.values.tolist())
+        fh.write("\n".join(entries) + "\n")
 
 
 def save_dense_array(M, path):
@@ -276,9 +277,7 @@ def save_dense_array(M, path):
     with open(path, "w") as fh:
         fh.write("%%MatrixMarket matrix array real general\n")
         fh.write(f"{n1} {n2}\n")
-        for j in range(n2):
-            for i in range(n1):
-                fh.write(f"{float(M[i, j])!r}\n")
+        fh.write("\n".join(map(repr, M.ravel(order="F").tolist())) + "\n")
 
 
 def load_dense_array(path):

@@ -62,15 +62,31 @@ def project_rows(pair, budget):
 
 
 def _scale_rows(X, Y, budget):
-    n1, n2 = X.shape[0], Y.shape[0]
-    gy = Y.T @ Y
-    gx = X.T @ X
-    xprod = np.sqrt(np.maximum(np.einsum("ij,jk,ik->i", X, gy, X), 0.0))
-    yprod = np.sqrt(np.maximum(np.einsum("ij,jk,ik->i", Y, gx, Y), 0.0))
-    with np.errstate(divide="ignore"):
-        sx = np.minimum(1.0, budget / (np.sqrt(n1) * xprod))
-        sy = np.minimum(1.0, budget / (np.sqrt(n2) * yprod))
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        sx = _row_scales(X, Y, budget)
+        sy = _row_scales(Y, X, budget)
     return X * sx[:, None], Y * sy[:, None]
+
+
+def _row_scales(A, B, budget):
+    """min(1, budget / (sqrt(n) * ||A_i @ B.T||)) for every row i of A."""
+    prod = np.sqrt(np.maximum(np.einsum("ij,jk,ik->i", A, B.T @ B, A), 0.0))
+    bad = ~np.isfinite(prod)
+    if bad.any() and np.isfinite(B).all():
+        bad &= np.isfinite(A).all(axis=1)
+        # the Gram form squares entries and overflows above ~1e154: measure
+        # those finite rows again with the row and B scaled by their largest
+        # entries, so that they are scaled to the budget instead of zeroed.
+        # A product norm beyond the float range keeps the plain arithmetic,
+        # so a step that blew up still turns the iterate non-finite.
+        peak = np.abs(A[bad]).max(axis=1)
+        peak[peak == 0] = 1.0
+        top = np.abs(B).max()
+        As, Bs = A[bad] / peak[:, None], B / top
+        unit = np.sqrt(np.maximum(np.einsum("ij,jk,ik->i", As, Bs.T @ Bs, As), 0.0))
+        rescued = peak * top * unit
+        prod[bad] = np.where(np.isfinite(rescued), rescued, prod[bad])
+    return np.minimum(1.0, budget / (np.sqrt(A.shape[0]) * prod))
 
 
 def _resolve_budget(config, tsvd, gt):

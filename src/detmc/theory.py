@@ -154,7 +154,8 @@ def check_graph_deviation(g, gt=None):
     # kernel for biregular graphs)
     v0 = np.random.default_rng(11).standard_normal(min(g.n1, g.n2))
     probe = matvec(v0) if g.n2 <= g.n1 else rmatvec(v0)
-    if np.linalg.norm(probe) <= 1e-12 * np.linalg.norm(v0) / g.rate:
+    complete = np.linalg.norm(probe) <= 1e-12 * np.linalg.norm(v0) / g.rate
+    if complete:
         dev = 0.0  # complete graph: the rescaled adjacency IS all-ones
     else:
         dev = float(scipy.sparse.linalg.svds(
@@ -167,7 +168,15 @@ def check_graph_deviation(g, gt=None):
     if gt is not None:
         rescaled = np.zeros((g.n1, g.n2))
         rescaled[g.rows, g.cols] = gt.matrix[g.rows, g.cols] / g.rate
-        dev2 = operator_norm(rescaled - gt.matrix)
+        if complete:
+            dev2 = 0.0  # rate 1: the rescaled matrix IS the matrix
+        else:
+            # Lanczos, not power iteration: the top two singular values of
+            # this matrix can be within 1% of each other, where power
+            # iteration takes hundreds of steps and stops short of the value
+            dev2 = float(scipy.sparse.linalg.svds(
+                rescaled - gt.matrix, k=1, v0=v0, return_singular_vectors=False
+            )[0])
         bound2 = (
             cert.c0 * gt.coherence_mu * gt.rank / math.sqrt(min(g.d1, g.d2))
         ) * operator_norm(gt.matrix)

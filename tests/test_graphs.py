@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -6,6 +7,13 @@ import pytest
 from detmc import graphs
 from detmc.errors import FormatError, ParameterError
 from support import complete_graph
+
+
+def two_k22():
+    """Two disjoint copies of K_{2,2}: a disconnected 2-regular graph."""
+    edges = [(i, j) for i in range(2) for j in range(2)]
+    edges += [(i + 2, j + 2) for i in range(2) for j in range(2)]
+    return graphs.BiregularGraph(4, 4, np.array(edges))
 
 
 class TestRandomBiregular:
@@ -93,7 +101,7 @@ class TestLps:
             graphs.lps_graph(5, 15)  # q composite
 
     def test_large_sparse_certification_path(self):
-        # n = 2448 > dense cutoff: exercises the deflated Lanczos route
+        # n = 2448: a larger LPS graph on the same Lanczos route
         g = graphs.lps_graph(5, 17)
         assert g.n1 == g.n2 == 2448
         cert = graphs.certify(g)
@@ -116,12 +124,67 @@ class TestCertify:
 
     def test_disconnected_union_not_ramanujan(self):
         # two disjoint copies of K_{2,2}: sigma2 = sigma1 = 2
-        edges = [(i, j) for i in range(2) for j in range(2)]
-        edges += [(i + 2, j + 2) for i in range(2) for j in range(2)]
-        g = graphs.BiregularGraph(4, 4, np.array(edges))
+        g = two_k22()
         cert = graphs.certify(g)
         assert cert.sigma2 == pytest.approx(cert.sigma1)
         assert not cert.is_ramanujan
+
+
+class TestCertifyOracle:
+    """The Lanczos sigma1/sigma2 against a dense SVD of the adjacency."""
+
+    @staticmethod
+    def assert_matches_dense(g, cert):
+        s = np.linalg.svd(g.adjacency.toarray(), compute_uv=False)
+        assert cert.sigma1 == pytest.approx(s[0], rel=1e-10)
+        assert cert.sigma2 == pytest.approx(s[1], rel=1e-10)
+        return s
+
+    @pytest.mark.parametrize("n1, n2, d1, seed", [
+        (8, 8, 3, 0), (16, 16, 5, 1), (40, 40, 6, 2), (64, 64, 60, 3),
+        (2, 4, 2, 4), (9, 3, 2, 5), (12, 8, 4, 6), (60, 40, 10, 7), (24, 36, 9, 8),
+    ])
+    def test_random_biregular(self, n1, n2, d1, seed):
+        g = graphs.random_biregular(n1, n2, d1, seed)
+        self.assert_matches_dense(g, graphs.certify(g))
+
+    def test_disconnected_union_repeats_sigma1(self):
+        g = two_k22()
+        s = self.assert_matches_dense(g, graphs.certify(g))
+        assert s[1] == pytest.approx(s[0])
+
+    def test_lps_high_multiplicity_sigma2(self, lps_5_13, lps_5_13_cert):
+        # a repeated sigma2 is where Lanczos could under-report
+        s = self.assert_matches_dense(lps_5_13, lps_5_13_cert)
+        assert s[2] == pytest.approx(s[1], rel=1e-9)
+
+    @pytest.mark.parametrize("n1, n2", [(1, 1), (1, 5), (5, 1), (2, 2), (4, 7)])
+    def test_complete_graphs_take_the_dense_case(self, n1, n2):
+        # rank one: the deflated operator is zero, so Lanczos cannot run
+        cert = graphs.certify(complete_graph(n1, n2))
+        assert cert.sigma1 == pytest.approx(math.sqrt(n1 * n2), rel=1e-12)
+        assert cert.sigma2 == pytest.approx(0.0, abs=1e-12)
+
+
+class TestCertificateCache:
+    def test_measured_once_and_shared(self, monkeypatch):
+        measured = []
+        top_two = graphs._top_two
+
+        def counting(g):
+            measured.append(g)
+            return top_two(g)
+
+        monkeypatch.setattr(graphs, "_top_two", counting)
+        g = graphs.random_biregular(20, 20, 4, seed=0)
+        first = graphs.certify(g)
+        assert graphs.certify(g) is first is g.certificate
+        assert measured == [g]
+
+    def test_frozen(self):
+        cert = graphs.certify(graphs.random_biregular(8, 8, 3, seed=0))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cert.sigma2 = 0.0
 
 
 class TestEdgeFiles:

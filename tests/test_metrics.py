@@ -42,6 +42,39 @@ def perturbed_pair(gt, scale, seed):
     )
 
 
+def plain_newton_polish(obj, Q, tol, max_iter=60):
+    """The damped Newton polish without its fixed-point stop."""
+    r2 = obj.r * obj.r
+    q = Q.ravel().copy()
+    f, g = obj.value_grad(q)
+    for _ in range(max_iter):
+        if np.linalg.norm(g) <= tol:
+            break
+        H = np.empty((r2, r2))
+        h = 1e-7 * max(np.linalg.norm(q) / max(obj.r, 1), 1e-8)
+        for j in range(r2):
+            qp, qm = q.copy(), q.copy()
+            qp[j] += h
+            qm[j] -= h
+            H[:, j] = (obj.value_grad(qp)[1] - obj.value_grad(qm)[1]) / (2 * h)
+        H = 0.5 * (H + H.T)
+        lam = 1e-12 * max(np.abs(np.diag(H)).max(), 1.0)
+        for _ in range(40):
+            try:
+                step = np.linalg.solve(H + lam * np.eye(r2), -g)
+            except np.linalg.LinAlgError:
+                lam *= 10
+                continue
+            fn, gn = obj.value_grad(q + step)
+            if fn <= f + 1e-12 * abs(f):
+                q, f, g = q + step, fn, gn
+                break
+            lam *= 10
+        else:
+            break
+    return q.reshape(obj.r, obj.r), f, g
+
+
 class TestRotationDistance:
     def test_exact(self):
         gt = bench.synthetic_low_rank(12, 9, 3, 2.0, seed=0)
@@ -138,6 +171,46 @@ class TestGaugeDistance:
             d_rot = metrics.rotation_distance(pair, gt).distance
             d_gl = metrics.gauge_distance(pair, gt).distance
             assert d_gl <= d_rot + 1e-9
+
+    def test_polish_fixed_point_stop_keeps_the_full_loop_result(self):
+        # a polish whose accepted steps round away repeats itself until
+        # max_iter; stopping there must return exactly what the full loop
+        # returns.  Trial 3 of this instance stalls above its tolerance.
+        from detmc.metrics import _GaugeObjective
+
+        gt = bench.synthetic_low_rank(40, 40, 2, 5.0, seed=0)
+        rng = np.random.default_rng(0)
+        calls = {"stopped": [], "plain": []}
+        for _ in range(10):
+            dX = rng.standard_normal(gt.left_factor.shape)
+            dY = rng.standard_normal(gt.right_factor.shape)
+            eps = rng.uniform(0.01, 0.3) * gt.sigma_r / math.sqrt(
+                float((dX**2).sum() + (dY**2).sum()))
+            Q0 = np.eye(2) + 0.2 * rng.standard_normal((2, 2))
+            pair = pgd.FactorPair((gt.left_factor + eps * dX) @ Q0,
+                                  (gt.right_factor + eps * dY) @ np.linalg.inv(Q0).T)
+            obj = _GaugeObjective(pair, gt)
+            R, _ = metrics.orthogonal_procrustes(np.vstack([pair.X, pair.Y]),
+                                                 gt.stacked_factor)
+            tol = 1e-5 * metrics._GAUGE_GRAD_TOL * obj.grad_scale
+            value_grad = obj.value_grad
+            results = {}
+            for name, polish in (("stopped", obj.newton_polish),
+                                 ("plain", lambda Q, t: plain_newton_polish(obj, Q, t))):
+                n = [0]
+
+                def counted(q, n=n):
+                    n[0] += 1
+                    return value_grad(q)
+
+                obj.value_grad = counted
+                results[name] = polish(R.T, tol)
+                calls[name].append(n[0])
+            for a, b in zip(results["stopped"], results["plain"]):
+                assert np.array_equal(a, b)
+        stalled = [k for k in range(10) if calls["stopped"][k] < calls["plain"][k]]
+        assert stalled == [3]
+        assert calls["plain"][3] > 10 * calls["stopped"][3]
 
     def test_residual_components(self):
         gt = bench.synthetic_low_rank(10, 8, 2, 2.0, seed=17)

@@ -283,3 +283,29 @@ class TestMatrixMarket:
         path.write_text("\n".join(lines[:-5]) + "\n")
         with pytest.raises(FormatError):
             sampling.load_observed(path, g)
+
+    def test_writers_match_the_per_element_reference(self, tmp_path):
+        # the one-write writers must keep every byte of the plain loop,
+        # including signed zeros, tiny and subnormal values and full repr
+        M = np.array([[-0.0, 1e-300, 5e-324], [1 / 3, 2.5, -7.0], [0.0, 1e300, -1e-310]])
+
+        ref = tmp_path / "ref_dense.mtx"
+        with open(ref, "w") as fh:
+            fh.write("%%MatrixMarket matrix array real general\n3 3\n")
+            for j in range(3):
+                for i in range(3):
+                    fh.write(f"{float(M[i, j])!r}\n")
+        out = tmp_path / "dense.mtx"
+        sampling.save_dense_array(M, out)
+        assert out.read_bytes() == ref.read_bytes()
+
+        g = complete_graph(3, 3)
+        obs = sampling.observe(M, g)
+        ref = tmp_path / "ref_obs.mtx"
+        with open(ref, "w") as fh:
+            fh.write("%%MatrixMarket matrix coordinate real general\n3 3 9\n")
+            for (i, j), v in zip(g.edges, obs.values):
+                fh.write(f"{i + 1} {j + 1} {float(v)!r}\n")
+        out = tmp_path / "obs.mtx"
+        sampling.save_observed(obs, out)
+        assert out.read_bytes() == ref.read_bytes()

@@ -75,6 +75,15 @@ class TestProjectRows:
         assert out.X[0, 0] == pytest.approx(1.0)
         assert out.Y[0, 0] == pytest.approx(0.5)
 
+    def test_scales_rows_whose_products_overflow(self):
+        # 1e200**2 overflows in the Gram form on both sides; the rows must
+        # still come out at the budget against the input co-factor
+        X, Y = np.array([[1e200, 1e200]]), np.array([[1.0, 1.0]])
+        out = scaled_pgd.project_rows(pgd.FactorPair(X, Y), 1.0)
+        assert np.all(out.X != 0) and np.all(out.Y != 0)
+        assert np.linalg.norm(out.X @ Y.T) == pytest.approx(1.0, rel=1e-12)
+        assert np.linalg.norm(out.Y @ X.T) == pytest.approx(1.0, rel=1e-12)
+
     def test_identity_when_feasible(self):
         rng = np.random.default_rng(0)
         pair = pgd.FactorPair(rng.standard_normal((6, 2)), rng.standard_normal((5, 2)))

@@ -79,6 +79,32 @@ class TestGraphDeviation:
         )
         assert rep.passed
 
+    def test_complete_graph_with_truth_zero_deviation(self):
+        gt = bench.synthetic_low_rank(12, 12, 2, 2.0, seed=3)
+        rep = theory.check_graph_deviation(complete_graph(12, 12), gt)
+        assert rep.instances_tested == 2
+        assert rep.passed
+
+    def test_masked_deviation_matches_dense_norm(self, certified_instance, monkeypatch):
+        # the masked-matrix deviation is the only dense svds call; it must
+        # equal the dense spectral norm of rescaled masked minus full matrix
+        gt, g = certified_instance
+        svds = theory.scipy.sparse.linalg.svds
+        dense_values = []
+
+        def spy(A, *args, **kwargs):
+            s = svds(A, *args, **kwargs)
+            if isinstance(A, np.ndarray):
+                dense_values.append(float(s[0]))
+            return s
+
+        monkeypatch.setattr(theory.scipy.sparse.linalg, "svds", spy)
+        theory.check_graph_deviation(g, gt)
+        rescaled = np.zeros((g.n1, g.n2))
+        rescaled[g.rows, g.cols] = gt.matrix[g.rows, g.cols] / g.rate
+        assert dense_values == [pytest.approx(
+            np.linalg.norm(rescaled - gt.matrix, 2), rel=1e-12)]
+
     def test_disconnected_control_uses_measured_constant(self):
         edges = [(i, j) for i in range(2) for j in range(2)]
         edges += [(i + 2, j + 2) for i in range(2) for j in range(2)]
@@ -169,3 +195,23 @@ class TestReports:
             "pgd_geometry",
             "scaled_geometry",
         }
+
+    def test_run_all_measures_the_certificate_once(self, monkeypatch):
+        measured, certified = [], []
+        top_two, certify = graphs._top_two, theory.certify
+
+        def counting_top_two(g):
+            measured.append(g)
+            return top_two(g)
+
+        def counting_certify(g):
+            certified.append(g)
+            return certify(g)
+
+        monkeypatch.setattr(graphs, "_top_two", counting_top_two)
+        monkeypatch.setattr(theory, "certify", counting_certify)
+        gt = bench.synthetic_low_rank(30, 30, 2, 2.0, seed=21)
+        g = graphs.random_biregular(30, 30, 6, seed=22)
+        theory.run_all(gt, g, trials=3, seed=23)
+        assert len(certified) == 6
+        assert measured == [g]
