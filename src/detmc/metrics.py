@@ -5,21 +5,20 @@ over orthogonal rotations of the stacked factor (used by the unscaled
 solver's analysis), and one minimizing over all invertible r x r gauges
 with the two sides weighted by the square root of the target spectrum
 (used by the scaled solver's analysis).  The gauge distance has no closed
-form; it is minimized over the gauge matrix with a rotation warm start,
-an L-BFGS descent phase, and a damped-Newton polish to push the gradient
-to stationarity.
+form; it is minimized over the gauge matrix by one Newton solve on the
+n x r factor residuals, from a rotation warm start, until the gradient
+is stationary.  Its cost is linear in n1 + n2.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.optimize
 
 from .errors import AlignmentError, ParameterError
 from .kernels import orthogonal_procrustes
 
 _GAUGE_GRAD_TOL = 1e-8
-_MAX_INNER = 10_000
+_NEWTON_STEPS = 200
 
 
 @dataclass
@@ -50,137 +49,91 @@ def rotation_distance(pair, gt):
     )
 
 
-class _GaugeObjective:
-    """Weighted two-sided alignment objective over invertible gauges.
-
-    All evaluations run on r x r Gram matrices, so the cost per iterate is
-    independent of the ambient dimensions.
-    """
-
-    def __init__(self, pair, gt):
-        W2 = gt.svd.S.copy()  # weights squared
-        self.W2 = W2
-        self.r = W2.size
-        X, Y = pair.X, pair.Y
-        self.Ax = X.T @ X
-        self.Bx = X.T @ gt.left_factor
-        self.Cx = gt.left_factor.T @ gt.left_factor
-        self.Ay = Y.T @ Y
-        self.By = Y.T @ gt.right_factor
-        self.Cy = gt.right_factor.T @ gt.right_factor
-        self.grad_scale = float(
-            2.0 * W2[0] * max(
-                np.trace(self.Ax), np.trace(self.Ay),
-                np.trace(self.Cx), np.trace(self.Cy), 1e-300,
-            )
-        )
-
-    def _halves(self, Q):
-        P = np.linalg.inv(Q).T
-        rx = Q.T @ self.Ax @ Q - Q.T @ self.Bx - self.Bx.T @ Q + self.Cx
-        ry = P.T @ self.Ay @ P - P.T @ self.By - self.By.T @ P + self.Cy
-        fx = float((np.diag(rx) * self.W2).sum())
-        fy = float((np.diag(ry) * self.W2).sum())
-        return P, max(fx, 0.0), max(fy, 0.0)
-
-    def value(self, Q):
-        _, fx, fy = self._halves(Q)
-        return fx + fy
-
-    def value_grad(self, q):
-        Q = q.reshape(self.r, self.r)
-        sign, logdet = np.linalg.slogdet(Q)
-        if sign == 0 or logdet < -200:
-            return 1e30, np.zeros(self.r * self.r)
-        P, fx, fy = self._halves(Q)
-        Gx = 2.0 * ((self.Ax @ Q - self.Bx) * self.W2)
-        inner = (self.Ay @ P - self.By) * self.W2  # Y'(Y Q^-T - Y*) W^2
-        Gy = -2.0 * (P @ inner.T @ P)
-        return fx + fy, (Gx + Gy).ravel()
-
-    def newton_polish(self, Q, tol, max_iter=60):
-        """Damped Newton on the gauge, Hessian by differencing the gradient.
-
-        Stops early at a fixed point: an accepted step that rounds away
-        leaves ``q`` as it was, so every later iteration would repeat it.
-        """
-        r2 = self.r * self.r
-        q = Q.ravel().copy()
-        f, g = self.value_grad(q)
-        for _ in range(max_iter):
-            if np.linalg.norm(g) <= tol:
-                break
-            H = np.empty((r2, r2))
-            h = 1e-7 * max(np.linalg.norm(q) / max(self.r, 1), 1e-8)
-            for j in range(r2):
-                qp = q.copy()
-                qp[j] += h
-                qm = q.copy()
-                qm[j] -= h
-                H[:, j] = (self.value_grad(qp)[1] - self.value_grad(qm)[1]) / (2 * h)
-            H = 0.5 * (H + H.T)
-            lam = 1e-12 * max(np.abs(np.diag(H)).max(), 1.0)
-            for _ in range(40):
-                try:
-                    step = np.linalg.solve(H + lam * np.eye(r2), -g)
-                except np.linalg.LinAlgError:
-                    lam *= 10
-                    continue
-                fn, gn = self.value_grad(q + step)
-                if fn <= f + 1e-12 * abs(f):
-                    break
-                lam *= 10
-            else:
-                break
-            if np.array_equal(q + step, q):
-                break
-            q, f, g = q + step, fn, gn
-        return q.reshape(self.r, self.r), f, g
-
-
 def gauge_distance(pair, gt, fallback=True):
     """Distance over invertible gauges, weighted by sqrt of the target spectrum.
 
     Minimizes ``||(X Q - X*) W||_F^2 + ||(Y Q^-T - Y*) W||_F^2`` over
     invertible ``Q``, with ``W`` the square root of the target singular
-    values.  A finite minimizer is guaranteed only near the solution set;
-    if the inner solver fails to reach stationarity the rotation warm
-    start is reported instead, flagged via ``converged=False`` (or an
-    ``AlignmentError`` is raised when ``fallback`` is off).
+    values, by Newton steps on the two n x r residuals from a rotation
+    warm start.  Each step costs O((n1 + n2) r^5), and the distance is
+    measured on the residuals themselves, so it stays accurate down to
+    rounding of the factors.  ``converged`` means the objective's
+    gradient is at most ``_GAUGE_GRAD_TOL`` times
+    ``2 S[0] max(||X||_F^2, ||Y||_F^2, ||X*||_F^2, ||Y*||_F^2)``.  A
+    finite minimizer is guaranteed only near the solution set; if the
+    solve does not reach that bound, or meets a singular gauge, the
+    rotation warm start is reported instead, flagged via
+    ``converged=False`` (or an ``AlignmentError`` is raised when
+    ``fallback`` is off).
     """
-    obj = _GaugeObjective(pair, gt)
-    R, _ = orthogonal_procrustes(np.vstack([pair.X, pair.Y]), gt.stacked_factor)
-    # minimize over Q with the rotation transferred to the gauge side:
-    # stacked Procrustes aligns Z ~ Z* R, i.e. X R^T ~ X*, so Q0 = R^T.
-    q0 = R.T.ravel().copy()
-    tol = _GAUGE_GRAD_TOL * obj.grad_scale
-
-    res = scipy.optimize.minimize(
-        obj.value_grad,
-        q0,
-        jac=True,
-        method="L-BFGS-B",
-        options={"maxiter": _MAX_INNER, "maxfun": 2 * _MAX_INNER,
-                 "ftol": 1e-18, "gtol": 1e-2 * tol},
+    X, Y = pair.X, pair.Y
+    Xs, Ys = gt.left_factor, gt.right_factor
+    S = gt.svd.S
+    w = np.sqrt(S)
+    r = w.size
+    scale = 2.0 * S[0] * max(
+        float((X * X).sum()), float((Y * Y).sum()),
+        float((Xs * Xs).sum()), float((Ys * Ys).sum()), 1e-300,
     )
-    Q, f, g = obj.newton_polish(res.x.reshape(obj.r, obj.r), tol=1e-5 * tol)
+    tol = _GAUGE_GRAD_TOL * scale
 
-    if np.linalg.norm(g) > tol or not np.isfinite(f):
+    def residuals(Q):
+        P = np.linalg.inv(Q).T
+        return P, (X @ Q - Xs) * w, (Y @ P - Ys) * w
+
+    def size(Q):
+        _, Ex, Ey = residuals(Q)
+        return np.hypot(np.linalg.norm(Ex), np.linalg.norm(Ey))
+
+    # stacked Procrustes aligns Z ~ Z* R, i.e. X R^T ~ X*, so Q0 = R^T.
+    R, _ = orthogonal_procrustes(np.vstack([X, Y]), gt.stacked_factor)
+    # derivatives in row-major vec(Q); the X residual is linear in Q
+    Jx = np.kron(X, np.diag(w))
+    Q = R.T
+    try:
+        for k in range(_NEWTON_STEPS + 1):
+            P, Ex, Ey = residuals(Q)
+            Jy = np.kron(-(Y @ P), (P * w).T)
+            Jy = Jy.reshape(-1, r, r).transpose(0, 2, 1).reshape(-1, r * r)
+            J = np.vstack([Jx, Jy])
+            f = np.concatenate([Ex.ravel(), Ey.ravel()])
+            Jtf = J.T @ f
+            gnorm = 2.0 * np.linalg.norm(Jtf)
+            # the value cannot resolve the optimum below sqrt(eps), so the
+            # stop is on the gradient; written so that NaN stops too
+            if not gnorm > 1e-5 * tol or k == _NEWTON_STEPS:
+                break
+            # Hessian / 2 = J^T J + <Ey, Y d2P W>, where the second derivative
+            # of P = Q^-T along (A, B) is P A^T P B^T P + P B^T P A^T P.
+            # Gauss-Newton alone (J^T J) converges only linearly when the
+            # minimum's residual is large, as it is outside the basin.
+            M = P.T @ (Y.T @ (Ey * w)) @ P.T
+            T = np.einsum("jk,il->ijkl", M, P).reshape(r * r, r * r)
+            JtJ = J.T @ J
+            H = JtJ + T + T.T
+            if not np.linalg.eigvalsh(H)[0] > 0:
+                H = JtJ
+            step = np.linalg.solve(H, -Jtf).reshape(r, r)
+            bound = (1.0 + 1e-12) * np.linalg.norm(f)
+            while not size(Q + step) <= bound:
+                step = 0.5 * step
+            if np.array_equal(Q + step, Q):
+                break
+            Q = Q + step
+    except np.linalg.LinAlgError:
+        gnorm = np.nan
+    converged = bool(gnorm <= tol)
+
+    if not converged:
         if not fallback:
-            raise AlignmentError(
-                f"gauge alignment stalled at gradient norm {np.linalg.norm(g):.2e}"
-            )
+            raise AlignmentError(f"gauge alignment stalled at gradient norm {gnorm:.2e}")
         Q = R.T
-        f = obj.value(Q)
-        converged = False
-    else:
-        converged = True
-
-    _, fx, fy = obj._halves(Q)
+        _, Ex, Ey = residuals(Q)
+    fx, fy = float((Ex * Ex).sum()), float((Ey * Ey).sum())
     return AlignmentResult(
         kind="general-linear",
         Q=Q,
-        distance=float(np.sqrt(max(fx + fy, 0.0))),
+        distance=float(np.sqrt(fx + fy)),
         residual_X=float(np.sqrt(fx)),
         residual_Y=float(np.sqrt(fy)),
         converged=converged,

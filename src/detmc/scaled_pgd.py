@@ -21,19 +21,18 @@ from .pgd import FactorPair, IterationTrace, iterate
 from .sampling import observed_residual, rescaled_top_svd
 
 _ETA_CAP = 0.145
+ALPHA = 0.1  # budget slack: B = (1 + ALPHA) sqrt(mu r) sigma1
+PINV_THRESHOLD = 1e-12  # Gram eigenvalues below this times the largest are dropped
 
 
 @dataclass
 class ScaledPgdConfig:
     eta: float = 0.145
-    alpha: float = 0.1
     mu: float = 2.0
-    budget: float | None = None  # B = (1+alpha)*sqrt(mu*r)*sigma1 when None
+    budget: float | None = None  # B = (1+ALPHA)*sqrt(mu*r)*sigma1 when None
     max_iter: int = 2000
     tol: float = 1e-6
-    pinv_threshold: float = 1e-12
     allow_large_eta: bool = False
-    use_oracle_sigma1: bool = False
     log_dist: bool = False
     eval_every: int = 1  # ground-truth metrics logged every k-th iteration
     stall_window: int = 0  # iterations; >0 stops runs making no headway
@@ -92,15 +91,9 @@ def _row_scales(A, B, budget):
 def _resolve_budget(config, tsvd, gt):
     if config.budget is not None:
         return config.budget
-    if config.use_oracle_sigma1 and gt is not None:
-        sigma1 = gt.sigma1
-        mu = gt.coherence_mu
-        r = gt.rank
-    else:
-        sigma1 = float(tsvd.S[0])
-        mu = gt.coherence_mu if gt is not None else config.mu
-        r = tsvd.S.size
-    return (1.0 + config.alpha) * np.sqrt(mu * r) * sigma1
+    sigma1 = float(tsvd.S[0])
+    mu = gt.coherence_mu if gt is not None else config.mu
+    return (1.0 + ALPHA) * np.sqrt(mu * tsvd.S.size) * sigma1
 
 
 def spectral_init(obs, r, config=None, gt=None):
@@ -118,23 +111,23 @@ def spectral_init(obs, r, config=None, gt=None):
     return project_rows(pair, budget), budget
 
 
-def _pinv_gram(G, threshold):
+def _pinv_gram(G):
     """Generalized inverse of a symmetric PSD Gram matrix."""
     w, V = np.linalg.eigh(G)
-    cutoff = threshold * max(w[-1], 0.0)
+    cutoff = PINV_THRESHOLD * max(w[-1], 0.0)
     inv_w = np.where(w > cutoff, 1.0 / np.where(w > cutoff, w, 1.0), 0.0)
     return (V * inv_w) @ V.T
 
 
-def step(pair, obs, eta, pinv_threshold=1e-12):
+def step(pair, obs, eta):
     """One preconditioned gradient step; both blocks use the same residual."""
     K = observed_residual(pair.X, pair.Y, obs)
-    return FactorPair(*_step_from_residual(K, pair.X, pair.Y, obs, eta, pinv_threshold))
+    return FactorPair(*_step_from_residual(K, pair.X, pair.Y, obs, eta))
 
 
-def _step_from_residual(K, X, Y, obs, eta, pinv_threshold):
-    gy_inv = _pinv_gram(Y.T @ Y, pinv_threshold)
-    gx_inv = _pinv_gram(X.T @ X, pinv_threshold)
+def _step_from_residual(K, X, Y, obs, eta):
+    gy_inv = _pinv_gram(Y.T @ Y)
+    gx_inv = _pinv_gram(X.T @ X)
     Xn = X - (eta / obs.rate) * ((K @ Y) @ gy_inv)
     Yn = Y - (eta / obs.rate) * ((K.T @ X) @ gx_inv)
     return Xn, Yn
@@ -157,7 +150,7 @@ def solve(obs, r, config=None, gt=None):
         return 0.5 * float((K.data**2).sum()) / obs.rate, K
 
     def advance(X, Y, K):
-        X, Y = _step_from_residual(K, X, Y, obs, config.eta, config.pinv_threshold)
+        X, Y = _step_from_residual(K, X, Y, obs, config.eta)
         return (X, Y) if np.isinf(budget) else _scale_rows(X, Y, budget)
 
     return iterate(pair, objective, advance, metrics.gauge_distance, config, gt,

@@ -337,14 +337,14 @@ def check_pgd_geometry(gt, g, trials, seed):
     )
 
 
-def check_scaled_geometry(gt, g, trials, seed, alpha=0.1):
+def check_scaled_geometry(gt, g, trials, seed):
     """Preconditioned curvature and smoothness margins inside the gauge basin."""
     cert = certify(g)
     delta_d = subset_isotropy_gap(gt, g, seed=seed).delta_d_estimate
     obs = observe(gt.matrix, g)
     mu, r, kappa = gt.coherence_mu, gt.rank, gt.condition_number
     sigr = gt.sigma_r
-    budget = (1.0 + alpha) * math.sqrt(mu * r) * gt.sigma1
+    budget = (1.0 + scaled_pgd.ALPHA) * math.sqrt(mu * r) * gt.sigma1
     Wsq = np.sqrt(gt.svd.S)
 
     rng = np.random.default_rng(seed)
@@ -374,8 +374,8 @@ def check_scaled_geometry(gt, g, trials, seed, alpha=0.1):
         DY = (pair.Y @ np.linalg.inv(Q).T - gt.right_factor) * Wsq
 
         K = observed_residual(pair.X, pair.Y, obs)
-        NX = (K @ pair.Y) / obs.rate @ scaled_pgd._pinv_gram(pair.Y.T @ pair.Y, 1e-12)
-        NY = (K.T @ pair.X) / obs.rate @ scaled_pgd._pinv_gram(pair.X.T @ pair.X, 1e-12)
+        NX = (K @ pair.Y) / obs.rate @ scaled_pgd._pinv_gram(pair.Y.T @ pair.Y)
+        NY = (K.T @ pair.X) / obs.rate @ scaled_pgd._pinv_gram(pair.X.T @ pair.X)
         GX = (NX @ Q) * Wsq
         GY = (NY @ np.linalg.inv(Q).T) * Wsq
 
