@@ -234,8 +234,10 @@ def iterate(pair, objective, advance, distance, config, gt, trace, solver_second
 
     ``objective(X, Y)`` returns ``(loss, state)``, ``advance(X, Y, state)``
     the next iterate (step and projection), and ``distance`` is the
-    alignment metric logged under ``config.log_dist``.  Stop rules, in
-    order: "tol", "stall", then without a ground truth "loss-floor" and
+    alignment metric logged under ``config.log_dist``.  Logged distances
+    whose alignment did not converge (a warm-start fallback, not a
+    minimum) are counted in ``trace.meta["dist_fallbacks"]``.  Stop rules,
+    in order: "tol", "stall", then without a ground truth "loss-floor" and
     "stagnation"; else "max-iter".  The reason goes to
     ``trace.meta["stop_reason"]``, "diverged" before a ``DivergenceError``.
     ``solver_seconds`` starts at the initialization's time.
@@ -248,6 +250,8 @@ def iterate(pair, objective, advance, distance, config, gt, trace, solver_second
     bad_streak = 0
     checkpoint = None
     loss_floor_ref = None
+    if config.log_dist:
+        trace.meta["dist_fallbacks"] = 0
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(config.max_iter + 1):
             t0 = time.perf_counter()
@@ -260,7 +264,9 @@ def iterate(pair, objective, advance, distance, config, gt, trace, solver_second
             rel = metrics.relative_error(X, Y, gt) if evaluate else float("nan")
             dist = float("nan")
             if config.log_dist and evaluate and np.isfinite(loss_k):
-                dist = distance(FactorPair(X, Y), gt).distance
+                aligned = distance(FactorPair(X, Y), gt)
+                dist = aligned.distance
+                trace.meta["dist_fallbacks"] += not aligned.converged
             trace.append(k, loss_k, rel, dist, solver_seconds)
             # meaningful growth only: plateau jitter at a constrained optimum
             # or at the fp floor must not trip the guard

@@ -10,6 +10,35 @@ def nuclear_norm(A):
     return float(np.linalg.svd(A, compute_uv=False).sum())
 
 
+def reference_ialm(obs, gt, mu0, rho, tol, max_iter):
+    """The IALM iteration run to ``max_iter`` with no stop rule.
+
+    Returns the relative error after every iteration and, per iteration,
+    whether the settled test held: feasibility below ``tol`` and a step
+    below ``tol`` times the observation's norm.
+    """
+    pat = obs.pattern
+    mask = np.zeros(obs.shape, dtype=bool)
+    mask[pat.rows, pat.cols] = True
+    D = np.zeros(obs.shape)
+    D[pat.rows, pat.cols] = obs.values
+    d_norm, m_norm = np.linalg.norm(D), np.linalg.norm(gt.matrix)
+    A, E, Y, mu = np.zeros_like(D), np.zeros_like(D), np.zeros_like(D), mu0
+    rel, settled = [], []
+    for k in range(1, max_iter + 1):
+        U, S, Vt = np.linalg.svd(D - E + Y / mu, full_matrices=False)
+        A_next = (U * np.maximum(S - 1.0 / mu, 0.0)) @ Vt
+        E = np.where(mask, 0.0, D - A_next + Y / mu)
+        R = D - A_next - E
+        Y = Y + mu * R
+        mu *= rho
+        settled.append(k > 1 and np.linalg.norm(R) < tol * d_norm
+                       and np.linalg.norm(A_next - A) < tol * d_norm)
+        A = A_next
+        rel.append(np.linalg.norm(A - gt.matrix) / m_norm)
+    return np.array(rel), np.array(settled), d_norm / m_norm
+
+
 class TestSvt:
     def test_diagonal(self):
         out = ialm.svt(np.diag([3.0, 1.0]), 2.0)
@@ -90,3 +119,41 @@ class TestSolve:
             ialm.IalmConfig(rho=1.0)
         with pytest.raises(ParameterError):
             ialm.IalmConfig(mu0=-1.0)
+
+    def _settle_instance(self, d, seed):
+        gt = bench.synthetic_low_rank(64, 64, 2, 1.0, seed=seed + 10)
+        obs = sampling.observe(gt.matrix, graphs.random_biregular(64, 64, d, seed=seed))
+        D = np.zeros(obs.shape)
+        D[obs.pattern.rows, obs.pattern.cols] = obs.values
+        return gt, obs, 1.0 / np.linalg.norm(D, 2)
+
+    def test_settled_run_above_ten_tol_stops_on_stall(self):
+        tol, max_iter = 1e-4, 500
+        gt, obs, mu0 = self._settle_instance(16, 0)
+        cfg = ialm.IalmConfig(mu0=mu0, tol=tol, max_iter=max_iter)
+        _, trace = ialm.solve(obs, cfg, gt=gt)
+        k = trace.iterations[-1]
+        assert trace.meta["stop_reason"] == "stall"
+        assert k < max_iter
+        assert trace.final_rel_error > 10 * tol
+        rel, settled, p_omega_ratio = reference_ialm(obs, gt, mu0, cfg.rho, tol, max_iter)
+        # the same iterates up to the stop, which is the first settled one
+        assert np.allclose(trace.rel_error[1:], rel[:k], rtol=1e-9, atol=0)
+        assert int(np.argmax(settled)) + 1 == k
+        # running on to max_iter never reaches tol and moves the error by
+        # less than the bound on the remaining steps
+        assert rel.min() >= tol
+        assert abs(rel[-1] - trace.final_rel_error) <= 10 * tol * p_omega_ratio
+
+    def test_settled_run_within_ten_tol_continues(self):
+        tol = 1e-4
+        gt, obs, mu0 = self._settle_instance(18, 0)
+        cfg = ialm.IalmConfig(mu0=mu0, tol=tol, max_iter=200)
+        _, trace = ialm.solve(obs, cfg, gt=gt)
+        k = trace.iterations[-1]
+        rel, settled, _ = reference_ialm(obs, gt, mu0, cfg.rho, tol, k)
+        first = int(np.argmax(settled))
+        assert settled[first] and first + 1 < k
+        assert tol <= rel[first] <= 10 * tol
+        assert trace.meta["stop_reason"] == "tol"
+        assert trace.final_rel_error < tol

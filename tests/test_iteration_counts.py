@@ -7,7 +7,7 @@ reason to loosen a tolerance.
 
 import numpy as np
 
-from detmc import bench, graphs, pgd, sampling, scaled_pgd
+from detmc import bench, graphs, ialm, pgd, sampling, scaled_pgd
 
 
 def test_criterion_02_trial_counts():
@@ -26,13 +26,26 @@ def test_criterion_02_trial_counts():
 
 
 def test_table_instance_counts():
-    # the 256 x 256, d = 64 instance of ``bench compare``'s default seed at
-    # kappa 1.2, both factored solvers at library defaults and tol 1e-4
-    n, d, r, tol = 256, 64, 3, 1e-4
-    g = graphs.random_biregular(
-        n, n, d, seed=np.random.SeedSequence((0, 1000 + d)).entropy)
-    gt = bench.synthetic_low_rank(n, n, r, 1.2, np.random.SeedSequence((0, d, r, 0)))
-    obs = sampling.observe(gt.matrix, g)
+    # the 256 x 256, d = 64 and d = 32 instances of ``bench compare``'s
+    # default seed at kappa 1.2, every solver at library defaults and tol 1e-4
+    n, r, tol = 256, 3, 1e-4
+
+    def instance(d):
+        g = graphs.random_biregular(
+            n, n, d, seed=np.random.SeedSequence((0, 1000 + d)).entropy)
+        gt = bench.synthetic_low_rank(n, n, r, 1.2, np.random.SeedSequence((0, d, r, 0)))
+        return gt, sampling.observe(gt.matrix, g)
+
+    gt, obs = instance(32)
+    # IALM settles away from the truth here and stops on its own fixed point
+    _, trace = ialm.solve(obs, ialm.IalmConfig(tol=tol), gt=gt)
+    assert (trace.iterations[-1], trace.meta["stop_reason"]) == (79, "stall")
+    assert trace.final_rel_error > 10 * tol
+
+    gt, obs = instance(64)
+    _, trace = ialm.solve(obs, ialm.IalmConfig(tol=tol), gt=gt)
+    assert (trace.iterations[-1], trace.meta["stop_reason"]) == (57, "tol")
+    assert trace.final_rel_error < tol
     _, trace = pgd.solve(obs, r, pgd.PgdConfig(tol=tol), gt=gt)
     assert trace.iterations[-1] == 200
     assert trace.final_rel_error < tol

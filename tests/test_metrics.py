@@ -11,26 +11,29 @@ from detmc.kernels import orthogonal_procrustes
 def scalar_gauge_oracle(x, y, xs, ys, s):
     """Golden-section minimization of the r=1 gauge objective over both signs."""
 
-    def f(q):
-        return s * np.sum((x * q - xs) ** 2) + s * np.sum((y / q - ys) ** 2)
+    def f(q):  # q is a scalar or a column of grid points
+        return (s * np.sum((x * q - xs) ** 2, axis=-1)
+                + s * np.sum((y / q - ys) ** 2, axis=-1))
 
     gr = (math.sqrt(5) - 1) / 2
     best = math.inf
     for sign in (1.0, -1.0):
         qs = sign * np.logspace(-4, 4, 4001)
-        vals = np.array([f(q) for q in qs])
-        i = int(np.argmin(vals))
+        i = int(np.argmin(f(qs[:, None])))
         a, b = qs[max(i - 1, 0)], qs[min(i + 1, len(qs) - 1)]
         if a > b:
             a, b = b, a
         c, d = b - gr * (b - a), a + gr * (b - a)
+        fc, fd = f(c), f(d)
         for _ in range(200):
-            if f(c) < f(d):
-                b, d = d, c
+            if fc < fd:
+                b, d, fd = d, c, fc
                 c = b - gr * (b - a)
+                fc = f(c)
             else:
-                a, c = c, d
+                a, c, fc = c, d, fd
                 d = a + gr * (b - a)
+                fd = f(d)
         best = min(best, f(0.5 * (a + b)))
     return math.sqrt(best)
 

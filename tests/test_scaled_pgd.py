@@ -305,3 +305,16 @@ class TestSolve:
         assert trace.iterations == [0, 1]
         assert np.isfinite(trace.loss[0]) and not np.isfinite(trace.loss[1])
         assert trace.meta["stop_reason"] == "diverged"
+
+    @pytest.mark.parametrize("newton_steps", [None, 0])
+    def test_gauge_fallbacks_are_counted(self, monkeypatch, small_instance, newton_steps):
+        # with no Newton step every gauge solve falls back to its rotation
+        # warm start, so every logged distance is a fallback
+        gt, g, obs = small_instance
+        if newton_steps is not None:
+            monkeypatch.setattr(metrics, "_NEWTON_STEPS", newton_steps)
+        cfg = scaled_pgd.ScaledPgdConfig(max_iter=20, tol=1e-12, log_dist=True)
+        _, trace = scaled_pgd.solve(obs, gt.rank, cfg, gt=gt)
+        logged = int(np.isfinite(trace.dist).sum())
+        assert logged == 21
+        assert trace.meta["dist_fallbacks"] == (0 if newton_steps is None else logged)
