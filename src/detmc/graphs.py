@@ -22,6 +22,7 @@ edges are not to be edited after construction.
 """
 
 import math
+import warnings
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
@@ -80,6 +81,13 @@ class SamplingPattern:
         indices.flags.writeable = False
         indptr.flags.writeable = False
         return indices, indptr
+
+    @cached_property
+    def row_counts(self):
+        # edges per row; np.repeat by these gathers along the sorted rows
+        counts = np.diff(self.row_ptr)
+        counts.flags.writeable = False
+        return counts
 
     def csr_with_values(self, values):
         """CSR matrix supported on the edge set, data aligned with ``edges``."""
@@ -494,12 +502,51 @@ def certify(g):
 _HEADER = "%%biregular"
 
 
+def _edge_text(g):
+    return "".join(map("{} {}\n".format, (g.rows + 1).tolist(), (g.cols + 1).tolist()))
+
+
 def save_edges(g, path):
     """Write the edge list: header line, then 1-indexed sorted ``i j`` pairs."""
     with open(path, "w") as fh:
-        fh.write(f"{_HEADER} {g.n1} {g.n2} {g.d1} {g.d2}\n")
-        for i, j in g.edges:
-            fh.write(f"{i + 1} {j + 1}\n")
+        fh.write(f"{_HEADER} {g.n1} {g.n2} {g.d1} {g.d2}\n" + _edge_text(g))
+
+
+def _parse_rows(lines, dtype, shape):
+    """``lines`` parsed in one numpy pass, or None unless they parse cleanly.
+
+    Rows are whitespace-separated fields of ``dtype``; blank lines are
+    skipped, and a table whose shape is not ``shape`` (a ``None`` entry
+    matches any length) counts as unclean.  Readers fall back to their
+    line loop on None, which names the first bad line.
+    """
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # an empty input only warns
+            table = np.loadtxt(lines, dtype=dtype, comments=None, ndmin=len(shape))
+    except (ValueError, UserWarning):
+        return None
+    if any(want is not None and got != want for got, want in zip(table.shape, shape)):
+        return None
+    return table
+
+
+def _edges_by_line(path, lines, n1, n2):
+    edges = []
+    for lineno, line in enumerate(lines, start=2):
+        if not line.strip():
+            continue
+        parts = line.split()
+        if len(parts) != 2:
+            raise FormatError(f"{path}:{lineno}: expected 'i j'")
+        try:
+            i, j = int(parts[0]) - 1, int(parts[1]) - 1
+        except ValueError as exc:
+            raise FormatError(f"{path}:{lineno}: non-integer index") from exc
+        if not (0 <= i < n1 and 0 <= j < n2):
+            raise FormatError(f"{path}:{lineno}: index out of range")
+        edges.append((i, j))
+    return np.asarray(edges, dtype=np.int64)
 
 
 def load_edges(path):
@@ -512,22 +559,14 @@ def load_edges(path):
             n1, n2, d1, d2 = (int(x) for x in header[1:])
         except ValueError as exc:
             raise FormatError(f"non-integer header field in {path}") from exc
-        edges = []
-        for lineno, line in enumerate(fh, start=2):
-            if not line.strip():
-                continue
-            parts = line.split()
-            if len(parts) != 2:
-                raise FormatError(f"{path}:{lineno}: expected 'i j'")
-            try:
-                i, j = int(parts[0]) - 1, int(parts[1]) - 1
-            except ValueError as exc:
-                raise FormatError(f"{path}:{lineno}: non-integer index") from exc
-            if not (0 <= i < n1 and 0 <= j < n2):
-                raise FormatError(f"{path}:{lineno}: index out of range")
-            edges.append((i, j))
+        lines = fh.read().split("\n")
+    edges = _parse_rows(lines, np.int64, (None, 2))
+    if edges is None or edges.min() < 1 or (edges.max(axis=0) > (n1, n2)).any():
+        edges = _edges_by_line(path, lines, n1, n2)
+    else:
+        edges -= 1
     try:
-        g = BiregularGraph(n1, n2, np.asarray(edges, dtype=np.int64))
+        g = BiregularGraph(n1, n2, edges)
     except ParameterError as exc:
         raise FormatError(f"{path}: {exc}") from exc
     if g.d1 != d1 or g.d2 != d2:
@@ -540,7 +579,5 @@ def load_edges(path):
 def save_matrixmarket_pattern(g, path):
     """Adjacency as MatrixMarket coordinate pattern (1-indexed)."""
     with open(path, "w") as fh:
-        fh.write("%%MatrixMarket matrix coordinate pattern general\n")
-        fh.write(f"{g.n1} {g.n2} {g.m}\n")
-        for i, j in g.edges:
-            fh.write(f"{i + 1} {j + 1}\n")
+        fh.write("%%MatrixMarket matrix coordinate pattern general\n"
+                 f"{g.n1} {g.n2} {g.m}\n" + _edge_text(g))

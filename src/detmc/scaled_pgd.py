@@ -6,8 +6,10 @@ the convergence rate.  The projection rescales rows whose contribution to
 the product exceeds an incoherence budget, using the closed form evaluated
 against the pre-projection co-factor.
 
-``solve`` runs the loop shared with the unscaled solver, ``pgd.iterate``;
-``bench.solve`` runs any solver by name.
+``solve`` runs the loop shared with the unscaled solver, ``pgd.iterate``,
+on r-major factors (see ``pgd``); the public ``step`` and ``project_rows``
+run the loop's helpers on that layout.  ``bench.solve`` runs any solver
+by name.
 """
 
 import time
@@ -57,35 +59,39 @@ def project_rows(pair, budget):
     """
     if budget <= 0:
         raise ParameterError("incoherence budget must be positive")
-    return FactorPair(*_scale_rows(pair.X, pair.Y, budget))
+    return FactorPair.from_r_major(*_scale_rows(*pair.r_major(), budget))
 
 
-def _scale_rows(X, Y, budget):
+def _scale_rows(Xt, Yt, budget):
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        sx = _row_scales(X, Y, budget)
-        sy = _row_scales(Y, X, budget)
-    return X * sx[:, None], Y * sy[:, None]
+        sx = _row_scales(Xt, Yt, budget)
+        sy = _row_scales(Yt, Xt, budget)
+    return Xt * sx, Yt * sy
 
 
-def _row_scales(A, B, budget):
-    """min(1, budget / (sqrt(n) * ||A_i @ B.T||)) for every row i of A."""
-    prod = np.sqrt(np.maximum(np.einsum("ij,jk,ik->i", A, B.T @ B, A), 0.0))
+def _row_scales(At, Bt, budget):
+    """min(1, budget / (sqrt(n) * ||A_i @ B.T||)) for every column i of r-major At."""
+    prod = np.sqrt(np.maximum(_gram_norms(At, Bt), 0.0))
     bad = ~np.isfinite(prod)
-    if bad.any() and np.isfinite(B).all():
-        bad &= np.isfinite(A).all(axis=1)
+    if bad.any() and np.isfinite(Bt).all():
+        bad &= np.isfinite(At).all(axis=0)
         # the Gram form squares entries and overflows above ~1e154: measure
         # those finite rows again with the row and B scaled by their largest
         # entries, so that they are scaled to the budget instead of zeroed.
         # A product norm beyond the float range keeps the plain arithmetic,
         # so a step that blew up still turns the iterate non-finite.
-        peak = np.abs(A[bad]).max(axis=1)
+        peak = np.abs(At[:, bad]).max(axis=0)
         peak[peak == 0] = 1.0
-        top = np.abs(B).max()
-        As, Bs = A[bad] / peak[:, None], B / top
-        unit = np.sqrt(np.maximum(np.einsum("ij,jk,ik->i", As, Bs.T @ Bs, As), 0.0))
+        top = np.abs(Bt).max()
+        unit = np.sqrt(np.maximum(_gram_norms(At[:, bad] / peak, Bt / top), 0.0))
         rescued = peak * top * unit
         prod[bad] = np.where(np.isfinite(rescued), rescued, prod[bad])
-    return np.minimum(1.0, budget / (np.sqrt(A.shape[0]) * prod))
+    return np.minimum(1.0, budget / (np.sqrt(At.shape[1]) * prod))
+
+
+def _gram_norms(At, Bt):
+    """||A_i @ B.T||^2 = A_i (B'B) A_i' for every column i of r-major At."""
+    return np.einsum("ki,ki->i", (Bt @ Bt.T) @ At, At)
 
 
 def _resolve_budget(config, tsvd, gt):
@@ -121,15 +127,18 @@ def _pinv_gram(G):
 
 def step(pair, obs, eta):
     """One preconditioned gradient step; both blocks use the same residual."""
-    K = observed_residual(pair.X, pair.Y, obs)
-    return FactorPair(*_step_from_residual(K, pair.X, pair.Y, obs, eta))
+    Xt, Yt = pair.r_major()
+    K = observed_residual(Xt.T, Yt.T, obs)
+    return FactorPair.from_r_major(*_step(Xt, Yt, K, obs, eta))
 
 
-def _step_from_residual(K, X, Y, obs, eta):
-    gy_inv = _pinv_gram(Y.T @ Y)
-    gx_inv = _pinv_gram(X.T @ X)
-    Xn = X - (eta / obs.rate) * ((K @ Y) @ gy_inv)
-    Yn = Y - (eta / obs.rate) * ((K.T @ X) @ gx_inv)
+def _step(Xt, Yt, K, obs, eta):
+    """r-major ``step`` from the residual ``K`` at ``(Xt, Yt)``."""
+    gy_inv = _pinv_gram(Yt @ Yt.T)
+    gx_inv = _pinv_gram(Xt @ Xt.T)
+    # ((K @ Y) @ gy_inv).T and its mirror
+    Xn = Xt - (eta / obs.rate) * (gy_inv.T @ (K @ Yt.T).T)
+    Yn = Yt - (eta / obs.rate) * (gx_inv.T @ (K.T @ Xt.T).T)
     return Xn, Yn
 
 
@@ -145,13 +154,13 @@ def solve(obs, r, config=None, gt=None):
         "solver": "scaled-pgd", "eta": config.eta, "budget": budget,
     })
 
-    def objective(X, Y):
-        K = observed_residual(X, Y, obs)
+    def objective(Xt, Yt):
+        K = observed_residual(Xt.T, Yt.T, obs)
         return 0.5 * float((K.data**2).sum()) / obs.rate, K
 
-    def advance(X, Y, K):
-        X, Y = _step_from_residual(K, X, Y, obs, config.eta)
-        return (X, Y) if np.isinf(budget) else _scale_rows(X, Y, budget)
+    def advance(Xt, Yt, K):
+        Xt, Yt = _step(Xt, Yt, K, obs, config.eta)
+        return (Xt, Yt) if np.isinf(budget) else _scale_rows(Xt, Yt, budget)
 
     return iterate(pair, objective, advance, metrics.gauge_distance, config, gt,
                    trace, init_seconds)

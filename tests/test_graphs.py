@@ -221,6 +221,34 @@ class TestEdgeFiles:
         with pytest.raises(FormatError):
             graphs.load_edges(path)
 
+    @pytest.mark.parametrize("bad, message", [
+        ("2 one", "non-integer index"),
+        ("2", "expected 'i j'"),
+        ("1 2 3", "expected 'i j'"),
+        ("13 1", "index out of range"),
+        ("0 1", "index out of range"),
+    ])
+    def test_bad_line_in_the_middle_is_named(self, tmp_path, bad, message):
+        g = graphs.random_biregular(12, 8, 4, seed=2)
+        path = tmp_path / "g.edges"
+        graphs.save_edges(g, path)
+        lines = path.read_text().splitlines()
+        lines.insert(5, "")  # blank lines are skipped, but counted
+        lines[20] = bad  # line 21 of the file
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(FormatError) as info:
+            graphs.load_edges(path)
+        assert str(info.value) == f"{path}:21: {message}"
+
+    def test_blank_lines_are_skipped(self, tmp_path):
+        g = graphs.random_biregular(12, 8, 4, seed=2)
+        path = tmp_path / "g.edges"
+        graphs.save_edges(g, path)
+        lines = path.read_text().splitlines()
+        lines.insert(5, "  ")
+        path.write_text("\n".join(lines) + "\n\n")
+        assert graphs.load_edges(path) == g
+
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "nohdr.edges"
         path.write_text("1 1\n1 2\n")

@@ -52,3 +52,14 @@ def test_table_instance_counts():
     _, trace = scaled_pgd.solve(obs, r, scaled_pgd.ScaledPgdConfig(tol=tol), gt=gt)
     assert trace.iterations[-1] == 112
     assert trace.final_rel_error < tol
+
+
+def test_cli_ladder_count():
+    # the ``cli`` benchmark's complete-blind instance (ladder 0, op 0), run as
+    # ``detmc complete --solver scaled-pgd --mu 8`` runs it: blind, at tol 1e-6
+    n = 1024
+    g = graphs.random_biregular(n, n, 40, seed=np.random.SeedSequence((0, 0, 1)).entropy)
+    gt = bench.synthetic_low_rank(n, n, 5, 3.0, np.random.SeedSequence((0, 0, 2)))
+    obs = sampling.observe(gt.matrix, g)
+    _, trace = bench.solve("scaled-pgd", obs, 5, max_iter=2000, tol=1e-6, mu=8)
+    assert (trace.iterations[-1], trace.meta["stop_reason"]) == (889, "loss-floor")

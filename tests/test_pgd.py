@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from detmc import bench, graphs, metrics, pgd, sampling
+from detmc import bench, graphs, metrics, pgd, sampling, scaled_pgd
 from detmc.errors import DivergenceError, ParameterError
 from support import complete_graph
 
@@ -306,6 +306,40 @@ class TestStopReason:
         _, trace = bench.solve(solver, obs, gt.rank, **settings)
         assert trace.meta["stop_reason"] == "stagnation"
         assert trace.iterations[-1] < 2000
+
+
+class TestLayout:
+    """The loop holds the factors r-major; callers get n x r C-ordered
+    pairs back, and the public helpers run the loop's own arithmetic."""
+
+    @pytest.mark.parametrize("solver", ["pgd", "scaled-pgd"])
+    def test_solvers_return_c_ordered_factors(self, small_instance, solver):
+        gt, g, obs = small_instance
+        for truth in (gt, None):
+            pair, _ = bench.solve(solver, obs, gt.rank, truth, max_iter=5, mu=8.0)
+            assert pair.X.shape == (g.n1, gt.rank) and pair.Y.shape == (g.n2, gt.rank)
+            assert pair.X.flags.c_contiguous and pair.Y.flags.c_contiguous
+
+    def test_pgd_iteration_is_the_public_gradient_step_and_projection(self, small_instance):
+        gt, g, obs = small_instance
+        config = pgd.PgdConfig(max_iter=1, eta=0.2)
+        start, znorm, clip = pgd.spectral_init(obs, gt.rank, config.mu)
+        out, trace = pgd.solve(obs, gt.rank, config)
+        assert trace.loss[0] == pgd.loss(start, obs, config.lam)
+        step = config.eta / znorm**2
+        grad = pgd.gradient(start, obs, config.lam)
+        moved = pgd.FactorPair(start.X - step * grad.X, start.Y - step * grad.Y)
+        expected = pgd.project_rows(moved, clip)
+        assert np.array_equal(out.X, expected.X) and np.array_equal(out.Y, expected.Y)
+        assert trace.loss[1] == pgd.loss(out, obs, config.lam)
+
+    def test_scaled_iteration_is_the_public_step_and_projection(self, small_instance):
+        gt, g, obs = small_instance
+        config = scaled_pgd.ScaledPgdConfig(max_iter=1, mu=8.0)
+        start, budget = scaled_pgd.spectral_init(obs, gt.rank, config)
+        out, _ = scaled_pgd.solve(obs, gt.rank, config)
+        expected = scaled_pgd.project_rows(scaled_pgd.step(start, obs, config.eta), budget)
+        assert np.array_equal(out.X, expected.X) and np.array_equal(out.Y, expected.Y)
 
 
 class TestConfig:

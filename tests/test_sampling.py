@@ -145,8 +145,14 @@ class TestSparseProducts:
         K = sampling.observed_residual(X, Y, obs)
         dense = (X @ Y.T)[pat.rows, pat.cols] - obs.values
         assert np.allclose(K.data, dense, rtol=0, atol=1e-12)
-        # the same values, bit for bit, as a fancy-indexed row gather
-        fancy = np.einsum("ij,ij->i", X[pat.rows], Y[pat.cols]) - obs.values
+        # the same values, bit for bit, as the same r-major arithmetic done
+        # by plain indexing (which returns the gathers (m, r)-ordered, so
+        # they are laid out r-major again)
+        fancy = np.einsum(
+            "ki,ki->i",
+            np.ascontiguousarray(X.T[:, pat.rows]),
+            np.ascontiguousarray(Y.T[:, pat.cols]),
+        ) - obs.values
         assert np.array_equal(K.data, fancy)
         assert np.array_equal(K.indices, pat.cols)
         assert np.array_equal(K.indptr, pat.row_ptr)
@@ -167,6 +173,59 @@ class TestSparseProducts:
             sampling.observed_residual(
                 np.zeros((g.n1 + 1, gt.rank)), np.zeros((g.n2, gt.rank)), obs
             )
+
+
+def _layouts(A):
+    """The values of ``A`` C-ordered, Fortran-ordered and as a strided view."""
+    wide = np.zeros((A.shape[0], 2 * A.shape[1]))
+    wide[:, ::2] = A
+    return {"C": np.ascontiguousarray(A), "F": np.asfortranarray(A), "strided": wide[:, ::2]}
+
+
+def _kernel_pattern(kind):
+    if kind == "biregular":
+        return graphs.random_biregular(40, 30, 6, seed=21)
+    # rectangular, with row 0 and column 0 left empty
+    mask = graphs.bernoulli_mask(40, 25, 0.3, seed=22)
+    keep = (mask.rows != 0) & (mask.cols != 0)
+    return graphs.BernoulliMask(40, 25, mask.edges[keep], mask.rate)
+
+
+class TestResidualKernel:
+    @pytest.mark.parametrize("layout", ["C", "F", "strided"])
+    @pytest.mark.parametrize("r", [1, 3])
+    @pytest.mark.parametrize("kind", ["biregular", "bernoulli"])
+    def test_matches_dense_product_in_every_layout(self, kind, r, layout):
+        pat = _kernel_pattern(kind)
+        rng = np.random.default_rng(23)
+        X = rng.standard_normal((pat.n1, r))
+        Y = rng.standard_normal((pat.n2, r))
+        obs = sampling.Observation(pat, rng.standard_normal(pat.m), pat.rate)
+        K = sampling.observed_residual(_layouts(X)[layout], _layouts(Y)[layout], obs)
+        dense = (X @ Y.T)[pat.rows, pat.cols] - obs.values
+        scale = r * np.abs(X).max() * np.abs(Y).max() + np.abs(obs.values).max()
+        assert np.abs(K.data - dense).max() <= 1e-13 * scale
+        assert np.array_equal(K.indices, pat.cols)
+        assert np.array_equal(K.indptr, pat.row_ptr)
+        # the layout of the input does not change a bit of the result
+        K_c = sampling.observed_residual(X, Y, obs)
+        assert np.array_equal(K.data, K_c.data)
+
+    def test_empty_rows_and_columns_are_empty_in_the_residual(self):
+        pat = _kernel_pattern("bernoulli")
+        obs = sampling.Observation(pat, np.ones(pat.m), pat.rate)
+        K = sampling.observed_residual(np.ones((40, 2)), np.ones((25, 2)), obs).toarray()
+        assert not K[0].any() and not K[:, 0].any()
+        assert np.array_equal(K[pat.rows, pat.cols], np.ones(pat.m))
+
+    def test_row_counts_are_cached_and_read_only(self):
+        pat = _kernel_pattern("bernoulli")
+        counts = pat.row_counts
+        assert counts is pat.row_counts
+        assert np.array_equal(counts, np.bincount(pat.rows, minlength=pat.n1))
+        assert counts[0] == 0
+        with pytest.raises(ValueError):
+            counts[1] = 0
 
 
 class TestGroundTruth:
@@ -284,6 +343,45 @@ class TestMatrixMarket:
         with pytest.raises(FormatError):
             sampling.load_observed(path, g)
 
+    @pytest.mark.parametrize("bad, message", [
+        ("3 4", "truncated or malformed entry 4"),
+        ("3 4 0.5 1", "truncated or malformed entry 4"),
+        ("", "truncated or malformed entry 4"),
+        ("3 4 half", "non-numeric entry 4"),
+        ("3.0 4 0.5", "non-numeric entry 4"),
+    ])
+    def test_bad_entry_in_the_middle_is_named(self, small_instance, tmp_path, bad, message):
+        gt, g, obs = small_instance
+        path = tmp_path / "obs.mtx"
+        sampling.save_observed(obs, path)
+        lines = path.read_text().splitlines()
+        lines[2 + 4] = bad  # entry 4, after the header and the dimensions line
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(FormatError) as info:
+            sampling.load_observed(path, g)
+        assert str(info.value) == f"{path}: {message}"
+
+    @pytest.mark.parametrize("bad, message", [
+        ("0.5 0.5", "truncated at entry 3"),
+        ("", "truncated at entry 3"),
+        ("half", "non-numeric entry 3"),
+    ])
+    def test_bad_dense_entry_in_the_middle_is_named(self, tmp_path, bad, message):
+        path = tmp_path / "dense.mtx"
+        sampling.save_dense_array(np.arange(12.0).reshape(3, 4), path)
+        lines = path.read_text().splitlines()
+        lines[2 + 3] = bad
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(FormatError) as info:
+            sampling.load_dense_array(path)
+        assert str(info.value) == f"{path}: {message}"
+
+    def test_dense_round_trip(self, tmp_path):
+        M = np.random.default_rng(24).standard_normal((5, 3))
+        path = tmp_path / "dense.mtx"
+        sampling.save_dense_array(M, path)
+        assert np.array_equal(sampling.load_dense_array(path), M)
+
     def test_writers_match_the_per_element_reference(self, tmp_path):
         # the one-write writers must keep every byte of the plain loop,
         # including signed zeros, tiny and subnormal values and full repr
@@ -308,4 +406,24 @@ class TestMatrixMarket:
                 fh.write(f"{i + 1} {j + 1} {float(v)!r}\n")
         out = tmp_path / "obs.mtx"
         sampling.save_observed(obs, out)
+        assert out.read_bytes() == ref.read_bytes()
+
+        g = graphs.random_biregular(12, 8, 4, seed=2)
+        ref = tmp_path / "ref.edges"
+        with open(ref, "w") as fh:
+            fh.write(f"%%biregular {g.n1} {g.n2} {g.d1} {g.d2}\n")
+            for i, j in g.edges:
+                fh.write(f"{i + 1} {j + 1}\n")
+        out = tmp_path / "g.edges"
+        graphs.save_edges(g, out)
+        assert out.read_bytes() == ref.read_bytes()
+
+        ref = tmp_path / "ref_pattern.mtx"
+        with open(ref, "w") as fh:
+            fh.write("%%MatrixMarket matrix coordinate pattern general\n")
+            fh.write(f"{g.n1} {g.n2} {g.m}\n")
+            for i, j in g.edges:
+                fh.write(f"{i + 1} {j + 1}\n")
+        out = tmp_path / "pattern.mtx"
+        graphs.save_matrixmarket_pattern(g, out)
         assert out.read_bytes() == ref.read_bytes()
