@@ -2,7 +2,8 @@
 
 The package is organized as a small numpy/scipy library:
 
-* ``kernels`` -- dense SVD, operator norms, Procrustes alignment
+* ``kernels`` -- truncated SVD of a dense or sparse matrix (LAPACK or
+  Lanczos), operator norm, Procrustes alignment
 * ``graphs`` -- biregular bipartite generators (algebraic Cayley-graph and
   random configuration-model) with spectral certification
 * ``sampling`` -- observation operator, ground-truth bundles, incoherence

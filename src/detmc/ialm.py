@@ -65,7 +65,8 @@ def solve(obs, config=None, gt=None):
     10 * tol: each later step is about 1/rho of the one before, so the
     error could move by only about tol * ||D|| / ((rho - 1) * ||M||).
     ``trace.meta["stop_reason"]`` is "tol", "stall", "max-iter", or
-    "diverged" before a ``DivergenceError``.
+    "diverged" before a ``DivergenceError``; ``trace.meta["mu0"]`` is the
+    initial penalty, ``1 / ||D||_2`` unless the config sets it.
     """
     config = config or IalmConfig()
     pat = obs.pattern
@@ -78,12 +79,14 @@ def solve(obs, config=None, gt=None):
     if d_norm == 0:
         raise ParameterError("observation is identically zero")
 
-    mu = config.mu0 if config.mu0 is not None else 1.0 / max(operator_norm(D), 1e-300)
+    mu = config.mu0
+    if mu is None:
+        mu = 1.0 / max(operator_norm(pat.csr_with_values(obs.values)), 1e-300)
     A = np.zeros_like(D)
     E = np.zeros_like(D)
     Y = np.zeros_like(D)
 
-    trace = IterationTrace(meta={"solver": "ialm", "rho": config.rho})
+    trace = IterationTrace(meta={"solver": "ialm", "rho": config.rho, "mu0": mu})
     rel0 = metrics.relative_error_dense(A, gt) if gt is not None else float("nan")
     trace.append(0, 0.0, rel0, float("nan"), 0.0)
     solver_seconds = 0.0

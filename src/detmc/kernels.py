@@ -1,23 +1,23 @@
-"""Dense fp64 linear-algebra primitives shared by the rest of the package.
+"""fp64 linear-algebra primitives shared by the rest of the package.
 
-Everything here operates on plain ``numpy`` arrays.  Matrices above the
-dense-SVD size cutoff are handled with block subspace iteration so memory
-stays bounded; below it LAPACK's bidiagonalization SVD is used directly.
+``top_r_svd`` takes a dense array or a scipy sparse matrix.  A dense
+matrix no larger than the cutoff gets LAPACK's full SVD; a larger or a
+sparse one gets ARPACK's Lanczos (``svds``) from the all-ones start,
+which touches ``A`` only through products.  Both paths apply the same
+deterministic sign convention, and ``operator_norm`` is the leading
+singular value it returns.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
+import scipy.sparse
+import scipy.sparse.linalg
 
 from .errors import InputError, ParameterError
 
-# Largest dimension for which a full dense SVD is used.
+# Largest dimension for which a dense matrix gets a full dense SVD.
 DENSE_SVD_CUTOFF = 2048
-
-# Power/subspace iteration controls.
-_RAYLEIGH_TOL = 1e-12
-_MAX_POWER_ITER = 10_000
 
 
 def as_matrix(a):
@@ -58,79 +58,39 @@ def _fix_signs(U, V):
     return U, V
 
 
-def _dense_svd(A):
-    # divide-and-conquer driver; the tests cross-check against the classic
-    # bidiagonalization driver (gesvd), which is several times slower
-    return np.linalg.svd(A, full_matrices=False)
-
-
-def _subspace_svd(A, r):
-    """Block subspace iteration with a small-matrix finishing step."""
-    n1, n2 = A.shape
-    k = min(min(n1, n2), r + 10)
-    rng = np.random.default_rng(0)
-    V = np.linalg.qr(rng.standard_normal((n2, k)))[0]
-    prev = None
-    for _ in range(_MAX_POWER_ITER):
-        U = np.linalg.qr(A @ V)[0]
-        V, R = np.linalg.qr(A.T @ U)
-        est = np.sort(np.abs(np.diag(R)))[::-1][:r]
-        if prev is not None and np.all(np.abs(est - prev) <= _RAYLEIGH_TOL * max(est[0], 1e-300)):
-            break
-        prev = est
-    W = A @ V
-    Uw, S, Vwt = np.linalg.svd(W, full_matrices=False)
-    return Uw[:, :r], S[:r], (V @ Vwt.T)[:, :r]
-
-
 def top_r_svd(A, r):
-    """Leading ``r`` singular triplets of ``A``, deterministically signed."""
-    A = as_matrix(A)
+    """Leading ``r`` singular triplets of a dense or sparse ``A``,
+    deterministically signed.
+
+    Lanczos needs ``r < min(A.shape)``; a sparse ``A`` that fails that is
+    densified.
+    """
+    sparse = scipy.sparse.issparse(A)
+    A = A.astype(np.float64, copy=False) if sparse else as_matrix(A)
+    if sparse and not np.all(np.isfinite(A.data)):
+        raise InputError("matrix contains NaN or Inf entries")
     n1, n2 = A.shape
     if not 1 <= r <= min(n1, n2):
         raise ParameterError(f"rank {r} out of range for shape {A.shape}")
-    if max(n1, n2) <= DENSE_SVD_CUTOFF:
-        U, S, Vt = _dense_svd(A)
-        U, S, V = U[:, :r], S[:r], Vt[:r].T
-    else:
-        U, S, V = _subspace_svd(A, r)
-    U, V = _fix_signs(U.copy(), V.copy())
-    return TruncatedSVD(U=U, S=np.maximum(S, 0.0), V=V)
-
-
-def _power_start(n):
-    # All-ones blended with a fixed seeded perturbation: deterministic, and
-    # generic even when the constant vector is orthogonal to the top
-    # singular vector (where a pure all-ones start stalls).
-    rng = np.random.default_rng(20240801)
-    v = np.ones(n) + 1e-2 * rng.standard_normal(n)
-    return v / np.linalg.norm(v)
+    if r < min(n1, n2) and (sparse or max(n1, n2) > DENSE_SVD_CUTOFF):
+        try:
+            U, S, Vt = scipy.sparse.linalg.svds(A, k=r, v0=np.ones(min(n1, n2)))
+        except scipy.sparse.linalg.ArpackError:
+            # the all-ones start is in the kernel of A'A or AA' (A is zero,
+            # or its rows or columns all sum to zero): the dense SVD is exact
+            pass
+        else:
+            order = np.argsort(-S)
+            U, V = _fix_signs(U[:, order].copy(), Vt[order].T.copy())
+            return TruncatedSVD(U=U, S=np.maximum(S[order], 0.0), V=V)
+    U, S, Vt = np.linalg.svd(A.toarray() if sparse else A, full_matrices=False)
+    U, V = _fix_signs(U[:, :r].copy(), Vt[:r].T.copy())
+    return TruncatedSVD(U=U, S=np.maximum(S[:r], 0.0), V=V)
 
 
 def operator_norm(A):
-    """Largest singular value via power iteration on the smaller Gram matrix."""
-    A = as_matrix(A)
-    n1, n2 = A.shape
-    tall = n2 <= n1
-    v = _power_start(n2 if tall else n1)
-    rho_prev = -1.0
-    for _ in range(_MAX_POWER_ITER):
-        w = A @ v if tall else A.T @ v
-        rho = float(w @ w)
-        if rho == 0.0:
-            return 0.0
-        if abs(rho - rho_prev) <= _RAYLEIGH_TOL * rho:
-            break
-        rho_prev = rho
-        u = A.T @ w if tall else A @ w
-        v = u / np.linalg.norm(u)
-    return float(np.sqrt(rho))
-
-
-def two_inf_norm(A):
-    """Largest Euclidean row norm."""
-    A = as_matrix(A)
-    return float(np.sqrt((A * A).sum(axis=1).max()))
+    """Largest singular value of a dense or sparse ``A``."""
+    return float(top_r_svd(A, 1).S[0])
 
 
 def orthogonal_procrustes(Z, Zstar):

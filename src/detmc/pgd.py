@@ -26,7 +26,6 @@ import numpy as np
 
 from . import metrics
 from .errors import DivergenceError, ParameterError
-from .kernels import operator_norm
 from .sampling import observed_residual, rescaled_top_svd
 
 _DIVERGENCE_PATIENCE = 50
@@ -159,15 +158,15 @@ def spectral_init(obs, r, mu):
 
     Returns ``(pair, znorm, clip_bound)`` where ``znorm`` is the operator
     norm of the unclipped stacked factor (the practical surrogate for the
-    unknown target scale in the step size).
+    unknown target scale in the step size).  The stacked factor is
+    ``[U; V] diag(sqrt(S))`` with orthonormal ``U`` and ``V``, so
+    ``znorm = sqrt(2 sigma1)`` exactly.
     """
     n1, n2 = obs.shape
-    if r > min(n1, n2):
-        raise ParameterError(f"rank {r} exceeds min dimension {min(n1, n2)}")
     tsvd = rescaled_top_svd(obs, r)
     sq = np.sqrt(tsvd.S)
     pair = FactorPair(tsvd.U * sq, tsvd.V * sq)
-    znorm = operator_norm(pair.stacked())
+    znorm = float(np.sqrt(2.0 * tsvd.S[0]))
     clip_bound = np.sqrt(2.0 * mu * r / min(n1, n2)) * znorm
     return project_rows(pair, clip_bound), znorm, clip_bound
 

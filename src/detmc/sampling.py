@@ -13,11 +13,10 @@ from itertools import combinations
 from math import comb
 
 import numpy as np
-import scipy.sparse.linalg
 
 from .errors import FormatError, InputError, ParameterError
 from .graphs import SamplingPattern, _parse_rows
-from .kernels import TruncatedSVD, _fix_signs, as_matrix, top_r_svd
+from .kernels import TruncatedSVD, as_matrix, top_r_svd
 
 _EXHAUSTIVE_LIMIT = 10**6
 
@@ -62,19 +61,17 @@ def rescaled_dense(obs):
 def rescaled_top_svd(obs, r):
     """Top-r SVD of the rescaled observation.
 
-    Sparse Lanczos when the pattern is large and sparse (the rescaled
-    observation has only m nonzeros); dense otherwise.  Both paths apply
-    the same deterministic sign convention.
+    The operand is the CSR matrix of the m rescaled values when the
+    pattern is large and sparse, so ``top_r_svd`` runs Lanczos on it, and
+    the dense rescaled matrix otherwise.
     """
     n1, n2 = obs.shape
     density = obs.pattern.m / (n1 * n2)
     if min(n1, n2) >= 200 and density <= 0.25 and r < min(n1, n2) // 2:
         A = obs.pattern.csr_with_values(obs.values / obs.rate)
-        U, S, Vt = scipy.sparse.linalg.svds(A, k=r, v0=np.ones(min(n1, n2)))
-        order = np.argsort(-S)
-        U, V = _fix_signs(U[:, order].copy(), Vt[order].T.copy())
-        return TruncatedSVD(U=U, S=np.maximum(S[order], 0.0), V=V)
-    return top_r_svd(rescaled_dense(obs), r)
+    else:
+        A = rescaled_dense(obs)
+    return top_r_svd(A, r)
 
 
 def observed_residual(X, Y, obs):

@@ -105,9 +105,6 @@ def _resolve_budget(config, tsvd, gt):
 def spectral_init(obs, r, config=None, gt=None):
     """Projected balanced square-root factors of the rescaled observation."""
     config = config or ScaledPgdConfig()
-    n1, n2 = obs.shape
-    if r > min(n1, n2):
-        raise ParameterError(f"rank {r} exceeds min dimension {min(n1, n2)}")
     tsvd = rescaled_top_svd(obs, r)
     sq = np.sqrt(tsvd.S)
     pair = FactorPair(tsvd.U * sq, tsvd.V * sq)

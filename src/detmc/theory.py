@@ -17,7 +17,6 @@ import scipy.sparse.linalg
 
 from . import pgd, scaled_pgd
 from .graphs import certify
-from .kernels import operator_norm
 from .metrics import gauge_distance, rotation_distance
 from .sampling import observe, observed_residual, subset_isotropy_gap
 
@@ -179,7 +178,7 @@ def check_graph_deviation(g, gt=None):
             )[0])
         bound2 = (
             cert.c0 * gt.coherence_mu * gt.rank / math.sqrt(min(g.d1, g.d2))
-        ) * operator_norm(gt.matrix)
+        ) * gt.sigma1
         margins.append(bound2 - dev2)
         scale = max(scale, bound2)
         instances += 1

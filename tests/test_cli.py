@@ -170,18 +170,18 @@ class TestErrorExitCodes:
         assert err.startswith("error: ") and err.count("\n") == 1, err
 
     @staticmethod
-    def write_instance(tmp_path):
-        gt = bench.synthetic_low_rank(40, 40, 2, 2.0, seed=1)
-        g = graphs.random_biregular(40, 40, 12, seed=2)
+    def write_instance(tmp_path, n=40, d=12):
+        gt = bench.synthetic_low_rank(n, n, 2, 2.0, seed=1)
+        g = graphs.random_biregular(n, n, d, seed=2)
         obs = sampling.observe(gt.matrix, g)
         obs_path, graph_path = tmp_path / "obs.mtx", tmp_path / "g.edges"
         sampling.save_observed(obs, obs_path)
         graphs.save_edges(g, graph_path)
         return obs_path, graph_path
 
-    def complete(self, obs_path, graph_path, tmp_path, *extra):
+    def complete(self, obs_path, graph_path, tmp_path, *extra, rank=2):
         return cli.main(["complete", "--observed", str(obs_path),
-                         "--graph", str(graph_path), "--rank", "2",
+                         "--graph", str(graph_path), "--rank", str(rank),
                          "--out", str(tmp_path / "completed.mtx"), *extra])
 
     def test_parameter_error(self, capsys):
@@ -202,6 +202,15 @@ class TestErrorExitCodes:
         obs_path.write_text("\n".join(lines) + "\n")
         code = self.complete(obs_path, graph_path, tmp_path)
         self.assert_one_line_error(capsys, code)
+
+    @pytest.mark.parametrize("solver", ["pgd", "scaled-pgd"])
+    def test_rank_below_one(self, tmp_path, capsys, solver):
+        # at 256 x 256, d = 20 the spectral init runs Lanczos on the CSR
+        obs_path, graph_path = self.write_instance(tmp_path, n=256, d=20)
+        for rank in (0, -1):
+            code = self.complete(obs_path, graph_path, tmp_path, "--solver", solver,
+                                 rank=rank)
+            self.assert_one_line_error(capsys, code)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_divergence_error(self, tmp_path, capsys):

@@ -114,6 +114,20 @@ class TestSolve:
         assert feas < 1e-5
         assert trace.meta["stop_reason"] == "tol"
 
+    def test_mu0_recorded(self):
+        # the 256 x 256, d = 32 instance of test_iteration_counts' table
+        n, r, d = 256, 3, 32
+        g = graphs.random_biregular(
+            n, n, d, seed=np.random.SeedSequence((0, 1000 + d)).entropy)
+        gt = bench.synthetic_low_rank(n, n, r, 1.2, np.random.SeedSequence((0, d, r, 0)))
+        obs = sampling.observe(gt.matrix, g)
+        D = np.zeros((n, n))
+        D[g.rows, g.cols] = obs.values
+        _, trace = ialm.solve(obs, ialm.IalmConfig(max_iter=1))
+        assert trace.meta["mu0"] == pytest.approx(1.0 / np.linalg.norm(D, 2), rel=1e-13)
+        _, trace = ialm.solve(obs, ialm.IalmConfig(mu0=0.5, max_iter=1))
+        assert trace.meta["mu0"] == 0.5
+
     def test_config_validation(self):
         with pytest.raises(ParameterError):
             ialm.IalmConfig(rho=1.0)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse
 
 from detmc import kernels
 from detmc.errors import InputError, ParameterError
@@ -59,8 +60,9 @@ class TestTopRSvd:
             first = col[np.argmax(np.abs(col) > 1e-12 * np.abs(col).max())]
             assert first >= 0
 
-    def test_subspace_iteration_path(self):
-        # above the dense cutoff: known spectrum must be recovered
+    def test_lanczos_path_above_cutoff(self):
+        # a dense matrix above the cutoff takes Lanczos: known spectrum
+        # must be recovered
         rng = np.random.default_rng(4)
         n1, n2, k = 2200, 2100, 8
         U = np.linalg.qr(rng.standard_normal((n1, k)))[0]
@@ -73,61 +75,67 @@ class TestTopRSvd:
         best = (U[:, :5] * S[:5]) @ V[:, :5].T
         assert np.linalg.norm(tsvd.reconstruct() - best) <= 1e-6 * S[0]
 
+    def test_sparse_matches_dense(self):
+        # r < min(shape) takes Lanczos on the CSR; r = min(shape) densifies
+        rng = np.random.default_rng(11)
+        A = rng.standard_normal((40, 30)) * (rng.random((40, 30)) < 0.3)
+        for r in (3, 30):
+            sp = kernels.top_r_svd(scipy.sparse.csr_matrix(A), r)
+            dense = kernels.top_r_svd(A, r)
+            assert np.all(np.abs(sp.S - dense.S) <= 1e-12 * dense.S[0])
+            assert np.allclose(sp.reconstruct(), dense.reconstruct(), atol=1e-10)
+
     def test_parameter_errors(self):
         A = np.eye(3)
-        with pytest.raises(ParameterError):
-            kernels.top_r_svd(A, 0)
-        with pytest.raises(ParameterError):
-            kernels.top_r_svd(A, 4)
+        for B in (A, scipy.sparse.csr_matrix(A)):
+            with pytest.raises(ParameterError):
+                kernels.top_r_svd(B, 0)
+            with pytest.raises(ParameterError):
+                kernels.top_r_svd(B, 4)
         with pytest.raises(InputError):
             kernels.top_r_svd(np.array([[1.0, np.nan]]), 1)
+        with pytest.raises(InputError):
+            kernels.top_r_svd(scipy.sparse.csr_matrix(np.array([[1.0, np.nan]])), 1)
 
 
 class TestOperatorNorm:
+    """``operator_norm`` against ``np.linalg.norm(A, 2)``, on ``A`` and
+    ``A.T``, dense and CSR."""
+
+    @staticmethod
+    def assert_exact(A):
+        s1 = np.linalg.norm(A, 2)
+        for B in (A, A.T, scipy.sparse.csr_matrix(A), scipy.sparse.csr_matrix(A.T)):
+            assert abs(kernels.operator_norm(B) - s1) <= 1e-12 * max(s1, 1.0)
+
     def test_identity(self):
-        assert abs(kernels.operator_norm(np.eye(3)) - 1.0) <= 1e-10
+        self.assert_exact(np.eye(3))
 
     def test_all_ones(self):
         for n in (2, 5, 9):
-            assert abs(kernels.operator_norm(np.ones((n, n))) - n) <= 1e-8 * n
+            self.assert_exact(np.ones((n, n)))
 
     def test_matches_svd_oracle(self):
         rng = np.random.default_rng(5)
         for _ in range(5):
-            A = rng.standard_normal((10, 10))
-            s1 = np.linalg.svd(A, compute_uv=False)[0]
-            assert abs(kernels.operator_norm(A) - s1) <= 1e-8 * s1
+            self.assert_exact(rng.standard_normal((10, 10)))
+        self.assert_exact(rng.standard_normal((300, 250)) * (rng.random((300, 250)) < 0.05))
 
     def test_transpose_symmetry(self):
+        # a 1 x n shape leaves Lanczos no room at r = 1: CSR is densified
         rng = np.random.default_rng(6)
-        for shape in [(12, 7), (7, 12), (9, 9)]:
-            A = rng.standard_normal(shape)
-            a = kernels.operator_norm(A)
-            b = kernels.operator_norm(A.T)
-            assert abs(a - b) <= 1e-10 * max(a, 1.0)
+        for shape in [(12, 7), (7, 12), (9, 9), (1, 9)]:
+            self.assert_exact(rng.standard_normal(shape))
 
     def test_top_vector_orthogonal_to_ones(self):
-        # the constant vector is orthogonal to the top singular vector here;
-        # a pure all-ones power-iteration start would stall at 0
-        A = np.array([[1.0, -1.0], [-1.0, 1.0]])
-        assert abs(kernels.operator_norm(A) - 2.0) <= 1e-8
+        # the constant vector is in the kernel of A'A and AA', so the
+        # all-ones Lanczos start is degenerate
+        self.assert_exact(np.array([[1.0, -1.0], [-1.0, 1.0]]))
 
     def test_zero_matrix(self):
-        assert kernels.operator_norm(np.zeros((4, 3))) == 0.0
-
-
-class TestTwoInfNorm:
-    def test_identity(self):
-        assert kernels.two_inf_norm(np.eye(2)) == 1.0
-
-    def test_three_four_five_row(self):
-        assert kernels.two_inf_norm(np.array([[3.0, 4.0], [0.0, 1.0]])) == 5.0
-
-    def test_row_permutation_invariance(self):
-        rng = np.random.default_rng(7)
-        A = rng.standard_normal((8, 5))
-        P = rng.permutation(8)
-        assert kernels.two_inf_norm(A) == kernels.two_inf_norm(A[P])
+        A = np.zeros((4, 3))
+        assert kernels.operator_norm(A) == 0.0
+        assert kernels.operator_norm(scipy.sparse.csr_matrix(A)) == 0.0
 
 
 class TestOrthogonalProcrustes:

@@ -29,6 +29,18 @@ class TestSpectralInit:
         assert metrics.rotation_distance(pair, gt).distance <= 1e-8
         assert znorm == pytest.approx(np.sqrt(2 * gt.sigma1), rel=1e-8)
 
+    def test_stepsize_denominator_is_exact(self):
+        # partially observed, kappa = 1: the step's denominator is the
+        # squared two-norm of the unclipped stacked init
+        gt = bench.synthetic_low_rank(256, 256, 3, 1.0, seed=0)
+        obs = sampling.observe(gt.matrix, graphs.random_biregular(256, 256, 32, seed=10))
+        tsvd = sampling.rescaled_top_svd(obs, 3)
+        sq = np.sqrt(tsvd.S)
+        Z = np.vstack([tsvd.U * sq, tsvd.V * sq])
+        _, trace = pgd.solve(obs, 3, pgd.PgdConfig(max_iter=1))
+        assert trace.meta["stepsize_denominator"] == pytest.approx(
+            np.linalg.norm(Z, 2) ** 2, rel=1e-13)
+
     def test_rank_one_ones_matrix(self):
         obs = sampling.observe(np.ones((2, 2)), complete_graph(2, 2))
         pair, _, _ = pgd.spectral_init(obs, 1, mu=2.0)
