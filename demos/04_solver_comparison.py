@@ -1,8 +1,10 @@
 """Iteration and wall-time comparison of the three completion methods.
 
-The nuclear-norm baseline needs a full SVD every iteration; the factored
-methods touch only the observed entries and r-dimensional Gram matrices,
-which is where their speed comes from.
+The nuclear-norm baseline works on a dense n1 x n2 matrix every
+iteration: a Gram product and the eigenpairs above its threshold (a full
+SVD once the threshold is tiny next to the matrix).  The factored methods
+touch only the observed entries and r-dimensional Gram matrices, which is
+where their speed comes from.
 """
 
 from detmc import bench

@@ -19,6 +19,7 @@ sparse products plus O(n r^2): about 0.8 ms at 1092 x 1092, d = 20,
 r = 3 on one BLAS thread, against 1.2 ms with the factors n x r.
 """
 
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -84,10 +85,25 @@ class PgdConfig:
     stall_window: int = 0  # iterations; >0 stops runs making no headway
 
     def __post_init__(self):
-        if self.eta <= 0 or self.lam < 0:
-            raise ParameterError("eta must be positive and lambda nonnegative")
+        if not 0 < self.eta < math.inf or self.lam < 0:
+            raise ParameterError("eta must be positive and finite and lambda nonnegative")
+        if not 0 < self.mu < math.inf:
+            raise ParameterError("mu must be positive and finite")
         if self.eval_every < 1:
             raise ParameterError("eval_every must be at least 1")
+        check_stop_settings(self.max_iter, self.tol)
+
+
+def check_stop_settings(max_iter, tol):
+    """Reject an iteration budget below one or a non-finite tolerance.
+
+    NaN compares false with everything, so a NaN ``tol`` would otherwise
+    switch off every stop rule that reads it without a word.
+    """
+    if max_iter < 1:
+        raise ParameterError("max_iter must be at least 1")
+    if not math.isfinite(tol):
+        raise ParameterError("tol must be finite")
 
 
 @dataclass

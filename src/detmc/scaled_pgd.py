@@ -12,6 +12,7 @@ run the loop's helpers on that layout.  ``bench.solve`` runs any solver
 by name.
 """
 
+import math
 import time
 from dataclasses import dataclass
 
@@ -19,7 +20,7 @@ import numpy as np
 
 from . import metrics
 from .errors import ParameterError
-from .pgd import FactorPair, IterationTrace, iterate
+from .pgd import FactorPair, IterationTrace, check_stop_settings, iterate
 from .sampling import observed_residual, rescaled_top_svd
 
 _ETA_CAP = 0.145
@@ -40,10 +41,13 @@ class ScaledPgdConfig:
     stall_window: int = 0  # iterations; >0 stops runs making no headway
 
     def __post_init__(self):
-        if self.eta <= 0:
-            raise ParameterError("eta must be positive")
+        if not 0 < self.eta < math.inf:
+            raise ParameterError("eta must be positive and finite")
+        if not 0 < self.mu < math.inf:
+            raise ParameterError("mu must be positive and finite")
         if self.eval_every < 1:
             raise ParameterError("eval_every must be at least 1")
+        check_stop_settings(self.max_iter, self.tol)
         if self.eta > _ETA_CAP and not self.allow_large_eta:
             raise ParameterError(
                 f"eta={self.eta} exceeds {_ETA_CAP}; pass allow_large_eta=True to override"

@@ -220,6 +220,20 @@ class TestErrorExitCodes:
                              "--solver", "pgd", "--eta", "50", "--mu", "1e200")
         self.assert_one_line_error(capsys, code)
 
+    @pytest.mark.parametrize("extra", [
+        ("--solver", "pgd", "--mu", "-1"),
+        ("--solver", "pgd", "--mu", "nan"),
+        ("--solver", "ialm", "--tol", "nan"),
+        ("--solver", "ialm", "--max-iter", "0"),
+    ])
+    def test_setting_no_run_can_use(self, tmp_path, capsys, extra):
+        # each of these used to run (with a numpy warning for --mu -1), write
+        # a matrix and exit 0
+        obs_path, graph_path = self.write_instance(tmp_path, n=64, d=16)
+        code = self.complete(obs_path, graph_path, tmp_path, *extra)
+        self.assert_one_line_error(capsys, code)
+        assert not (tmp_path / "completed.mtx").exists()
+
     def test_generation_error(self, tmp_path, capsys, monkeypatch):
         def fail(*args, **kwargs):
             raise GenerationError("duplicate-edge repair exceeded the attempt cap")

@@ -39,6 +39,76 @@ def reference_ialm(obs, gt, mu0, rho, tol, max_iter):
     return np.array(rel), np.array(settled), d_norm / m_norm
 
 
+def svt_oracle(A, tau):
+    U, S, Vt = np.linalg.svd(A, full_matrices=False)
+    return (U * np.maximum(S - tau, 0.0)) @ Vt
+
+
+def sparse_plus_low_rank(shape, rank, seed):
+    rng = np.random.default_rng(seed)
+    n1, n2 = shape
+    L = rng.standard_normal((n1, rank)) @ rng.standard_normal((rank, n2))
+    return L + np.where(rng.random(shape) < 0.1, rng.standard_normal(shape), 0.0)
+
+
+def with_spectrum(S, shape, seed):
+    rng = np.random.default_rng(seed)
+    U = np.linalg.qr(rng.standard_normal((shape[0], len(S))))[0]
+    V = np.linalg.qr(rng.standard_normal((shape[1], len(S))))[0]
+    return (U * S) @ V.T
+
+
+class TestSvtOracle:
+    """``ialm._svt`` against thresholding a full SVD, to 1e-10 ||A||_F."""
+
+    def check(self, A, tau, dense):
+        out, shrunk, used_dense = ialm._svt(A, tau)
+        assert used_dense == dense
+        S = np.linalg.svd(A, compute_uv=False)
+        assert np.allclose(np.sort(shrunk)[::-1], S[S > tau] - tau,
+                           rtol=0, atol=1e-10 * np.linalg.norm(A))
+        assert np.linalg.norm(out - svt_oracle(A, tau)) <= 1e-10 * np.linalg.norm(A)
+        return shrunk
+
+    @pytest.mark.parametrize("shape", [(90, 90), (120, 70), (70, 120)])
+    def test_sparse_plus_low_rank(self, shape):
+        A = sparse_plus_low_rank(shape, 4, seed=sum(shape))
+        S = np.linalg.svd(A, compute_uv=False)
+        # past the low-rank part, into the sparse noise's bulk, and near its edge
+        for i in (3, 20, S.size - 2):
+            tau = 0.5 * (S[i] + S[i + 1])
+            self.check(A, tau, dense=False)
+
+    def test_repeated_singular_value_kept(self):
+        S = np.r_[5.0, np.full(6, 2.0), np.linspace(1.0, 0.1, 20)]
+        A = with_spectrum(S, (60, 50), seed=1)
+        shrunk = self.check(A, 1.5, dense=False)
+        assert np.sum(np.isclose(shrunk, 0.5, rtol=1e-12)) == 6
+
+    def test_cluster_just_above_threshold(self):
+        tau = 1e-2
+        S = np.r_[3.0, 1.0, tau * (1 + 1e-9 * np.arange(1, 11)), tau * np.linspace(0.99, 0.5, 10)]
+        A = with_spectrum(S, (50, 40), seed=2)
+        assert self.check(A, tau, dense=False).size == 12
+
+    def test_threshold_above_top_singular_value(self):
+        A = sparse_plus_low_rank((40, 30), 2, seed=3)
+        out, shrunk, _ = ialm._svt(A, 1.01 * np.linalg.norm(A, 2))
+        assert shrunk.size == 0
+        assert np.array_equal(out, np.zeros_like(A))
+
+    def test_zero_threshold_takes_dense_svd(self):
+        A = sparse_plus_low_rank((40, 30), 2, seed=4)
+        self.check(A, 0.0, dense=True)
+
+    @pytest.mark.parametrize("factor, dense", [(0.999, False), (1.001, True)])
+    def test_gram_ratio_boundary(self, factor, dense):
+        # ||A||_F / tau just below and just above the Gram route's limit
+        A = sparse_plus_low_rank((80, 80), 3, seed=5)
+        tau = np.linalg.norm(A) / (factor * ialm._GRAM_RATIO)
+        assert self.check(A, tau, dense=dense).size == 80
+
+
 class TestSvt:
     def test_diagonal(self):
         out = ialm.svt(np.diag([3.0, 1.0]), 2.0)
@@ -52,6 +122,12 @@ class TestSvt:
     def test_negative_threshold_rejected(self):
         with pytest.raises(ParameterError):
             ialm.svt(np.eye(2), -1.0)
+
+    @pytest.mark.parametrize("tau", [float("nan"), float("inf")])
+    def test_non_finite_threshold_rejected(self, tau):
+        # a NaN threshold used to return an all-NaN matrix
+        with pytest.raises(ParameterError):
+            ialm.svt(np.eye(2), tau)
 
     def test_rank_reduction_and_prox_optimality(self):
         rng = np.random.default_rng(1)
@@ -129,10 +205,13 @@ class TestSolve:
         assert trace.meta["mu0"] == 0.5
 
     def test_config_validation(self):
-        with pytest.raises(ParameterError):
-            ialm.IalmConfig(rho=1.0)
-        with pytest.raises(ParameterError):
-            ialm.IalmConfig(mu0=-1.0)
+        # a NaN tol ran out max_iter, and max_iter = 0 returned the zero matrix
+        nan, inf = float("nan"), float("inf")
+        for setting in ({"rho": 1.0}, {"rho": nan}, {"rho": inf},
+                        {"mu0": -1.0}, {"mu0": nan}, {"mu0": inf},
+                        {"tol": nan}, {"max_iter": 0}):
+            with pytest.raises(ParameterError):
+                ialm.IalmConfig(**setting)
 
     def _settle_instance(self, d, seed):
         gt = bench.synthetic_low_rank(64, 64, 2, 1.0, seed=seed + 10)
@@ -158,6 +237,20 @@ class TestSolve:
         # less than the bound on the remaining steps
         assert rel.min() >= tol
         assert abs(rel[-1] - trace.final_rel_error) <= 10 * tol * p_omega_ratio
+
+    def test_run_across_the_gram_limit_matches_the_reference(self):
+        # at tol 1e-8 the run goes on until mu * ||D - E + Y/mu||_F, the
+        # operand's ||Z||_F / tau, passes ialm._GRAM_RATIO: its thresholds
+        # come from the Gram eigenpairs first and from the dense SVD after
+        tol = 1e-8
+        gt, obs, mu0 = self._settle_instance(16, 0)
+        cfg = ialm.IalmConfig(mu0=mu0, tol=tol, max_iter=500)
+        _, trace = ialm.solve(obs, cfg, gt=gt)
+        k = trace.iterations[-1]
+        assert 0 < trace.meta["svt_dense"] < k
+        rel, settled, _ = reference_ialm(obs, gt, mu0, cfg.rho, tol, k)
+        assert np.allclose(trace.rel_error[1:], rel, rtol=1e-9, atol=0)
+        assert int(np.argmax(settled)) + 1 == k
 
     def test_settled_run_within_ten_tol_continues(self):
         tol = 1e-4

@@ -54,6 +54,20 @@ def test_table_instance_counts():
     assert trace.final_rel_error < tol
 
 
+def test_criterion_04_ialm_counts():
+    # criterion 04's trial 0 at both ranks: 512 x 512, d = 60, kappa 1.2,
+    # seed 9, IALM at tol 1e-4; every threshold takes the Gram route
+    n, d, tol = 512, 60, 1e-4
+    g = graphs.random_biregular(n, n, d, seed=np.random.SeedSequence((9, 1000 + d)).entropy)
+    for r, expected in ((2, 88), (3, 89)):
+        gt = bench.synthetic_low_rank(n, n, r, 1.2, np.random.SeedSequence((9, d, r, 0)))
+        obs = sampling.observe(gt.matrix, g)
+        _, trace = ialm.solve(obs, ialm.IalmConfig(tol=tol, max_iter=6000), gt=gt)
+        assert (trace.iterations[-1], trace.meta["stop_reason"]) == (expected, "tol")
+        assert trace.final_rel_error < tol
+        assert trace.meta["svt_dense"] == 0
+
+
 def test_cli_ladder_count():
     # the ``cli`` benchmark's complete-blind instance (ladder 0, op 0), run as
     # ``detmc complete --solver scaled-pgd --mu 8`` runs it: blind, at tol 1e-6

@@ -362,6 +362,14 @@ class TestConfig:
             pgd.PgdConfig(lam=-0.1)
         with pytest.raises(ParameterError):
             pgd.PgdConfig(eval_every=0)
+        # a NaN mu made the clip bound NaN, so the projection never clipped
+        nan, inf = float("nan"), float("inf")
+        for config_cls in (pgd.PgdConfig, scaled_pgd.ScaledPgdConfig):
+            for setting in ({"eta": nan}, {"eta": inf}, {"mu": -1.0}, {"mu": 0.0},
+                            {"mu": nan}, {"mu": inf}, {"tol": nan}, {"tol": inf},
+                            {"max_iter": 0}):
+                with pytest.raises(ParameterError):
+                    config_cls(**setting)
 
     def test_trace_indices_strictly_increasing(self):
         tr = pgd.IterationTrace()
