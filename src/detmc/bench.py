@@ -58,7 +58,6 @@ class ExperimentConfig:
     threads: int = 1
     success_threshold: float = SUCCESS_THRESHOLD
     eval_every: int = 1
-    stall_window: int = 0
 
     def __post_init__(self):
         if self.trials < 1:
@@ -75,13 +74,10 @@ class ExperimentConfig:
 @dataclass
 class TrialRecord:
     solver: str
-    graph: str
-    seed: int
     success: bool
     iterations: int
     wall_seconds: float
     final_rel_error: float
-    fitted_rate: float = float("nan")
 
 
 SOLVERS = {
@@ -118,8 +114,7 @@ def run_trial(solver, obs, r, gt, cfg):
     """One solver run wrapped into a TrialRecord (plus the trace)."""
     try:
         _, trace = solve(solver, obs, r, gt, max_iter=cfg.max_iter, tol=cfg.tol,
-                         eta=cfg.eta, lam=cfg.lam, eval_every=cfg.eval_every,
-                         stall_window=cfg.stall_window)
+                         eta=cfg.eta, lam=cfg.lam, eval_every=cfg.eval_every)
         diverged = False
     except DivergenceError as exc:
         trace = exc.trace
@@ -127,8 +122,6 @@ def run_trial(solver, obs, r, gt, cfg):
     rel = trace.final_rel_error
     record = TrialRecord(
         solver=solver,
-        graph="",
-        seed=-1,
         success=(not diverged) and rel < cfg.success_threshold,
         iterations=trace.iterations[-1] if trace.iterations else 0,
         wall_seconds=trace.solver_seconds,

@@ -4,8 +4,8 @@ The observed data lives on the edge set of a sampling pattern; nothing here
 ever materializes a lifted (n1+n2)-sized object.  Residuals restricted to
 the pattern are returned as CSR matrices whose ``data`` is aligned with the
 pattern's sorted edge list, so sparse products with the factors cost
-O(m * r).  ``observed_residual`` reads the factors r-major (r x n), the
-layout the factored solvers keep them in.
+O(m * r).  ``observed_residual`` and ``residual_products`` read the factors
+r-major (r x n), the layout the factored solvers keep them in.
 """
 
 from dataclasses import dataclass
@@ -13,6 +13,7 @@ from itertools import combinations
 from math import comb
 
 import numpy as np
+from scipy.sparse import _sparsetools
 
 from .errors import FormatError, InputError, ParameterError
 from .graphs import SamplingPattern, _parse_rows
@@ -74,32 +75,46 @@ def rescaled_top_svd(obs, r):
     return top_r_svd(A, r)
 
 
-def observed_residual(X, Y, obs):
+def observed_residual(X, Y, obs, out=None):
     """CSR residual with per-edge values <X_i, Y_j> - observed value.
 
-    ``X`` is n1 x r and ``Y`` is n2 x r; the product X @ Y.T is never formed.
-    The kernel reads the factors r-major, as the r x n arrays ``X.T`` and
-    ``Y.T``: that transpose is free when ``X`` is already a view of a
-    C-ordered r x n1 array, as the solvers pass it, and costs one O(n r)
-    copy otherwise.  The row gather is then a repeat by the pattern's row
-    counts, the column gather one ``take``, and the dot one pass down r
-    contiguous rows: O(m r) per call, about 0.3 ms at m = 22k, r = 3 on one
-    core, against about 0.6 ms for the same gathers and dot n x r.
+    ``X`` is n1 x r and ``Y`` is n2 x r; X @ Y.T is never formed.  The kernel
+    reads them r-major, as ``X.T`` and ``Y.T`` (free when ``X`` is a view of
+    a C-ordered r x n1 array, as the solvers pass it): a repeat by the row
+    counts, one column ``take`` and a dot down r contiguous rows, O(m r):
+    about 0.22 ms at m = 22k, r = 3 on one core.  Given ``out``, the one
+    ``obs.pattern.csr_with_values`` matrix of a solve, never shared between
+    threads, the values go into ``out.data`` and ``out`` is returned.
     """
-    X = np.asarray(X, dtype=np.float64)
-    Y = np.asarray(Y, dtype=np.float64)
+    Xt = np.ascontiguousarray(np.transpose(X), dtype=np.float64)
+    Yt = np.ascontiguousarray(np.transpose(Y), dtype=np.float64)
     pat = obs.pattern
-    if X.shape[0] != pat.n1 or Y.shape[0] != pat.n2 or X.shape[1] != Y.shape[1]:
-        raise ParameterError(
-            f"factor shapes {X.shape}, {Y.shape} do not match pattern"
-        )
-    Xt, Yt = np.ascontiguousarray(X.T), np.ascontiguousarray(Y.T)
+    if Xt.shape[1] != pat.n1 or Yt.shape[1] != pat.n2 or len(Xt) != len(Yt):
+        raise ParameterError(f"factor shapes {Xt.T.shape}, {Yt.T.shape} do not match pattern")
+    indices = pat._csr_index[0]
+    out = pat.csr_with_values(np.empty(pat.m)) if out is None else out
+    if not np.may_share_memory(out.indices, indices):
+        raise ParameterError("out is not a residual matrix of this pattern")
     # edges are sorted by row, so gathering X's rows is a repeat
-    vals = np.einsum(
-        "ki,ki->i", np.repeat(Xt, pat.row_counts, axis=1), np.take(Yt, pat.cols, axis=1)
-    )
-    vals -= obs.values
-    return pat.csr_with_values(vals)
+    np.einsum("ki,ki->i", np.repeat(Xt, pat.row_counts, axis=1),
+              np.take(Yt, indices, axis=1), out=out.data)
+    out.data -= obs.values
+    return out
+
+
+def residual_products(K, Xt, Yt):
+    """r-major ``(K @ Y).T`` and ``(K.T @ X).T`` for a residual ``K``: per row,
+    scipy's CSR (for ``K.T``, CSC) mat-vec loop on K's own arrays, the loops
+    behind ``K @ Y`` and ``K.T @ X``.  Equal bit for bit, without the sparse
+    wrappers, the CSC view or the factor copies that those build."""
+    (n1, n2), r = K.shape, len(Xt)
+    if np.shape(Xt) != (r, n1) or np.shape(Yt) != (r, n2):
+        raise ParameterError(f"r-major factors {np.shape(Xt)}, {np.shape(Yt)} vs {K.shape}")
+    KY, KtX = np.zeros((r, n1)), np.zeros((r, n2))
+    for k in range(r):
+        _sparsetools.csr_matvec(n1, n2, K.indptr, K.indices, K.data, Yt[k], KY[k])
+        _sparsetools.csc_matvec(n2, n1, K.indptr, K.indices, K.data, Xt[k], KtX[k])
+    return KY, KtX
 
 
 @dataclass

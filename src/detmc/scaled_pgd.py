@@ -21,7 +21,7 @@ import numpy as np
 from . import metrics
 from .errors import ParameterError
 from .pgd import FactorPair, IterationTrace, check_stop_settings, iterate
-from .sampling import observed_residual, rescaled_top_svd
+from .sampling import observed_residual, rescaled_top_svd, residual_products
 
 _ETA_CAP = 0.145
 ALPHA = 0.1  # budget slack: B = (1 + ALPHA) sqrt(mu r) sigma1
@@ -38,16 +38,13 @@ class ScaledPgdConfig:
     allow_large_eta: bool = False
     log_dist: bool = False
     eval_every: int = 1  # ground-truth metrics logged every k-th iteration
-    stall_window: int = 0  # iterations; >0 stops runs making no headway
 
     def __post_init__(self):
         if not 0 < self.eta < math.inf:
             raise ParameterError("eta must be positive and finite")
         if not 0 < self.mu < math.inf:
             raise ParameterError("mu must be positive and finite")
-        if self.eval_every < 1:
-            raise ParameterError("eval_every must be at least 1")
-        check_stop_settings(self.max_iter, self.tol)
+        check_stop_settings(self.max_iter, self.tol, self.eval_every)
         if self.eta > _ETA_CAP and not self.allow_large_eta:
             raise ParameterError(
                 f"eta={self.eta} exceeds {_ETA_CAP}; pass allow_large_eta=True to override"
@@ -137,9 +134,10 @@ def _step(Xt, Yt, K, obs, eta):
     """r-major ``step`` from the residual ``K`` at ``(Xt, Yt)``."""
     gy_inv = _pinv_gram(Yt @ Yt.T)
     gx_inv = _pinv_gram(Xt @ Xt.T)
+    KY, KtX = residual_products(K, Xt, Yt)
     # ((K @ Y) @ gy_inv).T and its mirror
-    Xn = Xt - (eta / obs.rate) * (gy_inv.T @ (K @ Yt.T).T)
-    Yn = Yt - (eta / obs.rate) * (gx_inv.T @ (K.T @ Xt.T).T)
+    Xn = Xt - (eta / obs.rate) * (gy_inv.T @ KY)
+    Yn = Yt - (eta / obs.rate) * (gx_inv.T @ KtX)
     return Xn, Yn
 
 
@@ -150,13 +148,14 @@ def solve(obs, r, config=None, gt=None):
     t0 = time.perf_counter()
     pair, budget = spectral_init(obs, r, config, gt=gt)
     init_seconds = time.perf_counter() - t0
+    K = obs.pattern.csr_with_values(np.empty(obs.pattern.m))
 
     trace = IterationTrace(meta={
         "solver": "scaled-pgd", "eta": config.eta, "budget": budget,
     })
 
     def objective(Xt, Yt):
-        K = observed_residual(Xt.T, Yt.T, obs)
+        observed_residual(Xt.T, Yt.T, obs, out=K)
         return 0.5 * float((K.data**2).sum()) / obs.rate, K
 
     def advance(Xt, Yt, K):

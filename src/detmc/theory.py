@@ -18,7 +18,7 @@ import scipy.sparse.linalg
 from . import pgd, scaled_pgd
 from .graphs import certify
 from .metrics import gauge_distance, rotation_distance
-from .sampling import observe, observed_residual, subset_isotropy_gap
+from .sampling import observe, observed_residual, residual_products, subset_isotropy_gap
 
 _PASS_SLACK = 1e-9
 
@@ -372,9 +372,10 @@ def check_scaled_geometry(gt, g, trials, seed):
         DX = (pair.X @ Q - gt.left_factor) * Wsq
         DY = (pair.Y @ np.linalg.inv(Q).T - gt.right_factor) * Wsq
 
-        K = observed_residual(pair.X, pair.Y, obs)
-        NX = (K @ pair.Y) / obs.rate @ scaled_pgd._pinv_gram(pair.Y.T @ pair.Y)
-        NY = (K.T @ pair.X) / obs.rate @ scaled_pgd._pinv_gram(pair.X.T @ pair.X)
+        KY, KtX = residual_products(observed_residual(pair.X, pair.Y, obs),
+                                    pair.X.T, pair.Y.T)
+        NX = KY.T / obs.rate @ scaled_pgd._pinv_gram(pair.Y.T @ pair.Y)
+        NY = KtX.T / obs.rate @ scaled_pgd._pinv_gram(pair.X.T @ pair.X)
         GX = (NX @ Q) * Wsq
         GY = (NY @ np.linalg.inv(Q).T) * Wsq
 

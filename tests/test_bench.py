@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -67,6 +69,16 @@ class TestPhaseTransition:
         b = bench.run_phase_transition(cfg, solver="pgd")
         assert a == b
 
+    @pytest.mark.parametrize("solver, eta", [("pgd", 0.35), ("scaled-pgd", None)])
+    def test_threads_give_the_serial_rows(self, solver, eta):
+        # the trials of one degree share a graph; each solve must own its
+        # residual matrix, so threads cannot mix one trial's residual into
+        # another's iterates
+        cfg = self.make_cfg(degrees=(16, 24), trials=3, max_iter=300, eta=eta)
+        serial = bench.run_phase_transition(cfg, solver=solver)
+        threaded = bench.run_phase_transition(replace(cfg, threads=2), solver=solver)
+        assert threaded == serial
+
     def test_bernoulli_rate_matches_expected_count(self):
         from detmc.graphs import bernoulli_mask
 
@@ -101,7 +113,7 @@ class TestSolve:
             monkeypatch.setattr(module, "solve", record)
         for name in bench.SOLVERS:
             bench.solve(name, None, 2, max_iter=7, tol=1e-3, eta=0.12, lam=0.25,
-                        mu=3.0, stall_window=None)
+                        mu=3.0)
         assert seen == {
             pgd.PgdConfig: pgd.PgdConfig(max_iter=7, tol=1e-3, eta=0.12, lam=0.25,
                                          mu=3.0),

@@ -218,6 +218,61 @@ class TestResidualKernel:
         assert not K[0].any() and not K[:, 0].any()
         assert np.array_equal(K[pat.rows, pat.cols], np.ones(pat.m))
 
+    @pytest.mark.parametrize("r", [1, 3])
+    @pytest.mark.parametrize("kind", ["biregular", "bernoulli"])
+    def test_residual_products_are_scipys_products_bit_for_bit(self, kind, r):
+        # residual_products calls scipy's private CSR/CSC mat-vec loops; a
+        # scipy whose loops change name, arguments or summation order fails
+        # here instead of moving the solvers' iterates
+        pat = _kernel_pattern(kind)
+        rng = np.random.default_rng(24)
+        X = rng.standard_normal((pat.n1, r))
+        Y = rng.standard_normal((pat.n2, r))
+        obs = sampling.Observation(pat, rng.standard_normal(pat.m), pat.rate)
+        K = sampling.observed_residual(X, Y, obs)
+        Xt, Yt = np.ascontiguousarray(X.T), np.ascontiguousarray(Y.T)
+        KY, KtX = sampling.residual_products(K, Xt, Yt)
+        assert np.array_equal(KY, (K @ Y).T)
+        assert np.array_equal(KtX, (K.T @ X).T)
+        # a fresh result every call, not one summed into the last
+        again = sampling.residual_products(K, Xt, Yt)
+        assert np.array_equal(again[0], KY) and np.array_equal(again[1], KtX)
+        Kd = K.toarray()
+        assert np.allclose(KY, (Kd @ Y).T, rtol=0, atol=1e-12)
+        assert np.allclose(KtX, (Kd.T @ X).T, rtol=0, atol=1e-12)
+        if kind == "bernoulli":  # row 0 and column 0 are empty
+            assert not KY[:, 0].any() and not KtX[:, 0].any()
+
+    def test_residual_products_reject_mismatched_factors(self):
+        pat = _kernel_pattern("bernoulli")
+        obs = sampling.Observation(pat, np.ones(pat.m), pat.rate)
+        K = sampling.observed_residual(np.ones((40, 2)), np.ones((25, 2)), obs)
+        for Xt, Yt in [(np.ones((2, 40)), np.ones((2, 24))),
+                       (np.ones((2, 40)), np.ones((3, 25))),
+                       (np.ones((2, 25)), np.ones((2, 40)))]:
+            with pytest.raises(ParameterError):
+                sampling.residual_products(K, Xt, Yt)
+
+    def test_residual_into_out_is_out_and_equals_the_fresh_one(self):
+        pat = _kernel_pattern("bernoulli")
+        rng = np.random.default_rng(25)
+        X = rng.standard_normal((pat.n1, 3))
+        Y = rng.standard_normal((pat.n2, 3))
+        obs = sampling.Observation(pat, rng.standard_normal(pat.m), pat.rate)
+        K = pat.csr_with_values(np.empty(pat.m))
+        for scale in (1.0, 2.0):  # refilled, not accumulated
+            assert sampling.observed_residual(scale * X, Y, obs, out=K) is K
+            fresh = sampling.observed_residual(scale * X, Y, obs)
+            assert fresh is not K
+            assert np.array_equal(K.data, fresh.data)
+        # a matrix of an equal pattern built apart, or a copy, is not the
+        # pattern's own residual matrix
+        twin = graphs.BernoulliMask(pat.n1, pat.n2, pat.edges, pat.rate)
+        for other in (twin.csr_with_values(np.empty(twin.m)), K.copy(),
+                      _kernel_pattern("biregular").adjacency.copy()):
+            with pytest.raises(ParameterError):
+                sampling.observed_residual(X, Y, obs, out=other)
+
     def test_row_counts_are_cached_and_read_only(self):
         pat = _kernel_pattern("bernoulli")
         counts = pat.row_counts
