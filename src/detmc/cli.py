@@ -7,7 +7,8 @@ Subcommands:
 * ``bench phase|convergence|compare`` -- the experiment sweeps
 * ``theory run`` -- numerical margin checks of the recovery inequalities
 
-A flat ``key=value`` config file can preload any long flag via ``--config``.
+Each subcommand takes only the flags it reads; a flat ``key=value`` config
+file can preload any of them via ``--config``.
 """
 
 import argparse
@@ -48,14 +49,20 @@ def load_config_file(path):
     return values
 
 
-def _add_common(parser):
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--out", default=None)
-    parser.add_argument("--threads", type=int, default=1)
-    parser.add_argument("--tol", type=float, default=None)
-    parser.add_argument("--eta", type=float, default=None)
-    parser.add_argument("--lambda", dest="lam", type=float, default=0.5)
-    parser.add_argument("--solver", choices=tuple(bench.SOLVERS), default="pgd")
+_SHARED_FLAGS = {  # dest: add_argument keywords of the flags several commands take
+    "seed": {"type": int, "default": 0}, "out": {"default": None},
+    "threads": {"type": int, "default": 1}, "tol": {"type": float, "default": None},
+    "eta": {"type": float, "default": None}, "lam": {"type": float, "default": 0.5},
+    "solver": {"choices": tuple(bench.SOLVERS), "default": "pgd"},
+}
+
+
+def _finish(parser, run, *dests):
+    """Give a subcommand its handler ``run``, the shared flags ``dests`` (keys
+    of ``_SHARED_FLAGS``) and ``--config``."""
+    parser.set_defaults(run=run)
+    for dest in dests:
+        parser.add_argument(_flag_of(dest), dest=dest, **_SHARED_FLAGS[dest])
     parser.add_argument("--config", default=None, help="key=value defaults file")
 
 
@@ -69,10 +76,10 @@ def _float_list(text):
 
 def build_parser():
     parser = argparse.ArgumentParser(prog="detmc")
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(required=True)
 
     graph = sub.add_parser("graph", help="sampling-graph utilities")
-    gsub = graph.add_subparsers(dest="graph_command", required=True)
+    gsub = graph.add_subparsers(required=True)
 
     ggen = gsub.add_parser("gen", help="generate a certified sampling graph")
     ggen.add_argument("--kind", choices=("lps", "random"), required=True)
@@ -81,15 +88,15 @@ def build_parser():
     ggen.add_argument("--n1", type=int)
     ggen.add_argument("--n2", type=int)
     ggen.add_argument("--d1", type=int)
-    _add_common(ggen)
+    _finish(ggen, cmd_graph_gen, "seed", "out")
 
     gverify = gsub.add_parser("verify", help="print the spectral certificate")
     gverify.add_argument("--graph", required=True)
-    _add_common(gverify)
+    _finish(gverify, cmd_graph_verify, "out")
 
     gexport = gsub.add_parser("export", help="export adjacency as MatrixMarket pattern")
     gexport.add_argument("--graph", required=True)
-    _add_common(gexport)
+    _finish(gexport, cmd_graph_export, "out")
 
     complete = sub.add_parser("complete", help="complete an observed matrix file")
     complete.add_argument("--observed", required=True, help="MatrixMarket coordinate file")
@@ -98,10 +105,10 @@ def build_parser():
     complete.add_argument("--mu", type=float, default=2.0,
                           help="incoherence estimate for the projection")
     complete.add_argument("--max-iter", type=int, default=2000)
-    _add_common(complete)
+    _finish(complete, cmd_complete, "out", "tol", "eta", "lam", "solver")
 
     b = sub.add_parser("bench", help="experiment sweeps")
-    bsub = b.add_subparsers(dest="bench_command", required=True)
+    bsub = b.add_subparsers(required=True)
 
     phase = bsub.add_parser("phase", help="success-ratio sweep vs Bernoulli sampling")
     phase.add_argument("--n", type=int, default=1092)
@@ -109,7 +116,7 @@ def build_parser():
     phase.add_argument("--degrees", type=_int_list, default=(18, 20, 22, 23, 24))
     phase.add_argument("--trials", type=int, default=20)
     phase.add_argument("--max-iter", type=int, default=2500)
-    _add_common(phase)
+    _finish(phase, cmd_bench_phase, *_SHARED_FLAGS)
 
     conv = bsub.add_parser("convergence", help="condition-number convergence study")
     conv.add_argument("--n", type=int, default=512)
@@ -117,7 +124,7 @@ def build_parser():
     conv.add_argument("--kappas", type=_float_list, default=(1.0, 5.0, 10.0))
     conv.add_argument("--degree", type=int, default=60)
     conv.add_argument("--max-iter", type=int, default=6000)
-    _add_common(conv)
+    _finish(conv, cmd_bench_convergence, "seed", "out", "tol", "eta", "lam")
 
     comp = bsub.add_parser("compare", help="solver comparison table")
     comp.add_argument("--n", type=int, default=512)
@@ -125,10 +132,10 @@ def build_parser():
     comp.add_argument("--degrees", type=_int_list, default=(60,))
     comp.add_argument("--trials", type=int, default=3)
     comp.add_argument("--max-iter", type=int, default=6000)
-    _add_common(comp)
+    _finish(comp, cmd_bench_compare, "seed", "out", "tol", "eta", "lam")
 
     th = sub.add_parser("theory", help="numerical inequality checks")
-    tsub = th.add_subparsers(dest="theory_command", required=True)
+    tsub = th.add_subparsers(required=True)
     trun = tsub.add_parser("run", help="run every margin check")
     trun.add_argument("--n", type=int, default=512)
     trun.add_argument("--r", type=int, default=3)
@@ -137,7 +144,7 @@ def build_parser():
     trun.add_argument("--lps", type=_int_list, default=None,
                       help="use an LPS graph 'p,q' instead of a random one")
     trun.add_argument("--trials", type=int, default=200)
-    _add_common(trun)
+    _finish(trun, cmd_theory_run, "seed", "out")
 
     return parser
 
@@ -157,7 +164,7 @@ def _apply_config(parser, argv):
         return ns
     values = load_config_file(ns.config)
     known = vars(ns)
-    unknown = [k for k in values if k not in known]
+    unknown = [k for k in values if k not in known or k == "run"]  # run: the handler
     if unknown:
         raise ParameterError(f"unknown config keys: {', '.join(sorted(unknown))}")
     for key, val in values.items():
@@ -258,7 +265,6 @@ def cmd_bench_convergence(args):
         kappa_list=args.kappas, trials=1,
         tol=args.tol if args.tol is not None else 1e-4,
         seed=args.seed, eta=args.eta, lam=args.lam, max_iter=args.max_iter,
-        threads=args.threads,
     )
     traces, rates = bench.run_convergence_comparison(cfg, degree=args.degree)
     outdir = _outdir(args)
@@ -308,25 +314,7 @@ def main(argv=None):
     parser = build_parser()
     try:
         args = _apply_config(parser, sys.argv[1:] if argv is None else list(argv))
-        if args.command == "graph":
-            handler = {
-                "gen": cmd_graph_gen,
-                "verify": cmd_graph_verify,
-                "export": cmd_graph_export,
-            }[args.graph_command]
-            return handler(args)
-        if args.command == "complete":
-            return cmd_complete(args)
-        if args.command == "bench":
-            handler = {
-                "phase": cmd_bench_phase,
-                "convergence": cmd_bench_convergence,
-                "compare": cmd_bench_compare,
-            }[args.bench_command]
-            return handler(args)
-        if args.command == "theory":
-            return cmd_theory_run(args)
-        raise ParameterError(f"unknown command {args.command!r}")
+        return args.run(args)
     except (ParameterError, InputError, FormatError, GenerationError, DivergenceError,
             AlignmentError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -21,6 +21,7 @@ comes from a full LAPACK SVD; ``trace.meta["svt_dense"]`` counts those
 iterations.
 """
 
+import itertools
 import math
 import time
 from dataclasses import dataclass
@@ -29,9 +30,9 @@ import numpy as np
 import scipy.linalg
 
 from . import metrics
-from .errors import DivergenceError, ParameterError
+from .errors import ParameterError
 from .kernels import as_matrix, operator_norm
-from .pgd import IterationTrace, _DIVERGENCE_PATIENCE, check_stop_settings
+from .pgd import IterationTrace, StopRule, check_stop_settings
 
 
 @dataclass
@@ -99,13 +100,12 @@ def solve(obs, config=None, gt=None):
     Returns the dense estimate and an iteration trace whose ``loss`` column
     records the nuclear norm of the running iterate.  The run has settled
     once primal feasibility is below tol and the last step moved the
-    iterate by less than tol times the observation's norm; a blind run
-    stops there.  With a ground truth the run stops on relative recovery
-    error below tol, or, settled, on "stall" if that error is still above
-    10 * tol: each later step is about 1/rho of the one before, so the
-    error could move by only about tol * ||D|| / ((rho - 1) * ||M||).
-    ``trace.meta["stop_reason"]`` is "tol", "stall", "max-iter", or
-    "diverged" before a ``DivergenceError``; ``trace.meta["mu0"]`` is the
+    iterate by less than tol times the observation's norm: the label "tol"
+    it gives ``StopRule``, which lists why a run stops.  A settled run with
+    a ground truth stops on "stall" above 10 * tol because each later step
+    is about 1/rho of the one before: the error could move by only about
+    tol * ||D|| / ((rho - 1) * ||M||).  A penalty that overflows raises
+    ``DivergenceError`` before it is used.  ``trace.meta["mu0"]`` is the
     initial penalty, ``1 / ||D||_2`` unless the config sets it, and
     ``trace.meta["svt_dense"]`` counts the iterations whose threshold took
     the dense SVD fallback.
@@ -133,12 +133,11 @@ def solve(obs, config=None, gt=None):
     rel0 = metrics.relative_error_dense(A, gt) if gt is not None else float("nan")
     trace.append(0, 0.0, rel0, float("nan"), 0.0)
     solver_seconds = 0.0
-    prev_feas = None
-    prev_A = None
-    bad_streak = 0
-    for k in range(1, config.max_iter + 1):
+    rule = StopRule(config, gt is not None, trace, "feasibility")
+    for k in itertools.count(1):
         t0 = time.perf_counter()
         Y_mu = Y / mu
+        A_prev = A  # rebound below, never written in place
         A, shrunk, dense = _svt(D - E + Y_mu, 1.0 / mu)
         trace.meta["svt_dense"] += dense
         E = np.where(mask, 0.0, D - A + Y_mu)
@@ -150,32 +149,13 @@ def solve(obs, config=None, gt=None):
 
         rel = metrics.relative_error_dense(A, gt) if gt is not None else float("nan")
         trace.append(k, float(shrunk.sum()), rel, float("nan"), solver_seconds)
-
-        if prev_feas is not None and feas > prev_feas:
-            bad_streak += 1
-            if bad_streak >= _DIVERGENCE_PATIENCE:
-                trace.meta["stop_reason"] = "diverged"
-                raise DivergenceError("feasibility worsened repeatedly", trace)
-        else:
-            bad_streak = 0
-        prev_feas = feas
-
-        stop = None
-        if gt is not None and rel < config.tol:
-            stop = "tol"
         # feasibility alone is forced by the penalty schedule; require the
         # iterate itself to have settled too
-        elif (feas < config.tol and prev_A is not None
-              and np.linalg.norm(A - prev_A) < config.tol * d_norm):
-            if gt is None:
-                stop = "tol"
-            elif rel > 10 * config.tol:
-                stop = "stall"
-        if stop is not None:
-            trace.meta["stop_reason"] = stop
+        settled = (k > 1 and feas < config.tol
+                   and np.linalg.norm(A - A_prev) < config.tol * d_norm)
+        if rule.update(k, feas, rel, "tol" if settled else None):
             break
-        prev_A = A  # rebound, never written in place
-    else:
-        trace.meta["stop_reason"] = "max-iter"
+        if mu == math.inf:
+            raise rule.diverged(f"the penalty overflowed after {k} iterations")
 
     return A, trace

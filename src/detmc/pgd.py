@@ -6,8 +6,8 @@ balancing penalty on X'X - Y'Y.  Rows of the stacked factor are clipped
 to an incoherence bound derived from the spectral initialization.
 
 ``iterate`` is the outer loop of both factored solvers (this one and
-``scaled_pgd``): timing, the trace, the divergence guards and the stop
-rules live there, and each ``solve`` supplies only its loss, step and
+``scaled_pgd``): timing, the trace and the ``StopRule`` (``ialm``'s too)
+live there, and each ``solve`` supplies only its loss, step and
 projection.  ``bench.solve`` runs any solver by name.
 
 Inside the loop the factors are r-major, C-ordered r x n arrays ``Xt``
@@ -19,6 +19,7 @@ with ``out``) and multiplies by it with ``residual_products``: O(m r + n r^2),
 about 0.6 ms per iteration at 1092 x 1092, d = 20, r = 3 on one BLAS thread.
 """
 
+import itertools
 import math
 import time
 from dataclasses import dataclass, field
@@ -78,8 +79,6 @@ class PgdConfig:
     max_iter: int = 2000
     tol: float = 1e-6
     mu: float = 2.0  # incoherence estimate used when no ground truth is given
-    clip_bound: float | None = None  # computed at init when None
-    stepsize_denominator: float | None = None  # ||Z0||^2 when None
     log_dist: bool = False
     eval_every: int = 1  # ground-truth metrics logged every k-th iteration
 
@@ -139,6 +138,64 @@ class IterationTrace:
             if e is not None and not np.isnan(e) and e < tol:
                 return k
         return None
+
+
+class StopRule:
+    """Why a solver run ends; each solver's loop feeds it once per iteration.
+
+    ``update`` takes the iteration ``k``, the watched ``value`` (the
+    factored solvers' loss, IALM's feasibility), the relative error ``rel``
+    against the ground truth (NaN when blind or not evaluated) and the
+    loop's ``settled`` label or None.  A non-finite value, or
+    ``_DIVERGENCE_PATIENCE`` consecutive rises of more than 1e-9 relative
+    (plateau jitter at an optimum or at the fp floor is no rise), raises
+    ``DivergenceError`` with the trace.  Else the first rule that holds
+    ends the run:
+
+    * "tol": a ground truth is given and ``rel < tol``;
+    * the label ("loss-floor" or "stagnation" from a blind factored run,
+      "tol" from IALM) on a blind run; with a ground truth, "stall" if
+      ``rel > 10 * tol``, else the run goes on;
+    * "max-iter" at ``k == max_iter``.
+
+    The reason goes to ``trace.meta["stop_reason"]``, and "diverged" before
+    every ``DivergenceError``, also the one ``diverged`` builds for a loop.
+    """
+
+    def __init__(self, config, truth, trace, watched):
+        self.max_iter, self.tol = config.max_iter, config.tol
+        self.truth = truth  # whether a ground truth is given
+        self.trace = trace
+        self.watched = watched  # the watched value's name, for messages
+        self.previous = None  # the value fed at the last update
+        self.rises = 0  # consecutive rises up to it
+
+    def update(self, k, value, rel, settled=None):
+        """The reason the run stops at iteration ``k``, or None to go on."""
+        rose = self.previous is not None and value > self.previous * (1 + 1e-9)
+        self.rises = self.rises + 1 if rose else 0
+        self.previous = value
+        if not math.isfinite(value):
+            raise self.diverged(f"{self.watched} is no longer finite")
+        if self.rises >= _DIVERGENCE_PATIENCE:
+            raise self.diverged(
+                f"{self.watched} increased for {self.rises} consecutive iterations")
+        if self.truth and rel < self.tol:
+            stop = "tol"
+        elif settled and not self.truth:
+            stop = settled
+        elif settled and rel > 10 * self.tol:
+            stop = "stall"
+        else:
+            stop = "max-iter" if k == self.max_iter else None
+        if stop:
+            self.trace.meta["stop_reason"] = stop
+        return stop
+
+    def diverged(self, message):
+        """A ``DivergenceError`` carrying the trace, marked "diverged"."""
+        self.trace.meta["stop_reason"] = "diverged"
+        return DivergenceError(message, self.trace)
 
 
 def _clip_rows(At, clip_bound):
@@ -229,10 +286,7 @@ def gradient(pair, obs, lam):
 def solve(obs, r, config=None, gt=None):
     """Run projected gradient descent; returns the final pair and its trace.
 
-    With a ground truth, iterations stop once the relative recovery error
-    drops below ``config.tol``; otherwise on loss stagnation.  A loss that
-    increases for 50 consecutive iterations, or stops being finite, raises
-    ``DivergenceError`` with the partial trace attached.
+    ``StopRule`` lists why a run stops.
     """
     config = config or PgdConfig()
     mu = gt.coherence_mu if gt is not None else config.mu
@@ -240,10 +294,7 @@ def solve(obs, r, config=None, gt=None):
     t0 = time.perf_counter()
     pair, znorm, clip_bound = spectral_init(obs, r, mu)
     init_seconds = time.perf_counter() - t0
-    if config.clip_bound is not None:
-        clip_bound = config.clip_bound
-        pair = project_rows(pair, clip_bound)
-    denom = config.stepsize_denominator or znorm**2
+    denom = znorm**2
     step = config.eta / denom
     K = obs.pattern.csr_with_values(np.empty(obs.pattern.m))
 
@@ -272,28 +323,25 @@ def iterate(pair, objective, advance, distance, config, gt, trace, solver_second
     ``distance`` is the alignment metric logged under ``config.log_dist``,
     called on an n x r pair of views.  Logged distances
     whose alignment did not converge (a warm-start fallback, not a
-    minimum) are counted in ``trace.meta["dist_fallbacks"]``.  Stop rules,
-    in order: "tol" with a ground truth, "loss-floor" and "stagnation"
-    without one; else "max-iter".  The reason goes to
-    ``trace.meta["stop_reason"]``, "diverged" before a ``DivergenceError``.
-    ``solver_seconds`` starts at the initialization's time.
+    minimum) are counted in ``trace.meta["dist_fallbacks"]``.  A blind run
+    gives ``StopRule`` the labels "loss-floor" (the loss is below
+    ``_LOSS_FLOOR_REL`` times its initial value) and "stagnation" (it moved
+    by at most ``_LOSS_STALL_REL`` relative); a run with a ground truth
+    gives none.  ``solver_seconds`` starts at the initialization's time.
     """
     # the iterate stays as plain r-major arrays inside the loop; the
     # finite-loss check is what guards it against NaN and Inf, so numpy's
     # overflow warnings on the way there are noise
     Xt, Yt = pair.r_major()
-    prev_loss = None
-    bad_streak = 0
+    rule = StopRule(config, gt is not None, trace, "loss")
     if config.log_dist:
         trace.meta["dist_fallbacks"] = 0
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(config.max_iter + 1):
+        for k in itertools.count():
             t0 = time.perf_counter()
             loss_k, state = objective(Xt, Yt)
             solver_seconds += time.perf_counter() - t0
 
-            if k == 0:
-                loss_floor_ref = max(loss_k, 1e-300)
             evaluate = gt is not None and (k % config.eval_every == 0 or k == config.max_iter)
             rel = metrics.relative_error(Xt.T, Yt.T, gt) if evaluate else float("nan")
             dist = float("nan")
@@ -302,34 +350,15 @@ def iterate(pair, objective, advance, distance, config, gt, trace, solver_second
                 dist = aligned.distance
                 trace.meta["dist_fallbacks"] += not aligned.converged
             trace.append(k, loss_k, rel, dist, solver_seconds)
-            # meaningful growth only: plateau jitter at a constrained optimum
-            # or at the fp floor must not trip the guard
-            if prev_loss is not None and loss_k > prev_loss * (1 + 1e-9):
-                bad_streak += 1
-            else:
-                bad_streak = 0
-            if not np.isfinite(loss_k) or bad_streak >= _DIVERGENCE_PATIENCE:
-                trace.meta["stop_reason"] = "diverged"
-                raise DivergenceError(
-                    f"loss increased for {bad_streak} consecutive iterations"
-                    if np.isfinite(loss_k) else "loss is no longer finite", trace)
 
-            stop = None
-            if gt is not None and rel < config.tol:
-                stop = "tol"
-            elif gt is None:
-                if loss_k <= _LOSS_FLOOR_REL * loss_floor_ref:
-                    stop = "loss-floor"
-                elif prev_loss is not None and abs(prev_loss - loss_k) <= (
-                    _LOSS_STALL_REL * max(loss_k, 1e-300)
-                ):
-                    stop = "stagnation"
-            if stop is None and k == config.max_iter:
-                stop = "max-iter"
-            if stop is not None:
-                trace.meta["stop_reason"] = stop
+            settled = None
+            if gt is None and loss_k <= _LOSS_FLOOR_REL * max(trace.loss[0], 1e-300):
+                settled = "loss-floor"
+            elif gt is None and k and abs(rule.previous - loss_k) <= (
+                    _LOSS_STALL_REL * max(loss_k, 1e-300)):
+                settled = "stagnation"
+            if rule.update(k, loss_k, rel, settled):
                 break
-            prev_loss = loss_k
 
             t0 = time.perf_counter()
             Xt, Yt = advance(Xt, Yt, state)

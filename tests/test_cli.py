@@ -160,6 +160,39 @@ class TestConfigFile:
         assert code == 2
 
 
+class TestFlags:
+    """Each subcommand takes only the flags it reads: a shared flag it would
+    ignore exits 2, and so does its key in a config file."""
+
+    # command: (its required flags, the shared flags it does not read)
+    IGNORED = {
+        "graph gen": (("--kind", "random"), ("threads", "tol", "eta", "lam", "solver")),
+        "graph verify": (("--graph", "g.edges"),
+                         ("seed", "threads", "tol", "eta", "lam", "solver")),
+        "graph export": (("--graph", "g.edges"),
+                         ("seed", "threads", "tol", "eta", "lam", "solver")),
+        "complete": (("--observed", "o.mtx", "--graph", "g.edges", "--rank", "2"),
+                     ("seed", "threads")),
+        "bench convergence": ((), ("threads", "solver")),
+        "bench compare": ((), ("threads", "solver")),
+        "theory run": ((), ("threads", "tol", "eta", "lam", "solver")),
+    }
+
+    @pytest.mark.parametrize("command, dest", [
+        pytest.param(command, dest, id=f"{command} {dest}")
+        for command, (_, dests) in IGNORED.items() for dest in dests])
+    def test_dropped_flag_exits_2(self, tmp_path, capsys, command, dest):
+        argv = [*command.split(), *self.IGNORED[command][0]]
+        value = "pgd" if dest == "solver" else "1"
+        with pytest.raises(SystemExit) as exc:
+            cli.main([*argv, cli._flag_of(dest), value])
+        assert exc.value.code == 2
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{dest}={value}\n")
+        assert cli.main([*argv, "--config", str(cfg)]) == 2
+        assert "unknown config keys" in capsys.readouterr().err
+
+
 class TestErrorExitCodes:
     """Every ``detmc.errors`` type ends the run with exit 2 and one line."""
 
@@ -218,6 +251,15 @@ class TestErrorExitCodes:
         obs_path, graph_path = self.write_instance(tmp_path)
         code = self.complete(obs_path, graph_path, tmp_path,
                              "--solver", "pgd", "--eta", "50", "--mu", "1e200")
+        self.assert_one_line_error(capsys, code)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowed_ialm_penalty(self, tmp_path, capsys):
+        # at tol 0 the penalty mu0 * 1.1^k overflows after about 7440
+        # iterations; it used to end in a LinAlgError traceback
+        obs_path, graph_path = self.write_instance(tmp_path)
+        code = self.complete(obs_path, graph_path, tmp_path, "--solver", "ialm",
+                             "--tol", "0", "--max-iter", "9000")
         self.assert_one_line_error(capsys, code)
 
     @pytest.mark.parametrize("extra", [

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from detmc import bench, graphs, ialm, sampling
-from detmc.errors import ParameterError
+from detmc.errors import DivergenceError, ParameterError
 from support import complete_graph
 
 
@@ -264,3 +264,27 @@ class TestSolve:
         assert tol <= rel[first] <= 10 * tol
         assert trace.meta["stop_reason"] == "tol"
         assert trace.final_rel_error < tol
+
+    @staticmethod
+    def _overflow_instance():
+        g = graphs.random_biregular(64, 64, 16, seed=1)
+        return sampling.observe(bench.synthetic_low_rank(64, 64, 2, 1.0, 2).matrix, g)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("rho, last", [(1e100, 4), (1e120, 3)])
+    def test_overflowed_penalty_raises_before_use(self, rho, last):
+        # mu0 * rho^k overflows at iteration ``last``; the next iteration's
+        # Y += mu * R made NaN, and the SVD then failed with LinAlgError
+        obs = self._overflow_instance()
+        with pytest.raises(DivergenceError) as exc:
+            ialm.solve(obs, ialm.IalmConfig(rho=rho, tol=0.0, max_iter=50))
+        assert exc.value.trace.iterations[-1] == last
+        assert exc.value.trace.meta["stop_reason"] == "diverged"
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("rho", [1e100, 1e120])
+    def test_stop_rules_come_before_the_overflow_check(self, rho):
+        # at rho = 1e120 the penalty overflows at iteration 3, where the
+        # run has settled: the stop rules see that iteration first
+        _, trace = ialm.solve(self._overflow_instance(), ialm.IalmConfig(rho=rho, tol=1e-4))
+        assert (trace.iterations[-1], trace.meta["stop_reason"]) == (3, "tol")

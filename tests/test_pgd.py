@@ -238,9 +238,10 @@ class TestSolve:
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_divergence_guard(self, small_instance):
         gt, g, obs = small_instance
-        cfg = pgd.PgdConfig(eta=500.0, max_iter=300, tol=1e-8, clip_bound=1e300)
+        # blind, so that mu = 1e300 lifts the row clip
+        cfg = pgd.PgdConfig(eta=500.0, max_iter=300, tol=1e-8, mu=1e300)
         with pytest.raises(DivergenceError) as exc:
-            pgd.solve(obs, gt.rank, cfg, gt=gt)
+            pgd.solve(obs, gt.rank, cfg)
         assert exc.value.trace is not None
         assert len(exc.value.trace.iterations) >= 1
         assert exc.value.trace.meta["stop_reason"] == "diverged"
@@ -248,12 +249,11 @@ class TestSolve:
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_non_finite_iterate_raises_divergence(self, small_instance):
         gt, g, obs = small_instance
-        # eta / denominator overflows to an infinite step, so the first
-        # update turns the iterate into NaN
-        cfg = pgd.PgdConfig(eta=1e300, stepsize_denominator=1e-300, max_iter=10,
-                            log_dist=True)
+        # blind, so that mu = 1e300 lifts the row clip: the first step of
+        # eta = 1e300 overflows the loss
+        cfg = pgd.PgdConfig(eta=1e300, mu=1e300, max_iter=10)
         with pytest.raises(DivergenceError) as exc:
-            pgd.solve(obs, gt.rank, cfg, gt=gt)
+            pgd.solve(obs, gt.rank, cfg)
         trace = exc.value.trace
         assert trace.iterations == [0, 1]
         assert np.isfinite(trace.loss[0]) and not np.isfinite(trace.loss[1])
@@ -373,3 +373,72 @@ class TestConfig:
         tr.append(0, 1.0, 0.5, float("nan"), 0.0)
         with pytest.raises(ParameterError):
             tr.append(0, 0.9, 0.4, float("nan"), 0.0)
+
+
+class TestStopRule:
+    """``pgd.StopRule`` on fed sequences: the divergence guard, then the rules
+    in order (tol, the settled label, max-iter)."""
+
+    nan = float("nan")
+
+    @staticmethod
+    def rule(truth=False, max_iter=1000, tol=1e-6):
+        trace = pgd.IterationTrace()
+        config = pgd.PgdConfig(max_iter=max_iter, tol=tol)
+        return pgd.StopRule(config, truth, trace, "loss"), trace
+
+    def feed(self, rule, values):
+        for k, value in enumerate(values):
+            assert rule.update(k, value, self.nan) is None
+
+    def test_patience_rises_raise(self):
+        rule, trace = self.rule()
+        rises = pgd._DIVERGENCE_PATIENCE
+        self.feed(rule, 1.01 ** np.arange(rises))  # one start, rises - 1 rises
+        with pytest.raises(DivergenceError) as exc:
+            rule.update(rises, 1.01**rises, self.nan)
+        assert exc.value.trace is trace
+        assert trace.meta["stop_reason"] == "diverged"
+
+    def test_a_fall_resets_the_streak(self):
+        rule, trace = self.rule()
+        rises = 1.01 ** np.arange(pgd._DIVERGENCE_PATIENCE)  # 49 rises
+        self.feed(rule, np.concatenate([rises, 0.5 * rises]))  # a fall, 49 more
+        assert "stop_reason" not in trace.meta
+
+    def test_rises_of_1e_10_relative_never_trip(self):
+        rule, trace = self.rule()
+        self.feed(rule, (1 + 1e-10) ** np.arange(10 * pgd._DIVERGENCE_PATIENCE))
+        assert "stop_reason" not in trace.meta
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_raises_at_once(self, value):
+        rule, trace = self.rule()
+        rule.update(0, 1.0, self.nan)
+        with pytest.raises(DivergenceError) as exc:
+            rule.update(1, value, self.nan)
+        assert exc.value.trace is trace
+        assert trace.meta["stop_reason"] == "diverged"
+
+    def test_tol_beats_a_settled_label(self):
+        rule, trace = self.rule(truth=True, max_iter=3)
+        assert rule.update(3, 1.0, 1e-7, "tol") == "tol"
+        assert trace.meta["stop_reason"] == "tol"
+        rule, trace = self.rule(truth=True)
+        assert rule.update(0, 1.0, 1e-7, "stagnation") == "tol"
+
+    def test_a_label_beats_max_iter(self):
+        rule, trace = self.rule(max_iter=3)
+        assert rule.update(3, 1.0, self.nan, "loss-floor") == "loss-floor"
+        assert trace.meta["stop_reason"] == "loss-floor"
+        rule, trace = self.rule(truth=True, max_iter=3)
+        assert rule.update(3, 1.0, 1e-4, "tol") == "stall"
+        assert trace.meta["stop_reason"] == "stall"
+
+    def test_settled_within_ten_tol_goes_on(self):
+        rule, trace = self.rule(truth=True, max_iter=3)
+        for k in range(3):
+            assert rule.update(k, 1.0, 5e-6, "tol") is None
+        assert "stop_reason" not in trace.meta
+        assert rule.update(3, 1.0, 5e-6, "tol") == "max-iter"
+        assert trace.meta["stop_reason"] == "max-iter"
