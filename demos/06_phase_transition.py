@@ -11,7 +11,7 @@ from detmc import bench
 cfg = bench.ExperimentConfig(
     n1=546, n2=546, r=3, degrees=(10, 12, 14, 17, 21), trials=10,
     eta=0.35, max_iter=1200, eval_every=5, seed=1,
-    tol=1e-6, success_threshold=1e-6,
+    tol=1e-6,
 )
 rows = bench.run_phase_transition(cfg, solver="pgd")
 

@@ -10,7 +10,7 @@ import csv
 import json
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -18,8 +18,6 @@ from . import ialm, metrics, pgd, scaled_pgd
 from .errors import DivergenceError, ParameterError
 from .graphs import bernoulli_mask, random_biregular
 from .sampling import ground_truth_from_svd, observe
-
-SUCCESS_THRESHOLD = 1e-6  # relative error defining a successful recovery
 
 
 def synthetic_low_rank(n1, n2, r, cond, seed):
@@ -49,14 +47,13 @@ class ExperimentConfig:
     kappa_list: tuple = (1.0, 5.0, 10.0)
     degrees: tuple = (8, 10, 12, 16, 24, 36)
     trials: int = 20
-    tol: float = 1e-4
+    tol: float = 1e-4  # stop threshold; phase rows also count a success below it
     solvers: tuple = ("ialm", "pgd", "scaled-pgd")
     seed: int = 0
     eta: float | None = None  # solver default when None
-    lam: float = 0.5
+    lam: float | None = None  # solver default when None
     max_iter: int = 2000
     threads: int = 1
-    success_threshold: float = SUCCESS_THRESHOLD
     eval_every: int = 1
 
     def __post_init__(self):
@@ -73,7 +70,6 @@ class ExperimentConfig:
 
 @dataclass
 class TrialRecord:
-    solver: str
     success: bool
     iterations: int
     wall_seconds: float
@@ -91,8 +87,9 @@ def solve(name, obs, r, gt=None, **settings):
     """Run solver ``name`` (a key of ``SOLVERS``) on ``obs`` at rank ``r``.
 
     The config is built from the ``settings`` that are not None and are
-    fields of that solver's config class; the rest are ignored, so callers
-    can pass one set of settings to every solver.  Returns the solver's
+    fields of that solver's config class; the rest are ignored, so one set
+    of settings serves every solver (``bench convergence`` and ``compare``
+    give one ``eta`` to both factored solvers).  Returns the solver's
     ``(factor pair or dense estimate, trace)``.
     """
     if name not in SOLVERS:
@@ -121,8 +118,7 @@ def run_trial(solver, obs, r, gt, cfg):
         diverged = True
     rel = trace.final_rel_error
     record = TrialRecord(
-        solver=solver,
-        success=(not diverged) and rel < cfg.success_threshold,
+        success=(not diverged) and rel < cfg.tol,
         iterations=trace.iterations[-1] if trace.iterations else 0,
         wall_seconds=trace.solver_seconds,
         final_rel_error=rel,
@@ -137,9 +133,9 @@ def run_trial(solver, obs, r, gt, cfg):
 
 def run_phase_transition(cfg, solver="pgd", kappa=1.0):
     """Success-ratio sweep over sampling rates for certified-graph vs
-    Bernoulli sampling.  Returns rows (sampler, p, success_ratio, mean_iters).
+    Bernoulli sampling; a trial stops, and succeeds, below ``cfg.tol``.
+    Returns rows (sampler, p, success_ratio, mean_iters).
     """
-    trial_cfg = replace(cfg, tol=cfg.success_threshold)  # run until a success
     rows = []
     for d in cfg.degrees:
         try:
@@ -163,7 +159,7 @@ def run_phase_transition(cfg, solver="pgd", kappa=1.0):
             else:
                 pattern = bernoulli_mask(cfg.n1, cfg.n2, p, mask_seed)
             obs = observe(gt.matrix, pattern)
-            rec, _ = run_trial(solver, obs, cfg.r, gt, trial_cfg)
+            rec, _ = run_trial(solver, obs, cfg.r, gt, cfg)
             return sampler, rec
 
         tasks = [(s, t) for s in ("deterministic", "bernoulli") for t in range(cfg.trials)]

@@ -15,6 +15,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import fields
 
 import numpy as np
 
@@ -23,19 +24,8 @@ from .errors import (AlignmentError, DivergenceError, FormatError, GenerationErr
                      InputError, ParameterError)
 
 
-def _parse_value(text):
-    for cast in (int, float):
-        try:
-            return cast(text)
-        except ValueError:
-            continue
-    if text.lower() in ("true", "false"):
-        return text.lower() == "true"
-    return text
-
-
 def load_config_file(path):
-    """Flat key=value file mirroring the long flags ('-' or '_' separators)."""
+    """Flat key=value file of raw strings keyed by long flag name ('-' or '_')."""
     values = {}
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -45,33 +35,40 @@ def load_config_file(path):
             if "=" not in line:
                 raise FormatError(f"{path}:{lineno}: expected key=value")
             key, _, raw = line.partition("=")
-            values[key.strip().replace("-", "_")] = _parse_value(raw.strip())
+            values[key.strip().replace("_", "-")] = raw.strip()
     return values
 
 
 _SHARED_FLAGS = {  # dest: add_argument keywords of the flags several commands take
     "seed": {"type": int, "default": 0}, "out": {"default": None},
-    "threads": {"type": int, "default": 1}, "tol": {"type": float, "default": None},
-    "eta": {"type": float, "default": None}, "lam": {"type": float, "default": 0.5},
+    "threads": {"type": int, "default": 1}, "tol": {"type": float},
+    "eta": {"type": float, "default": None}, "lam": {"type": float, "default": None},
     "solver": {"choices": tuple(bench.SOLVERS), "default": "pgd"},
 }
 
 
-def _finish(parser, run, *dests):
+def _finish(parser, run, *dests, **defaults):
     """Give a subcommand its handler ``run``, the shared flags ``dests`` (keys
-    of ``_SHARED_FLAGS``) and ``--config``."""
-    parser.set_defaults(run=run)
+    of ``_SHARED_FLAGS``), this command's ``defaults`` for them and ``--config``."""
+    parser.set_defaults(run=run, command=parser, **defaults)
     for dest in dests:
         parser.add_argument(_flag_of(dest), dest=dest, **_SHARED_FLAGS[dest])
     parser.add_argument("--config", default=None, help="key=value defaults file")
 
 
-def _int_list(text):
-    return tuple(int(x) for x in text.split(",") if x)
-
-
-def _float_list(text):
-    return tuple(float(x) for x in text.split(",") if x)
+def _comma_list(cast, length=None):
+    """argparse type of a nonempty comma-separated list of ``cast`` values,
+    ``length`` of them if that is given."""
+    def parse(text):
+        try:
+            values = tuple(cast(x) for x in text.split(",") if x)
+        except ValueError:
+            values = ()
+        if not values or length not in (None, len(values)):
+            raise argparse.ArgumentTypeError(
+                f"expected {length or 'one or more'} comma-separated {cast.__name__}s")
+        return values
+    return parse
 
 
 def build_parser():
@@ -102,10 +99,10 @@ def build_parser():
     complete.add_argument("--observed", required=True, help="MatrixMarket coordinate file")
     complete.add_argument("--graph", required=True, help="edge-list file of the pattern")
     complete.add_argument("--rank", type=int, required=True)
-    complete.add_argument("--mu", type=float, default=2.0,
+    complete.add_argument("--mu", type=float,
                           help="incoherence estimate for the projection")
     complete.add_argument("--max-iter", type=int, default=2000)
-    _finish(complete, cmd_complete, "out", "tol", "eta", "lam", "solver")
+    _finish(complete, cmd_complete, "out", "tol", "eta", "lam", "solver", tol=1e-6)
 
     b = sub.add_parser("bench", help="experiment sweeps")
     bsub = b.add_subparsers(required=True)
@@ -113,26 +110,26 @@ def build_parser():
     phase = bsub.add_parser("phase", help="success-ratio sweep vs Bernoulli sampling")
     phase.add_argument("--n", type=int, default=1092)
     phase.add_argument("--r", type=int, default=3)
-    phase.add_argument("--degrees", type=_int_list, default=(18, 20, 22, 23, 24))
+    phase.add_argument("--degrees", type=_comma_list(int), default=(18, 20, 22, 23, 24))
     phase.add_argument("--trials", type=int, default=20)
     phase.add_argument("--max-iter", type=int, default=2500)
-    _finish(phase, cmd_bench_phase, *_SHARED_FLAGS)
+    _finish(phase, cmd_bench_phase, *_SHARED_FLAGS, tol=1e-6)
 
     conv = bsub.add_parser("convergence", help="condition-number convergence study")
     conv.add_argument("--n", type=int, default=512)
-    conv.add_argument("--ranks", type=_int_list, default=(3,))
-    conv.add_argument("--kappas", type=_float_list, default=(1.0, 5.0, 10.0))
+    conv.add_argument("--ranks", type=_comma_list(int), default=(3,))
+    conv.add_argument("--kappas", type=_comma_list(float), default=(1.0, 5.0, 10.0))
     conv.add_argument("--degree", type=int, default=60)
     conv.add_argument("--max-iter", type=int, default=6000)
-    _finish(conv, cmd_bench_convergence, "seed", "out", "tol", "eta", "lam")
+    _finish(conv, cmd_bench_convergence, "seed", "out", "tol", "eta", "lam", tol=1e-4)
 
     comp = bsub.add_parser("compare", help="solver comparison table")
     comp.add_argument("--n", type=int, default=512)
-    comp.add_argument("--ranks", type=_int_list, default=(2, 3))
-    comp.add_argument("--degrees", type=_int_list, default=(60,))
+    comp.add_argument("--ranks", type=_comma_list(int), default=(2, 3))
+    comp.add_argument("--degrees", type=_comma_list(int), default=(60,))
     comp.add_argument("--trials", type=int, default=3)
     comp.add_argument("--max-iter", type=int, default=6000)
-    _finish(comp, cmd_bench_compare, "seed", "out", "tol", "eta", "lam")
+    _finish(comp, cmd_bench_compare, "seed", "out", "tol", "eta", "lam", tol=1e-4)
 
     th = sub.add_parser("theory", help="numerical inequality checks")
     tsub = th.add_subparsers(required=True)
@@ -141,7 +138,7 @@ def build_parser():
     trun.add_argument("--r", type=int, default=3)
     trun.add_argument("--d", type=int, default=60)
     trun.add_argument("--kappa", type=float, default=2.0)
-    trun.add_argument("--lps", type=_int_list, default=None,
+    trun.add_argument("--lps", type=_comma_list(int, 2),
                       help="use an LPS graph 'p,q' instead of a random one")
     trun.add_argument("--trials", type=int, default=200)
     _finish(trun, cmd_theory_run, "seed", "out")
@@ -153,38 +150,49 @@ def _flag_of(dest):
     return "--lambda" if dest == "lam" else "--" + dest.replace("_", "-")
 
 
-_LIST_DESTS = {"degrees": _int_list, "ranks": _int_list,
-               "kappas": _float_list, "lps": _int_list}
-
-
 def _apply_config(parser, argv):
-    """Parse argv; config-file values fill every flag not given explicitly."""
+    """Parse argv with the ``--config`` file's values as the defaults of the
+    chosen subcommand's flags: argparse converts and checks them as it does
+    the flags, and a flag given in argv, abbreviated or not, wins."""
     ns = parser.parse_args(argv)
-    if not getattr(ns, "config", None):
+    if not ns.config:
         return ns
     values = load_config_file(ns.config)
-    known = vars(ns)
-    unknown = [k for k in values if k not in known or k == "run"]  # run: the handler
+    actions = {key: ns.command._option_string_actions.get("--" + key) for key in values}
+    unknown = [key for key, action in actions.items()
+               if action is None or action.dest in ("config", "help")]
     if unknown:
         raise ParameterError(f"unknown config keys: {', '.join(sorted(unknown))}")
-    for key, val in values.items():
-        flag = _flag_of(key)
-        explicit = any(a == flag or a.startswith(flag + "=") for a in argv)
-        if not explicit:
-            if key in _LIST_DESTS and isinstance(val, (str, int, float)):
-                val = _LIST_DESTS[key](str(val))
-            setattr(ns, key, val)
+    ns.command.set_defaults(**{action.dest: values[key] for key, action in actions.items()})
+    ns = parser.parse_args(argv)
+    for action in actions.values():  # argparse checks choices in argv only
+        value = getattr(ns, action.dest)
+        if action.choices and value not in action.choices:
+            ns.command.error(f"invalid choice {value!r} for {action.option_strings[0]}")
     return ns
 
 
+def _tuning(args):
+    """The ``--eta``, ``--lambda`` and ``--mu`` values given to a command that
+    runs one ``--solver``; one that solver does not read is refused."""
+    given = {dest: value for dest in ("eta", "lam", "mu")
+             if (value := getattr(args, dest, None)) is not None}
+    read = {f.name for f in fields(bench.SOLVERS[args.solver])}
+    unread = [_flag_of(dest) for dest in given if dest not in read]
+    if unread:
+        raise ParameterError(f"--solver {args.solver} does not read {', '.join(unread)}")
+    return given
+
+
 def cmd_graph_gen(args):
+    for kind, dests in {"lps": ("p", "q"), "random": ("n1", "n2", "d1")}.items():
+        given = [getattr(args, dest) is not None for dest in dests]
+        if given != [kind == args.kind] * len(dests):  # all of its own flags, none else
+            verb = "requires" if kind == args.kind else "does not read"
+            raise ParameterError(f"--kind {args.kind} {verb} --{', --'.join(dests)}")
     if args.kind == "lps":
-        if args.p is None or args.q is None:
-            raise ParameterError("--kind lps requires --p and --q")
         g = graphs.lps_graph(args.p, args.q)
     else:
-        if None in (args.n1, args.n2, args.d1):
-            raise ParameterError("--kind random requires --n1, --n2, --d1")
         g = graphs.random_biregular(args.n1, args.n2, args.d1, seed=args.seed)
     out = args.out or "graph.edges"
     graphs.save_edges(g, out)
@@ -215,11 +223,11 @@ def cmd_graph_export(args):
 
 
 def cmd_complete(args):
+    tuning = _tuning(args)
     g = graphs.load_edges(args.graph)
     obs = sampling.load_observed(args.observed, g)
-    tol = args.tol if args.tol is not None else 1e-6
-    M, trace = bench.solve(args.solver, obs, args.rank, max_iter=args.max_iter, tol=tol,
-                           eta=args.eta, lam=args.lam, mu=args.mu)
+    M, trace = bench.solve(args.solver, obs, args.rank, max_iter=args.max_iter,
+                           tol=args.tol, **tuning)
     if not isinstance(M, np.ndarray):
         M = M.X @ M.Y.T
     out = args.out or "completed.mtx"
@@ -247,10 +255,8 @@ def _outdir(args):
 def cmd_bench_phase(args):
     cfg = bench.ExperimentConfig(
         n1=args.n, n2=args.n, r=args.r, degrees=args.degrees, trials=args.trials,
-        tol=args.tol if args.tol is not None else 1e-6,
-        seed=args.seed, eta=args.eta, lam=args.lam, max_iter=args.max_iter,
-        threads=args.threads, eval_every=5,
-        success_threshold=bench.SUCCESS_THRESHOLD,
+        tol=args.tol, seed=args.seed, max_iter=args.max_iter, threads=args.threads,
+        eval_every=5, **_tuning(args),
     )
     rows = bench.run_phase_transition(cfg, solver=args.solver)
     out = os.path.join(_outdir(args), "phase.csv")
@@ -261,10 +267,8 @@ def cmd_bench_phase(args):
 
 def cmd_bench_convergence(args):
     cfg = bench.ExperimentConfig(
-        n1=args.n, n2=args.n, r=args.ranks[0], r_list=args.ranks,
-        kappa_list=args.kappas, trials=1,
-        tol=args.tol if args.tol is not None else 1e-4,
-        seed=args.seed, eta=args.eta, lam=args.lam, max_iter=args.max_iter,
+        n1=args.n, n2=args.n, r_list=args.ranks, kappa_list=args.kappas, trials=1,
+        tol=args.tol, seed=args.seed, eta=args.eta, lam=args.lam, max_iter=args.max_iter,
     )
     traces, rates = bench.run_convergence_comparison(cfg, degree=args.degree)
     outdir = _outdir(args)
@@ -278,10 +282,8 @@ def cmd_bench_convergence(args):
 
 def cmd_bench_compare(args):
     cfg = bench.ExperimentConfig(
-        n1=args.n, n2=args.n, r=args.ranks[0], r_list=args.ranks,
-        degrees=args.degrees, trials=args.trials,
-        tol=args.tol if args.tol is not None else 1e-4,
-        seed=args.seed, eta=args.eta, lam=args.lam, max_iter=args.max_iter,
+        n1=args.n, n2=args.n, r_list=args.ranks, degrees=args.degrees, trials=args.trials,
+        tol=args.tol, seed=args.seed, eta=args.eta, lam=args.lam, max_iter=args.max_iter,
     )
     rows = bench.run_solver_comparison(cfg)
     outdir = _outdir(args)
@@ -294,7 +296,7 @@ def cmd_bench_compare(args):
 
 
 def cmd_theory_run(args):
-    if args.lps:
+    if args.lps is not None:
         g = graphs.lps_graph(*args.lps)
     else:
         g = graphs.random_biregular(args.n, args.n, args.d, seed=args.seed)

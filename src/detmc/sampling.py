@@ -8,7 +8,7 @@ O(m * r).  ``observed_residual`` and ``residual_products`` read the factors
 r-major (r x n), the layout the factored solvers keep them in.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations
 from math import comb
 
@@ -24,13 +24,14 @@ _EXHAUSTIVE_LIMIT = 10**6
 
 @dataclass
 class Observation:
-    """Values of a matrix on a sampling pattern, plus the sampling rate."""
+    """Values of a matrix on a sampling pattern; ``rate`` is the pattern's."""
 
     pattern: SamplingPattern
     values: np.ndarray
-    rate: float
+    rate: float = field(init=False)
 
     def __post_init__(self):
+        self.rate = self.pattern.rate
         self.values = np.asarray(self.values, dtype=np.float64)
         if self.values.shape != (self.pattern.m,):
             raise ParameterError(
@@ -49,7 +50,7 @@ def observe(M, pattern):
     M = as_matrix(M)
     if M.shape != (pattern.n1, pattern.n2):
         raise ParameterError(f"matrix shape {M.shape} does not match pattern")
-    return Observation(pattern, M[pattern.rows, pattern.cols], pattern.rate)
+    return Observation(pattern, M[pattern.rows, pattern.cols])
 
 
 def rescaled_dense(obs):
@@ -377,4 +378,4 @@ def load_observed(path, pattern):
     order = np.lexsort((coords[:, 1], coords[:, 0]))
     if not np.array_equal(coords[order], pattern.edges):
         raise FormatError(f"{path}: coordinates do not match the pattern")
-    return Observation(pattern, values[order], pattern.rate)
+    return Observation(pattern, values[order])

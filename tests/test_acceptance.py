@@ -58,7 +58,7 @@ def test_criterion_02_phase_transition():
     cfg = bench.ExperimentConfig(
         n1=1092, n2=1092, r=3, degrees=(18, 20, 22, 23, 24), trials=20,
         eta=0.35, max_iter=1200, eval_every=5, seed=1,
-        tol=1e-6, success_threshold=1e-6,
+        tol=1e-6,
     )
     rows = bench.run_phase_transition(cfg, solver="pgd")
     det = {r["p"]: r["success_ratio"] for r in rows if r["sampler"] == "deterministic"}

@@ -53,7 +53,7 @@ class TestPhaseTransition:
     def make_cfg(self, **kw):
         base = dict(
             n1=48, n2=48, r=2, degrees=(16, 48), trials=2, tol=1e-6,
-            seed=1, eta=0.35, max_iter=400, success_threshold=1e-6,
+            seed=1, eta=0.35, max_iter=400,
         )
         base.update(kw)
         return bench.ExperimentConfig(**base)
@@ -92,7 +92,7 @@ class TestPhaseTransition:
         cfg = self.make_cfg(degrees=(13, 48))  # 48*13 not divisible by 48 is... it is; use odd n2
         cfg = bench.ExperimentConfig(
             n1=48, n2=36, r=2, degrees=(13, 36), trials=1, tol=1e-6,
-            seed=1, eta=0.35, max_iter=200, success_threshold=1e-6,
+            seed=1, eta=0.35, max_iter=200,
         )
         with pytest.warns(UserWarning):
             rows = bench.run_phase_transition(cfg, solver="pgd")
@@ -164,7 +164,7 @@ class TestCsvOutput:
     def test_byte_determinism_excluding_wall(self, tmp_path):
         cfg = bench.ExperimentConfig(
             n1=48, n2=48, r=2, degrees=(24,), trials=2, tol=1e-6,
-            seed=5, eta=0.35, max_iter=300, success_threshold=1e-6,
+            seed=5, eta=0.35, max_iter=300,
         )
         drop = ("mean_wall_seconds", "std_wall_seconds")
         paths = []

@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from detmc import bench, cli, graphs, sampling, theory
+from detmc import bench, cli, graphs, pgd, sampling, scaled_pgd, theory
 from detmc.errors import AlignmentError, GenerationError
 
 
@@ -12,6 +12,42 @@ def run_cli(capsys, *argv):
     code = cli.main(list(argv))
     out = capsys.readouterr().out
     return code, out
+
+
+def assert_usage_error(capsys, argv):
+    """argparse refuses ``argv``: exit 2 with a usage message, no traceback."""
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and "Traceback" not in err, err
+
+
+def write_instance(tmp_path, n=40, d=12):
+    gt = bench.synthetic_low_rank(n, n, 2, 2.0, seed=1)
+    g = graphs.random_biregular(n, n, d, seed=2)
+    obs = sampling.observe(gt.matrix, g)
+    obs_path, graph_path = tmp_path / "obs.mtx", tmp_path / "g.edges"
+    sampling.save_observed(obs, obs_path)
+    graphs.save_edges(g, graph_path)
+    return obs_path, graph_path
+
+
+class Recorded(Exception):
+    """Raised by a patched solve once it has recorded its config."""
+
+
+def record_configs(monkeypatch, *modules):
+    """Patch each module's ``solve`` to record its config and stop the run."""
+    seen = []
+
+    def record(*args, gt=None):
+        seen.append(args[-1])
+        raise Recorded
+
+    for module in modules:
+        monkeypatch.setattr(module, "solve", record)
+    return seen
 
 
 class TestGraphCommands:
@@ -49,6 +85,21 @@ class TestGraphCommands:
         code, _ = run_cli(capsys, "graph", "gen", "--kind", "lps", "--p", "13", "--q", "5")
         assert code == 2
 
+    @pytest.mark.parametrize("argv", [
+        ("--kind", "lps", "--p", "5", "--q", "13", "--n1", "3"),
+        ("--kind", "lps", "--p", "5", "--q", "13", "--d1", "3"),
+        ("--kind", "random", "--n1", "8", "--n2", "8", "--d1", "2", "--p", "5"),
+        ("--kind", "random", "--n1", "8", "--n2", "8", "--d1", "2", "--q", "13"),
+        ("--kind", "random", "--n1", "8", "--n2", "8"),
+    ], ids=["lps n1", "lps d1", "random p", "random q", "random without d1"])
+    def test_gen_refuses_the_other_kinds_flags(self, tmp_path, capsys, argv):
+        # the flags of the other kind used to be read by nothing, with exit 0
+        out = tmp_path / "g.edges"
+        code = cli.main(["graph", "gen", *argv, "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2 and err.startswith("error: --kind "), err
+        assert not out.exists()
+
 
 class TestComplete:
     # what ends each blind run below: the loss floor for the factored
@@ -67,9 +118,10 @@ class TestComplete:
         sampling.save_observed(obs, obs_path)
         graphs.save_edges(g, graph_path)
 
+        mu = () if solver == "ialm" else ("--mu", "8.0")  # IALM has no incoherence knob
         code, out = run_cli(
             capsys, "complete", "--observed", str(obs_path),
-            "--graph", str(graph_path), "--rank", "2", "--mu", "8.0",
+            "--graph", str(graph_path), "--rank", "2", *mu,
             "--solver", solver, "--out", str(out_path), "--tol", "1e-8",
         )
         assert code == 0
@@ -92,6 +144,23 @@ class TestBenchCommands:
         rows = list(csv.DictReader(open(tmp_path / "phase.csv")))
         assert {r["sampler"] for r in rows} == {"deterministic", "bernoulli"}
         assert len(rows) == 4
+
+    def test_phase_tol_is_stop_and_success_threshold(self, tmp_path, capsys):
+        # --tol used to be overwritten by a fixed 1e-6 success threshold
+        argv = ["bench", "phase", "--n", "48", "--r", "2", "--degrees", "16,24",
+                "--trials", "2", "--max-iter", "400", "--seed", "1"]
+        tables = {}
+        for tol in ("1e-6", "0.5"):
+            out = tmp_path / tol
+            code, _ = run_cli(capsys, *argv, "--tol", tol, "--out", str(out))
+            assert code == 0
+            tables[tol] = list(csv.DictReader(open(out / "phase.csv")))
+        code, _ = run_cli(capsys, *argv, "--out", str(tmp_path / "default"))
+        assert list(csv.DictReader(open(tmp_path / "default" / "phase.csv"))) == tables["1e-6"]
+        assert tables["0.5"] != tables["1e-6"]
+        for loose, tight in zip(tables["0.5"], tables["1e-6"]):
+            assert float(loose["mean_iters"]) < float(tight["mean_iters"])
+            assert float(loose["success_ratio"]) >= float(tight["success_ratio"])
 
     def test_compare_writes_csv_and_json(self, tmp_path, capsys):
         code, out = run_cli(
@@ -151,6 +220,41 @@ class TestConfigFile:
         assert code == 0
         assert graphs.load_edges(edges).d1 == 6
 
+    def test_abbreviated_flag_beats_config(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("d1=4\nn1=12\nn2=12\n")
+        edges = tmp_path / "g.edges"
+        code, _ = run_cli(capsys, "graph", "gen", "--kind", "random",
+                          "--config", str(cfg), "--d", "6", "--out", str(edges))
+        assert code == 0
+        assert graphs.load_edges(edges).d1 == 6
+
+    def test_keys_are_flag_names(self, tmp_path, capsys, monkeypatch):
+        # lambda for --lambda, max_iter or max-iter for --max-iter
+        obs_path, graph_path = write_instance(tmp_path)
+        seen = record_configs(monkeypatch, pgd)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("lambda=0.25\nmax_iter=7\n")
+        with pytest.raises(Recorded):
+            cli.main(["complete", "--observed", str(obs_path), "--graph", str(graph_path),
+                      "--rank", "2", "--config", str(cfg)])
+        assert seen == [pgd.PgdConfig(lam=0.25, max_iter=7)]
+        cfg.write_text("lam=0.25\n")
+        code = cli.main(["complete", "--observed", str(obs_path), "--graph",
+                         str(graph_path), "--rank", "2", "--config", str(cfg)])
+        assert code == 2 and "unknown config keys: lam" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, line", [
+        (("graph", "gen", "--kind", "random", "--n1", "8", "--n2", "8"), "d1=abc"),
+        (("theory", "run"), "trials=2.5"),
+        (("bench", "phase"), "solver=sgd"),
+    ], ids=["d1=abc", "trials=2.5", "solver=sgd"])
+    def test_value_its_flag_refuses_exits_2(self, tmp_path, capsys, argv, line):
+        # each used to end in a TypeError traceback or run on the raw string
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(line + "\n")
+        assert_usage_error(capsys, [*argv, "--config", str(cfg)])
+
     def test_unknown_key_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("bogus=1\n")
@@ -188,9 +292,103 @@ class TestFlags:
             cli.main([*argv, cli._flag_of(dest), value])
         assert exc.value.code == 2
         cfg = tmp_path / "run.cfg"
-        cfg.write_text(f"{dest}={value}\n")
+        cfg.write_text(f"{cli._flag_of(dest)[2:]}={value}\n")
         assert cli.main([*argv, "--config", str(cfg)]) == 2
         assert "unknown config keys" in capsys.readouterr().err
+
+
+class TestSolverSettings:
+    """``complete`` and ``bench phase`` run one solver and refuse a tuning flag
+    it does not read; each of these used to exit 0 with the flag ignored."""
+
+    @pytest.mark.parametrize("solver, flags", [
+        ("ialm", ("--eta", "0.3")),
+        ("ialm", ("--lambda", "7")),
+        ("ialm", ("--mu", "5")),
+        ("ialm", ("--eta", "0.3", "--lambda", "7", "--mu", "5")),
+        ("scaled-pgd", ("--lambda", "7")),
+    ])
+    def test_complete(self, tmp_path, capsys, solver, flags):
+        obs_path, graph_path = write_instance(tmp_path)
+        out = tmp_path / "completed.mtx"
+        code = cli.main(["complete", "--observed", str(obs_path), "--graph",
+                         str(graph_path), "--rank", "2", "--solver", solver, *flags,
+                         "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2 and err.startswith(f"error: --solver {solver} does not read")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("solver, flags", [
+        ("ialm", ("--eta", "0.3")),
+        ("scaled-pgd", ("--lambda", "7")),
+    ])
+    def test_bench_phase(self, tmp_path, capsys, solver, flags):
+        code = cli.main(["bench", "phase", "--n", "48", "--r", "2", "--degrees", "16",
+                         "--trials", "1", "--solver", solver, *flags,
+                         "--out", str(tmp_path)])
+        assert code == 2 and "does not read" in capsys.readouterr().err
+        assert not (tmp_path / "phase.csv").exists()
+
+    def test_config_value_is_refused_too(self, tmp_path, capsys):
+        obs_path, graph_path = write_instance(tmp_path)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("eta=0.3\n")
+        code = cli.main(["complete", "--observed", str(obs_path), "--graph",
+                         str(graph_path), "--rank", "2", "--solver", "ialm",
+                         "--config", str(cfg)])
+        assert code == 2 and "does not read --eta" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, key, value", [
+    ("theory run", "lps", "5"),
+    ("theory run", "lps", "5,13,17"),
+    ("theory run", "lps", ""),
+    ("bench compare", "ranks", ""),
+    ("bench compare", "ranks", "2,x"),
+    ("bench phase", "degrees", ","),
+    ("bench convergence", "kappas", ""),
+])
+def test_malformed_list_flag_exits_2(tmp_path, capsys, command, key, value):
+    # these used to end in TypeError or IndexError tracebacks, or (--lps "")
+    # to build the random graph; a config-file value gets the same check
+    assert_usage_error(capsys, [*command.split(), f"--{key}", value])
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{key}={value}\n")
+    assert_usage_error(capsys, [*command.split(), "--config", str(cfg)])
+
+
+def test_benchmark_cli_argv(tmp_path, monkeypatch):
+    """The argv the benchmark's ``cli`` workload and its warm-up send resolve
+    to the settings they always had."""
+    obs_path, graph_path = map(str, write_instance(tmp_path))
+    out = str(tmp_path / "out")
+
+    def resolve(*argv):
+        return cli._apply_config(cli.build_parser(), list(argv))
+
+    ns = resolve("graph", "verify", "--graph", graph_path)
+    assert (ns.run, ns.graph, ns.out) == (cli.cmd_graph_verify, graph_path, None)
+
+    seen = record_configs(monkeypatch, scaled_pgd)
+    for rank, max_iter in ((5, 2000), (2, 20)):
+        ns = resolve("complete", "--observed", obs_path, "--graph", graph_path,
+                     "--rank", str(rank), "--solver", "scaled-pgd", "--mu", "8",
+                     "--max-iter", str(max_iter), "--out", out)
+        assert (ns.run, ns.rank, ns.out) == (cli.cmd_complete, rank, out)
+        with pytest.raises(Recorded):
+            ns.run(ns)
+    assert seen == [scaled_pgd.ScaledPgdConfig(mu=8.0, max_iter=2000, tol=1e-6),
+                    scaled_pgd.ScaledPgdConfig(mu=8.0, max_iter=20, tol=1e-6)]
+    assert seen[0].eta == scaled_pgd.ScaledPgdConfig().eta
+
+    ns = resolve("theory", "run", "--lps", "5,13", "--r", "3", "--trials", "20",
+                 "--seed", "7", "--out", out)
+    assert (ns.run, ns.lps, ns.r, ns.trials, ns.seed, ns.out, ns.kappa) == (
+        cli.cmd_theory_run, (5, 13), 3, 20, 7, out, 2.0)
+    ns = resolve("theory", "run", "--n", "64", "--d", "8", "--r", "2", "--trials", "2",
+                 "--out", out)
+    assert (ns.lps, ns.n, ns.d, ns.r, ns.trials, ns.seed, ns.kappa) == (
+        None, 64, 8, 2, 2, 0, 2.0)
 
 
 class TestErrorExitCodes:
@@ -202,16 +400,6 @@ class TestErrorExitCodes:
         assert code == 2
         assert err.startswith("error: ") and err.count("\n") == 1, err
 
-    @staticmethod
-    def write_instance(tmp_path, n=40, d=12):
-        gt = bench.synthetic_low_rank(n, n, 2, 2.0, seed=1)
-        g = graphs.random_biregular(n, n, d, seed=2)
-        obs = sampling.observe(gt.matrix, g)
-        obs_path, graph_path = tmp_path / "obs.mtx", tmp_path / "g.edges"
-        sampling.save_observed(obs, obs_path)
-        graphs.save_edges(g, graph_path)
-        return obs_path, graph_path
-
     def complete(self, obs_path, graph_path, tmp_path, *extra, rank=2):
         return cli.main(["complete", "--observed", str(obs_path),
                          "--graph", str(graph_path), "--rank", str(rank),
@@ -222,13 +410,13 @@ class TestErrorExitCodes:
         self.assert_one_line_error(capsys, code)
 
     def test_format_error(self, tmp_path, capsys):
-        obs_path, graph_path = self.write_instance(tmp_path)
+        obs_path, graph_path = write_instance(tmp_path)
         obs_path.write_text("not a MatrixMarket file\n")
         code = self.complete(obs_path, graph_path, tmp_path)
         self.assert_one_line_error(capsys, code)
 
     def test_input_error(self, tmp_path, capsys):
-        obs_path, graph_path = self.write_instance(tmp_path)
+        obs_path, graph_path = write_instance(tmp_path)
         lines = obs_path.read_text().splitlines()
         i, j, _ = lines[2].split()
         lines[2] = f"{i} {j} nan"
@@ -239,7 +427,7 @@ class TestErrorExitCodes:
     @pytest.mark.parametrize("solver", ["pgd", "scaled-pgd"])
     def test_rank_below_one(self, tmp_path, capsys, solver):
         # at 256 x 256, d = 20 the spectral init runs Lanczos on the CSR
-        obs_path, graph_path = self.write_instance(tmp_path, n=256, d=20)
+        obs_path, graph_path = write_instance(tmp_path, n=256, d=20)
         for rank in (0, -1):
             code = self.complete(obs_path, graph_path, tmp_path, "--solver", solver,
                                  rank=rank)
@@ -248,7 +436,7 @@ class TestErrorExitCodes:
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_divergence_error(self, tmp_path, capsys):
         # a huge mu lifts the row clip, so a large step overflows the loss
-        obs_path, graph_path = self.write_instance(tmp_path)
+        obs_path, graph_path = write_instance(tmp_path)
         code = self.complete(obs_path, graph_path, tmp_path,
                              "--solver", "pgd", "--eta", "50", "--mu", "1e200")
         self.assert_one_line_error(capsys, code)
@@ -257,7 +445,7 @@ class TestErrorExitCodes:
     def test_overflowed_ialm_penalty(self, tmp_path, capsys):
         # at tol 0 the penalty mu0 * 1.1^k overflows after about 7440
         # iterations; it used to end in a LinAlgError traceback
-        obs_path, graph_path = self.write_instance(tmp_path)
+        obs_path, graph_path = write_instance(tmp_path)
         code = self.complete(obs_path, graph_path, tmp_path, "--solver", "ialm",
                              "--tol", "0", "--max-iter", "9000")
         self.assert_one_line_error(capsys, code)
@@ -271,7 +459,7 @@ class TestErrorExitCodes:
     def test_setting_no_run_can_use(self, tmp_path, capsys, extra):
         # each of these used to run (with a numpy warning for --mu -1), write
         # a matrix and exit 0
-        obs_path, graph_path = self.write_instance(tmp_path, n=64, d=16)
+        obs_path, graph_path = write_instance(tmp_path, n=64, d=16)
         code = self.complete(obs_path, graph_path, tmp_path, *extra)
         self.assert_one_line_error(capsys, code)
         assert not (tmp_path / "completed.mtx").exists()

@@ -16,7 +16,7 @@ def test_criterion_02_trial_counts():
     cfg = bench.ExperimentConfig(
         n1=1092, n2=1092, r=3, degrees=(22,), trials=1,
         eta=0.35, max_iter=1200, eval_every=5, seed=1,
-        tol=1e-6, success_threshold=1e-6,
+        tol=1e-6,
     )
     rows = bench.run_phase_transition(cfg, solver="pgd")
     iters = {row["sampler"]: row["mean_iters"] for row in rows}

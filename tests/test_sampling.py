@@ -200,7 +200,7 @@ class TestResidualKernel:
         rng = np.random.default_rng(23)
         X = rng.standard_normal((pat.n1, r))
         Y = rng.standard_normal((pat.n2, r))
-        obs = sampling.Observation(pat, rng.standard_normal(pat.m), pat.rate)
+        obs = sampling.Observation(pat, rng.standard_normal(pat.m))
         K = sampling.observed_residual(_layouts(X)[layout], _layouts(Y)[layout], obs)
         dense = (X @ Y.T)[pat.rows, pat.cols] - obs.values
         scale = r * np.abs(X).max() * np.abs(Y).max() + np.abs(obs.values).max()
@@ -213,7 +213,7 @@ class TestResidualKernel:
 
     def test_empty_rows_and_columns_are_empty_in_the_residual(self):
         pat = _kernel_pattern("bernoulli")
-        obs = sampling.Observation(pat, np.ones(pat.m), pat.rate)
+        obs = sampling.Observation(pat, np.ones(pat.m))
         K = sampling.observed_residual(np.ones((40, 2)), np.ones((25, 2)), obs).toarray()
         assert not K[0].any() and not K[:, 0].any()
         assert np.array_equal(K[pat.rows, pat.cols], np.ones(pat.m))
@@ -228,7 +228,7 @@ class TestResidualKernel:
         rng = np.random.default_rng(24)
         X = rng.standard_normal((pat.n1, r))
         Y = rng.standard_normal((pat.n2, r))
-        obs = sampling.Observation(pat, rng.standard_normal(pat.m), pat.rate)
+        obs = sampling.Observation(pat, rng.standard_normal(pat.m))
         K = sampling.observed_residual(X, Y, obs)
         Xt, Yt = np.ascontiguousarray(X.T), np.ascontiguousarray(Y.T)
         KY, KtX = sampling.residual_products(K, Xt, Yt)
@@ -245,7 +245,7 @@ class TestResidualKernel:
 
     def test_residual_products_reject_mismatched_factors(self):
         pat = _kernel_pattern("bernoulli")
-        obs = sampling.Observation(pat, np.ones(pat.m), pat.rate)
+        obs = sampling.Observation(pat, np.ones(pat.m))
         K = sampling.observed_residual(np.ones((40, 2)), np.ones((25, 2)), obs)
         for Xt, Yt in [(np.ones((2, 40)), np.ones((2, 24))),
                        (np.ones((2, 40)), np.ones((3, 25))),
@@ -258,7 +258,7 @@ class TestResidualKernel:
         rng = np.random.default_rng(25)
         X = rng.standard_normal((pat.n1, 3))
         Y = rng.standard_normal((pat.n2, 3))
-        obs = sampling.Observation(pat, rng.standard_normal(pat.m), pat.rate)
+        obs = sampling.Observation(pat, rng.standard_normal(pat.m))
         K = pat.csr_with_values(np.empty(pat.m))
         for scale in (1.0, 2.0):  # refilled, not accumulated
             assert sampling.observed_residual(scale * X, Y, obs, out=K) is K
