@@ -50,9 +50,9 @@ _SHARED_FLAGS = {  # dest: add_argument keywords of the flags several commands t
 def _finish(parser, run, *dests, **defaults):
     """Give a subcommand its handler ``run``, the shared flags ``dests`` (keys
     of ``_SHARED_FLAGS``), this command's ``defaults`` for them and ``--config``."""
-    parser.set_defaults(run=run, command=parser, **defaults)
     for dest in dests:
         parser.add_argument(_flag_of(dest), dest=dest, **_SHARED_FLAGS[dest])
+    parser.set_defaults(run=run, command=parser, **defaults)  # over the shared ones
     parser.add_argument("--config", default=None, help="key=value defaults file")
 
 
@@ -85,7 +85,7 @@ def build_parser():
     ggen.add_argument("--n1", type=int)
     ggen.add_argument("--n2", type=int)
     ggen.add_argument("--d1", type=int)
-    _finish(ggen, cmd_graph_gen, "seed", "out")
+    _finish(ggen, cmd_graph_gen, "seed", "out", seed=None)  # None: --kind lps refuses it
 
     gverify = gsub.add_parser("verify", help="print the spectral certificate")
     gverify.add_argument("--graph", required=True)
@@ -134,9 +134,9 @@ def build_parser():
     th = sub.add_parser("theory", help="numerical inequality checks")
     tsub = th.add_subparsers(required=True)
     trun = tsub.add_parser("run", help="run every margin check")
-    trun.add_argument("--n", type=int, default=512)
+    trun.add_argument("--n", type=int, help="side of the random graph (default 512)")
     trun.add_argument("--r", type=int, default=3)
-    trun.add_argument("--d", type=int, default=60)
+    trun.add_argument("--d", type=int, help="degree of the random graph (default 60)")
     trun.add_argument("--kappa", type=float, default=2.0)
     trun.add_argument("--lps", type=_comma_list(int, 2),
                       help="use an LPS graph 'p,q' instead of a random one")
@@ -172,15 +172,21 @@ def _apply_config(parser, argv):
     return ns
 
 
+def _refuse_given(args, reader, dests):
+    """Refuse the flags among ``dests`` that were given (are not None):
+    ``reader``, the setting in force, does not read them."""
+    given = [_flag_of(dest) for dest in dests if getattr(args, dest) is not None]
+    if given:
+        raise ParameterError(f"{reader} does not read {', '.join(given)}")
+
+
 def _tuning(args):
     """The ``--eta``, ``--lambda`` and ``--mu`` values given to a command that
     runs one ``--solver``; one that solver does not read is refused."""
     given = {dest: value for dest in ("eta", "lam", "mu")
              if (value := getattr(args, dest, None)) is not None}
     read = {f.name for f in fields(bench.SOLVERS[args.solver])}
-    unread = [_flag_of(dest) for dest in given if dest not in read]
-    if unread:
-        raise ParameterError(f"--solver {args.solver} does not read {', '.join(unread)}")
+    _refuse_given(args, f"--solver {args.solver}", [d for d in given if d not in read])
     return given
 
 
@@ -191,9 +197,10 @@ def cmd_graph_gen(args):
             verb = "requires" if kind == args.kind else "does not read"
             raise ParameterError(f"--kind {args.kind} {verb} --{', --'.join(dests)}")
     if args.kind == "lps":
+        _refuse_given(args, "--kind lps", ("seed",))
         g = graphs.lps_graph(args.p, args.q)
     else:
-        g = graphs.random_biregular(args.n1, args.n2, args.d1, seed=args.seed)
+        g = graphs.random_biregular(args.n1, args.n2, args.d1, seed=args.seed or 0)
     out = args.out or "graph.edges"
     graphs.save_edges(g, out)
     cert = graphs.certify(g)
@@ -297,9 +304,11 @@ def cmd_bench_compare(args):
 
 def cmd_theory_run(args):
     if args.lps is not None:
+        _refuse_given(args, "--lps", ("n", "d"))
         g = graphs.lps_graph(*args.lps)
     else:
-        g = graphs.random_biregular(args.n, args.n, args.d, seed=args.seed)
+        n = 512 if args.n is None else args.n
+        g = graphs.random_biregular(n, n, 60 if args.d is None else args.d, seed=args.seed)
     gt = bench.synthetic_low_rank(g.n1, g.n2, args.r, args.kappa, seed=args.seed)
     reports = theory.run_all(gt, g, trials=args.trials, seed=args.seed)
     payload = [r.to_dict() for r in reports]
@@ -318,7 +327,7 @@ def main(argv=None):
         args = _apply_config(parser, sys.argv[1:] if argv is None else list(argv))
         return args.run(args)
     except (ParameterError, InputError, FormatError, GenerationError, DivergenceError,
-            AlignmentError) as exc:
+            AlignmentError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -8,11 +8,13 @@ O(m * r).  ``observed_residual`` and ``residual_products`` read the factors
 r-major (r x n), the layout the factored solvers keep them in.
 """
 
+import io
 from dataclasses import dataclass, field
 from itertools import combinations
 from math import comb
 
 import numpy as np
+from scipy.io import mmwrite
 from scipy.sparse import _sparsetools
 
 from .errors import FormatError, InputError, ParameterError
@@ -295,13 +297,28 @@ def save_observed(obs, path):
 
 
 def save_dense_array(M, path):
-    """Write a dense matrix in MatrixMarket array format (column-major)."""
+    """Write a dense matrix in MatrixMarket array format (column-major).
+
+    scipy's compiled writer prints each entry as its shortest round-trip
+    decimal (``9.189949701578548E-1``, ``-7``, ``-0``), so every float64
+    reads back exactly. The file holds the banner, the ``n1 n2`` line and
+    the n1*n2 values: scipy's ``%`` comment lines are dropped, because
+    readers take the size from line 2. ``symmetry="general"`` keeps scipy
+    from storing a small symmetric matrix as its lower triangle, which
+    ``load_dense_array`` does not read. The body goes through a buffer, so
+    ``path`` is written as given, without scipy's ``.mtx`` suffix.
+    """
     M = as_matrix(M)
     n1, n2 = M.shape
-    with open(path, "w") as fh:
-        fh.write("%%MatrixMarket matrix array real general\n")
-        fh.write(f"{n1} {n2}\n")
-        fh.write("\n".join(map(repr, M.ravel(order="F").tolist())) + "\n")
+    buf = io.BytesIO()
+    mmwrite(buf, M, symmetry="general")
+    buf.seek(0)
+    buf.readline()  # scipy's banner, then its comment lines, then its size line
+    while buf.readline().startswith(b"%"):
+        pass
+    with open(path, "wb") as fh:
+        fh.write(f"%%MatrixMarket matrix array real general\n{n1} {n2}\n".encode())
+        fh.write(buf.getbuffer()[buf.tell():])
 
 
 def load_dense_array(path):

@@ -81,6 +81,15 @@ class TestGraphCommands:
         info = json.loads(out)
         assert info["n1"] == 1092 and info["is_ramanujan"] is True
 
+    def test_gen_random_seed_defaults_to_0(self, tmp_path, capsys):
+        # --seed defaults to None so that --kind lps can refuse it
+        paths = tmp_path / "default.edges", tmp_path / "seed0.edges"
+        for path, seed in zip(paths, ((), ("--seed", "0"))):
+            code, _ = run_cli(capsys, "graph", "gen", "--kind", "random", "--n1", "12",
+                              "--n2", "12", "--d1", "4", *seed, "--out", str(path))
+            assert code == 0
+        assert paths[0].read_bytes() == paths[1].read_bytes()
+
     def test_gen_guard(self, capsys):
         code, _ = run_cli(capsys, "graph", "gen", "--kind", "lps", "--p", "13", "--q", "5")
         assert code == 2
@@ -91,7 +100,8 @@ class TestGraphCommands:
         ("--kind", "random", "--n1", "8", "--n2", "8", "--d1", "2", "--p", "5"),
         ("--kind", "random", "--n1", "8", "--n2", "8", "--d1", "2", "--q", "13"),
         ("--kind", "random", "--n1", "8", "--n2", "8"),
-    ], ids=["lps n1", "lps d1", "random p", "random q", "random without d1"])
+        ("--kind", "lps", "--p", "5", "--q", "13", "--seed", "9"),
+    ], ids=["lps n1", "lps d1", "random p", "random q", "random without d1", "lps seed"])
     def test_gen_refuses_the_other_kinds_flags(self, tmp_path, capsys, argv):
         # the flags of the other kind used to be read by nothing, with exit 0
         out = tmp_path / "g.edges"
@@ -131,6 +141,15 @@ class TestComplete:
         M = sampling.load_dense_array(out_path)
         rel = np.linalg.norm(M - gt.matrix) / np.linalg.norm(gt.matrix)
         assert rel < 1e-3
+
+    def test_out_is_written_as_given(self, tmp_path, capsys):
+        obs_path, graph_path = write_instance(tmp_path)
+        out_path = tmp_path / "result.txt"
+        code, out = run_cli(capsys, "complete", "--observed", str(obs_path),
+                            "--graph", str(graph_path), "--rank", "2",
+                            "--out", str(out_path))
+        assert code == 0 and json.loads(out)["path"] == str(out_path)
+        assert out_path.exists() and not (tmp_path / "result.txt.mtx").exists()
 
 
 class TestBenchCommands:
@@ -198,6 +217,29 @@ class TestTheoryCommand:
         assert "tangent_isometry" in out
         payload = json.load(open(out_file))
         assert len(payload) == 7
+
+    @pytest.mark.parametrize("flags", [("--n", "64"), ("--d", "8"), ("--n", "64", "--d", "8")])
+    def test_lps_refuses_the_random_graphs_flags(self, tmp_path, capsys, flags):
+        # --n and --d size the random graph; with --lps they used to be
+        # ignored with exit 0
+        out_file = tmp_path / "theory.json"
+        code = cli.main(["theory", "run", "--lps", "5,13", *flags, "--trials", "1",
+                         "--out", str(out_file)])
+        err = capsys.readouterr().err
+        assert code == 2 and err.startswith("error: --lps does not read --"), err
+        assert not out_file.exists()
+
+    def test_random_graph_defaults(self, monkeypatch):
+        seen = []
+
+        def record(*args, **kwargs):
+            seen.append((args, kwargs))
+            raise Recorded
+
+        monkeypatch.setattr(graphs, "random_biregular", record)
+        with pytest.raises(Recorded):
+            cli.main(["theory", "run"])
+        assert seen == [((512, 512, 60), {"seed": 0})]
 
 
 class TestConfigFile:
@@ -461,6 +503,20 @@ class TestErrorExitCodes:
         # a matrix and exit 0
         obs_path, graph_path = write_instance(tmp_path, n=64, d=16)
         code = self.complete(obs_path, graph_path, tmp_path, *extra)
+        self.assert_one_line_error(capsys, code)
+        assert not (tmp_path / "completed.mtx").exists()
+
+    @pytest.mark.parametrize("missing", ["graph", "observed", "config", "out"])
+    def test_missing_file(self, tmp_path, capsys, missing):
+        # each used to end in a FileNotFoundError traceback with exit 1
+        obs_path, graph_path = write_instance(tmp_path)
+        paths = {"graph": graph_path, "observed": obs_path,
+                 "out": tmp_path / "completed.mtx"}
+        paths[missing] = tmp_path / "missing" / "file"
+        config = ("--config", str(paths["config"])) if missing == "config" else ()
+        code = cli.main(["complete", "--observed", str(paths["observed"]),
+                         "--graph", str(paths["graph"]), "--rank", "2",
+                         "--out", str(paths["out"]), *config])
         self.assert_one_line_error(capsys, code)
         assert not (tmp_path / "completed.mtx").exists()
 

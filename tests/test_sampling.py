@@ -437,21 +437,44 @@ class TestMatrixMarket:
         sampling.save_dense_array(M, path)
         assert np.array_equal(sampling.load_dense_array(path), M)
 
+    # signed zeros, whole numbers, tiny, huge and subnormal values, and a
+    # value that needs all 17 significant digits
+    EDGE_VALUES = np.array([[-0.0, 1e-300, 5e-324], [1 / 3, 2.5, -7.0],
+                            [0.0, 1e300, -1e-310]])
+
+    @pytest.mark.parametrize("M", [
+        EDGE_VALUES,
+        np.eye(2),  # symmetric and small: scipy would keep only its lower triangle
+        np.array([[1.0, 2.0, 3.0], [2.0, 4.0, 5.0], [3.0, 5.0, 6.0]]),
+        np.random.default_rng(3).standard_normal((3, 5)).T,  # F-ordered
+        np.arange(1.0, 6.0).reshape(1, 5),
+        np.arange(1.0, 5.0).reshape(4, 1),
+    ], ids=["edge values", "eye", "symmetric", "transposed", "1x5", "4x1"])
+    def test_dense_layout_and_exact_values(self, tmp_path, M):
+        out = tmp_path / "dense.mtx"
+        sampling.save_dense_array(M, out)
+        text = out.read_text()
+        lines = text.splitlines()
+        n1, n2 = M.shape
+        assert lines[:2] == ["%%MatrixMarket matrix array real general", f"{n1} {n2}"]
+        assert not any(line.startswith("%") for line in lines[1:])
+        assert len(lines) == 2 + n1 * n2 and text.endswith("\n")
+        # read back by the package's reader and by an independent one that
+        # splits on whitespace and reshapes column-major
+        independent = np.array(text.split("\n", 2)[2].split(), dtype=float)
+        for back in (sampling.load_dense_array(out), independent.reshape(n2, n1).T):
+            assert back.shape == M.shape
+            assert np.array_equal(back.view(np.int64), M.view(np.int64))
+
+    def test_dense_path_is_written_as_given(self, tmp_path):
+        out = tmp_path / "result.txt"
+        sampling.save_dense_array(np.eye(3), out)
+        assert [p.name for p in tmp_path.iterdir()] == ["result.txt"]
+
     def test_writers_match_the_per_element_reference(self, tmp_path):
         # the one-write writers must keep every byte of the plain loop,
         # including signed zeros, tiny and subnormal values and full repr
-        M = np.array([[-0.0, 1e-300, 5e-324], [1 / 3, 2.5, -7.0], [0.0, 1e300, -1e-310]])
-
-        ref = tmp_path / "ref_dense.mtx"
-        with open(ref, "w") as fh:
-            fh.write("%%MatrixMarket matrix array real general\n3 3\n")
-            for j in range(3):
-                for i in range(3):
-                    fh.write(f"{float(M[i, j])!r}\n")
-        out = tmp_path / "dense.mtx"
-        sampling.save_dense_array(M, out)
-        assert out.read_bytes() == ref.read_bytes()
-
+        M = self.EDGE_VALUES
         g = complete_graph(3, 3)
         obs = sampling.observe(M, g)
         ref = tmp_path / "ref_obs.mtx"
