@@ -229,15 +229,22 @@ def cmd_graph_export(args):
     return 0
 
 
+def _check_out_dir(path):
+    """``path``, refused before any work when its directory does not exist."""
+    if not os.path.isdir(os.path.dirname(path) or "."):
+        raise InputError(f"the directory of --out {path} does not exist")
+    return path
+
+
 def cmd_complete(args):
     tuning = _tuning(args)
+    out = _check_out_dir(args.out or "completed.mtx")
     g = graphs.load_edges(args.graph)
     obs = sampling.load_observed(args.observed, g)
     M, trace = bench.solve(args.solver, obs, args.rank, max_iter=args.max_iter,
                            tol=args.tol, **tuning)
     if not isinstance(M, np.ndarray):
         M = M.X @ M.Y.T
-    out = args.out or "completed.mtx"
     sampling.save_dense_array(M, out)
     feas = float(
         np.linalg.norm(M[g.rows, g.cols] - obs.values)
@@ -303,6 +310,8 @@ def cmd_bench_compare(args):
 
 
 def cmd_theory_run(args):
+    if args.out:
+        _check_out_dir(args.out)
     if args.lps is not None:
         _refuse_given(args, "--lps", ("n", "d"))
         g = graphs.lps_graph(*args.lps)

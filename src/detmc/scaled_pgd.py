@@ -130,15 +130,17 @@ def step(pair, obs, eta):
     return FactorPair.from_r_major(*_step(Xt, Yt, K, obs, eta))
 
 
+def _preconditioned(Xt, Yt, K):
+    """r-major ``(K @ Y) @ pinv(Y'Y)`` and ``(K' @ X) @ pinv(X'X)``: the scaled
+    step's directions, times ``obs.rate``, at ``(Xt, Yt)`` with residual ``K``."""
+    KY, KtX = residual_products(K, Xt, Yt)
+    return _pinv_gram(Yt @ Yt.T).T @ KY, _pinv_gram(Xt @ Xt.T).T @ KtX
+
+
 def _step(Xt, Yt, K, obs, eta):
     """r-major ``step`` from the residual ``K`` at ``(Xt, Yt)``."""
-    gy_inv = _pinv_gram(Yt @ Yt.T)
-    gx_inv = _pinv_gram(Xt @ Xt.T)
-    KY, KtX = residual_products(K, Xt, Yt)
-    # ((K @ Y) @ gy_inv).T and its mirror
-    Xn = Xt - (eta / obs.rate) * (gy_inv.T @ KY)
-    Yn = Yt - (eta / obs.rate) * (gx_inv.T @ KtX)
-    return Xn, Yn
+    PX, PY = _preconditioned(Xt, Yt, K)
+    return Xt - (eta / obs.rate) * PX, Yt - (eta / obs.rate) * PY
 
 
 def solve(obs, r, config=None, gt=None):

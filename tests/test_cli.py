@@ -507,8 +507,10 @@ class TestErrorExitCodes:
         assert not (tmp_path / "completed.mtx").exists()
 
     @pytest.mark.parametrize("missing", ["graph", "observed", "config", "out"])
-    def test_missing_file(self, tmp_path, capsys, missing):
-        # each used to end in a FileNotFoundError traceback with exit 1
+    def test_missing_file(self, tmp_path, capsys, monkeypatch, missing):
+        # each used to end in a FileNotFoundError traceback with exit 1; a
+        # missing output directory used to be found only after the solve
+        monkeypatch.setattr(bench, "solve", lambda *a, **k: pytest.fail("solve ran"))
         obs_path, graph_path = write_instance(tmp_path)
         paths = {"graph": graph_path, "observed": obs_path,
                  "out": tmp_path / "completed.mtx"}
@@ -519,6 +521,12 @@ class TestErrorExitCodes:
                          "--out", str(paths["out"]), *config])
         self.assert_one_line_error(capsys, code)
         assert not (tmp_path / "completed.mtx").exists()
+
+    def test_theory_run_missing_out_dir(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(theory, "run_all", lambda *a, **k: pytest.fail("checks ran"))
+        code = cli.main(["theory", "run", "--n", "16", "--r", "1", "--d", "4",
+                         "--trials", "1", "--out", str(tmp_path / "missing" / "t.json")])
+        self.assert_one_line_error(capsys, code)
 
     def test_generation_error(self, tmp_path, capsys, monkeypatch):
         def fail(*args, **kwargs):

@@ -327,6 +327,14 @@ class TestCoherence:
         assert gt.coherence_mu == pytest.approx(direct, rel=1e-12)
 
 
+def neighborhood_loop_gap(gt, g):
+    """The isotropy gap by one ``eigvalsh`` per graph neighborhood."""
+    def gap(F, S, scale):
+        return np.abs(np.linalg.eigvalsh(scale * F[S].T @ F[S] - np.eye(gt.rank))).max()
+    return max([gap(gt.svd.U, g.rows[g.cols == j], g.n1 / g.d2) for j in range(g.n2)]
+               + [gap(gt.svd.V, g.cols[g.rows == i], g.n2 / g.d1) for i in range(g.n1)])
+
+
 class TestSubsetIsotropyGap:
     def test_flat_rank_one_is_zero(self):
         n = 16
@@ -334,18 +342,17 @@ class TestSubsetIsotropyGap:
         g = graphs.random_biregular(n, n, 4, seed=13)
         rep = sampling.subset_isotropy_gap(gt, g)
         assert rep.delta_d_estimate <= 1e-12
-        assert rep.method == "graph-neighborhoods"
         assert rep.subsets_checked == 2 * n
 
     def test_exhaustive_identity_case(self):
-        # U = I_4 (rank 4), subsets of size 2: gap is exactly 1
+        # U = I_4 (rank 4), neighborhoods of size 2: (4/2)(e_a e_a' + e_b e_b')
+        # - I has eigenvalues +-1, so the gap is exactly 1
         U = np.eye(4)
         S = np.array([4.0, 3.0, 2.0, 1.0])
         gt = sampling.ground_truth_from_svd(U, S, np.linalg.qr(
             np.random.default_rng(14).standard_normal((6, 4)))[0])
         g = graphs.random_biregular(4, 6, 3, seed=15)  # d2 = 2
-        rep = sampling.subset_isotropy_gap(gt, g, exhaustive=True)
-        assert rep.method == "exhaustive"
+        rep = sampling.subset_isotropy_gap(gt, g)
         assert rep.delta_d_estimate == pytest.approx(1.0, rel=1e-12)
 
     def test_complete_graph_single_subset(self):
@@ -354,20 +361,19 @@ class TestSubsetIsotropyGap:
         # the only size-n subset is everything: U'U = I exactly
         assert rep.delta_d_estimate <= 1e-10
 
-    def test_monotone_in_extra_subsets(self):
-        gt = bench.synthetic_low_rank(24, 24, 2, 2.0, seed=17)
-        g = graphs.random_biregular(24, 24, 6, seed=18)
-        vals = [
-            sampling.subset_isotropy_gap(gt, g, extra_subsets=k, seed=99).delta_d_estimate
-            for k in (0, 2, 5, 10)
-        ]
-        assert all(b >= a - 1e-15 for a, b in zip(vals, vals[1:]))
+    def test_matches_neighborhood_loop_on_lps(self, lps_5_13):
+        gt = bench.synthetic_low_rank(lps_5_13.n1, lps_5_13.n2, 3, 2.0, seed=17)
+        rep = sampling.subset_isotropy_gap(gt, lps_5_13)
+        assert rep.delta_d_estimate == pytest.approx(neighborhood_loop_gap(gt, lps_5_13),
+                                                     rel=1e-12)
+        assert rep.subsets_checked == 2 * lps_5_13.n1
 
-    def test_exhaustive_size_guard(self):
-        gt = bench.synthetic_low_rank(64, 64, 2, 2.0, seed=19)
-        g = graphs.random_biregular(64, 64, 16, seed=20)
-        with pytest.raises(ParameterError):
-            sampling.subset_isotropy_gap(gt, g, exhaustive=True)
+    def test_matches_neighborhood_loop_rectangular(self):
+        gt = bench.synthetic_low_rank(48, 36, 2, 2.0, seed=18)
+        g = graphs.random_biregular(48, 36, 12, seed=19)  # d2 = 16
+        rep = sampling.subset_isotropy_gap(gt, g)
+        assert rep.delta_d_estimate == pytest.approx(neighborhood_loop_gap(gt, g), rel=1e-12)
+        assert rep.subsets_checked == 48 + 36
 
 
 class TestMatrixMarket:

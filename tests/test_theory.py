@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +14,21 @@ def certified_instance():
     gt = bench.synthetic_low_rank(128, 128, 3, 2.0, seed=1)
     g = graphs.random_biregular(128, 128, 24, seed=2)
     return gt, g
+
+
+def dense_tangent_margin(gt, g, trials, seed, dt):
+    """The tangent check's worst margin with every Z = U A' + B V' formed
+    as a dense n1 x n2 matrix, from the same draws."""
+    U, V = gt.svd.U, gt.svd.V
+    rng = np.random.default_rng(seed)
+    worst = np.inf
+    for _ in range(trials):
+        Z = U @ rng.standard_normal((g.n2, gt.rank)).T \
+            + rng.standard_normal((g.n1, gt.rank)) @ V.T
+        full = float((Z * Z).sum())
+        masked = float((Z[g.rows, g.cols] ** 2).sum()) / g.rate
+        worst = min(worst, (1 + dt) * full - masked, masked - (1 - dt) * full)
+    return worst
 
 
 class TestTangentIsometry:
@@ -37,6 +53,24 @@ class TestTangentIsometry:
         a = theory.check_tangent_isometry(gt, g, trials=10, seed=6)
         b = theory.check_tangent_isometry(gt, g, trials=10, seed=6)
         assert a.worst_margin == b.worst_margin
+
+    def test_matches_dense_reference(self, certified_instance):
+        complete = (bench.synthetic_low_rank(20, 20, 2, 2.0, seed=3), complete_graph(20, 20))
+        for gt, g in (complete, certified_instance):
+            rep = theory.check_tangent_isometry(gt, g, trials=5, seed=4)
+            assert rep.worst_margin == pytest.approx(
+                dense_tangent_margin(gt, g, 5, 4, rep.delta_tilde), rel=1e-12)
+
+    def test_memory_below_one_dense_matrix(self, lps_5_13):
+        g = lps_5_13
+        gt = bench.synthetic_low_rank(g.n1, g.n2, 3, 2.0, seed=5)
+        tracemalloc.start()
+        try:
+            theory.check_tangent_isometry(gt, g, trials=5, seed=6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < g.n1 * g.n2 * 8  # one float64 n1 x n2 array: 9.1 MiB
 
 
 class TestBilinearBound:
@@ -71,13 +105,15 @@ class TestGraphDeviation:
         assert rep.passed
 
     def test_deviation_equals_sigma2_over_rate(self, certified_instance):
+        # the deviation is read from the certificate; the oracle is the dense
+        # spectral norm of A/p - 11', on a square and a rectangular graph
         gt, g = certified_instance
-        rep = theory.check_graph_deviation(g, gt)
-        cert = graphs.certify(g)
-        assert rep.params["deviation"] == pytest.approx(
-            cert.sigma2 / g.rate, rel=1e-8
-        )
-        assert rep.passed
+        rect = graphs.random_biregular(48, 36, 12, seed=24)  # d2 = 16
+        for g, truth in ((g, gt), (rect, None)):
+            rep = theory.check_graph_deviation(g, truth)
+            dense = np.linalg.norm(g.adjacency.toarray() / g.rate - 1.0, 2)
+            assert rep.params["deviation"] == pytest.approx(dense, rel=1e-8)
+            assert rep.passed
 
     def test_complete_graph_with_truth_zero_deviation(self):
         gt = bench.synthetic_low_rank(12, 12, 2, 2.0, seed=3)
