@@ -8,8 +8,9 @@ wall-time columns are the only nondeterministic output.
 
 import csv
 import json
+import os
 import warnings
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -53,7 +54,6 @@ class ExperimentConfig:
     eta: float | None = None  # solver default when None
     lam: float | None = None  # solver default when None
     max_iter: int = 2000
-    threads: int = 1
     eval_every: int = 1
 
     def __post_init__(self):
@@ -131,12 +131,34 @@ def run_trial(solver, obs, r, gt, cfg):
 # ---------------------------------------------------------------------------
 
 
+SAMPLERS = ("deterministic", "bernoulli")
+
+
+def phase_trial(cfg, solver, kappa, graph, sampler, t):
+    """Trial ``t`` of ``sampler`` at ``graph``'s degree d, on the ground truth
+    and Bernoulli mask (at ``graph``'s rate) seeded by the two children of
+    ``SeedSequence((cfg.seed, d, t))``: ``(sampler, TrialRecord)``.
+    """
+    gt_seed, mask_seed = np.random.SeedSequence((cfg.seed, graph.d1, t)).spawn(2)
+    gt = synthetic_low_rank(cfg.n1, cfg.n2, cfg.r, kappa, gt_seed)
+    if sampler == "deterministic":
+        pattern = graph
+    else:
+        pattern = bernoulli_mask(cfg.n1, cfg.n2, graph.rate, mask_seed)
+    rec, _ = run_trial(solver, observe(gt.matrix, pattern), cfg.r, gt, cfg)
+    return sampler, rec
+
+
 def run_phase_transition(cfg, solver="pgd", kappa=1.0):
     """Success-ratio sweep over sampling rates for certified-graph vs
     Bernoulli sampling; a trial stops, and succeeds, below ``cfg.tol``.
     Returns rows (sampler, p, success_ratio, mean_iters).
+
+    The graphs (seed ``SeedSequence((cfg.seed, d)).entropy``) are built
+    here; the trials run as ``phase_trial`` on one worker process per core,
+    each taking its BLAS thread count from the environment it inherits.
     """
-    rows = []
+    rows, tasks = [], []
     for d in cfg.degrees:
         try:
             graph = random_biregular(
@@ -147,36 +169,15 @@ def run_phase_transition(cfg, solver="pgd", kappa=1.0):
             rows.append({"sampler": "skipped", "p": d / cfg.n2,
                          "success_ratio": float("nan"), "mean_iters": float("nan")})
             continue
-        p = graph.rate
-
-        def one_trial(args):
-            sampler, t = args
-            ss = np.random.SeedSequence((cfg.seed, d, t))
-            gt_seed, mask_seed = ss.spawn(2)
-            gt = synthetic_low_rank(cfg.n1, cfg.n2, cfg.r, kappa, gt_seed)
-            if sampler == "deterministic":
-                pattern = graph
-            else:
-                pattern = bernoulli_mask(cfg.n1, cfg.n2, p, mask_seed)
-            obs = observe(gt.matrix, pattern)
-            rec, _ = run_trial(solver, obs, cfg.r, gt, cfg)
-            return sampler, rec
-
-        tasks = [(s, t) for s in ("deterministic", "bernoulli") for t in range(cfg.trials)]
-        if cfg.threads > 1:
-            with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-                results = list(pool.map(one_trial, tasks))
-        else:
-            results = [one_trial(task) for task in tasks]
-
-        for sampler in ("deterministic", "bernoulli"):
-            recs = [r for s, r in results if s == sampler]
-            rows.append({
-                "sampler": sampler,
-                "p": p,
-                "success_ratio": sum(r.success for r in recs) / len(recs),
-                "mean_iters": float(np.mean([r.iterations for r in recs])),
-            })
+        rows += [{"sampler": s, "p": graph.rate} for s in SAMPLERS]
+        tasks += [(cfg, solver, kappa, graph, s, t) for s in SAMPLERS for t in range(cfg.trials)]
+    with ProcessPoolExecutor(min(len(tasks), os.cpu_count() or 1) or 1) as pool:
+        results = pool.map(phase_trial, *zip(*tasks))  # in the order of tasks
+    for row in rows:
+        if row["sampler"] != "skipped":
+            recs = [next(results)[1] for _ in range(cfg.trials)]
+            row["success_ratio"] = sum(r.success for r in recs) / len(recs)
+            row["mean_iters"] = float(np.mean([r.iterations for r in recs]))
     return rows
 
 
@@ -232,7 +233,8 @@ def run_solver_comparison(cfg, kappa=1.0):
     """Mean iterations / wall seconds per (solver, rank, degree).
 
     The same ground truths and graph are shared across solvers at each
-    sweep point; timing runs execute serially.
+    sweep point; timing runs execute serially, the solvers of one instance
+    back to back, so that a drift in machine speed reaches every solver.
     """
     rows = []
     for r in cfg.r_list:
@@ -241,18 +243,16 @@ def run_solver_comparison(cfg, kappa=1.0):
                 cfg.n1, cfg.n2, d,
                 seed=np.random.SeedSequence((cfg.seed, 1000 + d)).entropy,
             )
-            obs_list = []
+            runs = [[] for _ in cfg.solvers]
             for t in range(cfg.trials):
                 gt = synthetic_low_rank(
                     cfg.n1, cfg.n2, r, kappa,
                     np.random.SeedSequence((cfg.seed, d, r, t)),
                 )
-                obs_list.append((gt, observe(gt.matrix, graph)))
-            for solver in cfg.solvers:
-                recs = []
-                for gt, obs in obs_list:
-                    rec, _ = run_trial(solver, obs, r, gt, cfg)
-                    recs.append(rec)
+                obs = observe(gt.matrix, graph)
+                for solver, recs in zip(cfg.solvers, runs):
+                    recs.append(run_trial(solver, obs, r, gt, cfg)[0])
+            for solver, recs in zip(cfg.solvers, runs):
                 rows.append({
                     "solver": solver,
                     "rank": r,

@@ -40,8 +40,7 @@ def load_config_file(path):
 
 
 _SHARED_FLAGS = {  # dest: add_argument keywords of the flags several commands take
-    "seed": {"type": int, "default": 0}, "out": {"default": None},
-    "threads": {"type": int, "default": 1}, "tol": {"type": float},
+    "seed": {"type": int, "default": 0}, "out": {"default": None}, "tol": {"type": float},
     "eta": {"type": float, "default": None}, "lam": {"type": float, "default": None},
     "solver": {"choices": tuple(bench.SOLVERS), "default": "pgd"},
 }
@@ -210,6 +209,7 @@ def cmd_graph_gen(args):
 
 
 def cmd_graph_verify(args):
+    _check_out_dir(args.out)
     g = graphs.load_edges(args.graph)
     cert = graphs.certify(g)
     payload = {"n1": g.n1, "n2": g.n2, "d1": g.d1, "d2": g.d2, **cert.to_dict()}
@@ -230,8 +230,9 @@ def cmd_graph_export(args):
 
 
 def _check_out_dir(path):
-    """``path``, refused before any work when its directory does not exist."""
-    if not os.path.isdir(os.path.dirname(path) or "."):
+    """``path`` (None: no ``--out``), refused before any work when its
+    directory does not exist."""
+    if path is not None and not os.path.isdir(os.path.dirname(path) or "."):
         raise InputError(f"the directory of --out {path} does not exist")
     return path
 
@@ -269,8 +270,8 @@ def _outdir(args):
 def cmd_bench_phase(args):
     cfg = bench.ExperimentConfig(
         n1=args.n, n2=args.n, r=args.r, degrees=args.degrees, trials=args.trials,
-        tol=args.tol, seed=args.seed, max_iter=args.max_iter, threads=args.threads,
-        eval_every=5, **_tuning(args),
+        tol=args.tol, seed=args.seed, max_iter=args.max_iter, eval_every=5,
+        **_tuning(args),
     )
     rows = bench.run_phase_transition(cfg, solver=args.solver)
     out = os.path.join(_outdir(args), "phase.csv")
@@ -310,8 +311,7 @@ def cmd_bench_compare(args):
 
 
 def cmd_theory_run(args):
-    if args.out:
-        _check_out_dir(args.out)
+    _check_out_dir(args.out)
     if args.lps is not None:
         _refuse_given(args, "--lps", ("n", "d"))
         g = graphs.lps_graph(*args.lps)

@@ -58,7 +58,9 @@ class SamplingPattern:
         self.n2 = int(n2)
         self.edges = edges
         self.rows = edges[:, 0]
-        self.cols = edges[:, 1]
+        # a contiguous intp copy, the index np.take gathers by without a cast
+        self.cols = edges[:, 1].astype(np.intp)
+        self.cols.flags.writeable = False
 
     @property
     def m(self):
@@ -203,16 +205,16 @@ def random_biregular(n1, n2, d1, seed):
     rows = np.repeat(np.arange(n1), d1)
     cols = rng.permutation(np.repeat(np.arange(n2), d2))
 
-    counts = {}
-    for k in range(m):
-        pair = (rows[k], cols[k])
-        counts[pair] = counts.get(pair, 0) + 1
-    stack = [k for k in range(m) if counts[(rows[k], cols[k])] > 1]
+    # edge k joins row k // d1 to cols[k], coded as the Python int row * n2 + col
+    codes, inverse, dup = np.unique(rows * n2 + cols, return_inverse=True, return_counts=True)
+    counts = dict(zip(codes.tolist(), dup.tolist()))
+    stack = np.flatnonzero(dup[inverse] > 1).tolist()
+    cols = cols.tolist()
 
     attempts = 0
     while stack:
         k1 = stack.pop()
-        p1 = (rows[k1], cols[k1])
+        p1 = k1 // d1 * n2 + cols[k1]
         if counts[p1] < 2:
             continue
         while True:  # repair this one duplicate instance
@@ -220,16 +222,14 @@ def random_biregular(n1, n2, d1, seed):
             if attempts > _SWAP_ATTEMPT_CAP:
                 raise GenerationError("duplicate-edge repair exceeded the attempt cap")
             k2 = int(rng.integers(m))
-            p2 = (rows[k2], cols[k2])
-            new1 = (p1[0], p2[1])
-            new2 = (p2[0], p1[1])
-            if new1 == new2 or counts.get(new1, 0) > 0 or counts.get(new2, 0) > 0:
+            new1 = k1 // d1 * n2 + cols[k2]
+            new2 = k2 // d1 * n2 + cols[k1]
+            if new1 == new2 or counts.get(new1) or counts.get(new2):
                 continue
             counts[p1] -= 1
-            counts[p2] -= 1
-            counts[new1] = 1
-            counts[new2] = 1
-            cols[k1], cols[k2] = new1[1], new2[1]
+            counts[k2 // d1 * n2 + cols[k2]] -= 1
+            counts[new1] = counts[new2] = 1
+            cols[k1], cols[k2] = cols[k2], cols[k1]
             break
 
     return BiregularGraph(n1, n2, np.column_stack([rows, cols]))

@@ -81,22 +81,22 @@ def observed_residual(X, Y, obs, out=None):
     reads them r-major, as ``X.T`` and ``Y.T`` (free when ``X`` is a view of
     a C-ordered r x n1 array, as the solvers pass it): a repeat by the row
     counts, one column ``take`` and a dot down r contiguous rows, O(m r):
-    about 0.22 ms at m = 22k, r = 3 on one core.  Given ``out``, the one
-    ``obs.pattern.csr_with_values`` matrix of a solve, never shared between
-    threads, the values go into ``out.data`` and ``out`` is returned.
+    about 0.22 ms at m = 22k, r = 3 on one core, gathering by the pattern's
+    intp ``cols``.  Given ``out``, an ``obs.pattern.csr_with_values`` matrix
+    the caller owns (a solver refills its one every iteration), the values
+    go into ``out.data`` and ``out`` is returned.
     """
     Xt = np.ascontiguousarray(np.transpose(X), dtype=np.float64)
     Yt = np.ascontiguousarray(np.transpose(Y), dtype=np.float64)
     pat = obs.pattern
     if Xt.shape[1] != pat.n1 or Yt.shape[1] != pat.n2 or len(Xt) != len(Yt):
         raise ParameterError(f"factor shapes {Xt.T.shape}, {Yt.T.shape} do not match pattern")
-    indices = pat._csr_index[0]
     out = pat.csr_with_values(np.empty(pat.m)) if out is None else out
-    if not np.may_share_memory(out.indices, indices):
+    if not np.may_share_memory(out.indices, pat._csr_index[0]):
         raise ParameterError("out is not a residual matrix of this pattern")
     # edges are sorted by row, so gathering X's rows is a repeat
     np.einsum("ki,ki->i", np.repeat(Xt, pat.row_counts, axis=1),
-              np.take(Yt, indices, axis=1), out=out.data)
+              np.take(Yt, pat.cols, axis=1), out=out.data)
     out.data -= obs.values
     return out
 

@@ -13,3 +13,51 @@ from detmc import graphs
 def complete_graph(n1, n2):
     rows, cols = np.divmod(np.arange(n1 * n2), n2)
     return graphs.BiregularGraph(n1, n2, np.column_stack([rows, cols]))
+
+
+def random_biregular_reference(n1, n2, d1, seed):
+    """``graphs.random_biregular`` as it was written before its duplicate
+    repair moved to integer codes: a Python pass over every edge, keyed by
+    tuples of numpy scalars.  Its graphs are the ones every pinned count
+    was measured on."""
+    d2 = (n1 * d1) // n2
+    if d1 == n2:
+        return complete_graph(n1, n2)
+    if d1 > n2 // 2:
+        comp = random_biregular_reference(n1, n2, n2 - d1, seed)
+        keep = np.ones((n1, n2), dtype=bool)
+        keep[comp.rows, comp.cols] = False
+        rows, cols = np.nonzero(keep)
+        return graphs.BiregularGraph(n1, n2, np.column_stack([rows, cols]))
+
+    rng = np.random.default_rng(seed)
+    m = n1 * d1
+    rows = np.repeat(np.arange(n1), d1)
+    cols = rng.permutation(np.repeat(np.arange(n2), d2))
+
+    counts = {}
+    for k in range(m):
+        pair = (rows[k], cols[k])
+        counts[pair] = counts.get(pair, 0) + 1
+    stack = [k for k in range(m) if counts[(rows[k], cols[k])] > 1]
+
+    while stack:
+        k1 = stack.pop()
+        p1 = (rows[k1], cols[k1])
+        if counts[p1] < 2:
+            continue
+        while True:
+            k2 = int(rng.integers(m))
+            p2 = (rows[k2], cols[k2])
+            new1 = (p1[0], p2[1])
+            new2 = (p2[0], p1[1])
+            if new1 == new2 or counts.get(new1, 0) > 0 or counts.get(new2, 0) > 0:
+                continue
+            counts[p1] -= 1
+            counts[p2] -= 1
+            counts[new1] = 1
+            counts[new2] = 1
+            cols[k1], cols[k2] = new1[1], new2[1]
+            break
+
+    return graphs.BiregularGraph(n1, n2, np.column_stack([rows, cols]))

@@ -1,9 +1,10 @@
+import multiprocessing
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from detmc import bench, ialm, pgd, scaled_pgd
+from detmc import bench, graphs, ialm, pgd, scaled_pgd
 from detmc.errors import ParameterError
 
 
@@ -70,14 +71,32 @@ class TestPhaseTransition:
         assert a == b
 
     @pytest.mark.parametrize("solver, eta", [("pgd", 0.35), ("scaled-pgd", None)])
-    def test_threads_give_the_serial_rows(self, solver, eta):
-        # the trials of one degree share a graph; each solve must own its
-        # residual matrix, so threads cannot mix one trial's residual into
-        # another's iterates
+    def test_pool_gives_the_serial_rows(self, solver, eta):
+        # the serial reference: every trial run in this process, on graphs
+        # built with the sweep's seeds, and aggregated here
         cfg = self.make_cfg(degrees=(16, 24), trials=3, max_iter=300, eta=eta)
-        serial = bench.run_phase_transition(cfg, solver=solver)
-        threaded = bench.run_phase_transition(replace(cfg, threads=2), solver=solver)
-        assert threaded == serial
+        serial = []
+        for d in cfg.degrees:
+            graph = graphs.random_biregular(
+                48, 48, d, seed=np.random.SeedSequence((cfg.seed, d)).entropy)
+            for sampler in bench.SAMPLERS:
+                recs = [bench.phase_trial(cfg, solver, 1.0, graph, sampler, t)
+                        for t in range(cfg.trials)]
+                assert all(s == sampler for s, _ in recs)
+                serial.append({
+                    "sampler": sampler, "p": d / 48,
+                    "success_ratio": sum(r.success for _, r in recs) / cfg.trials,
+                    "mean_iters": float(np.mean([r.iterations for _, r in recs])),
+                })
+        assert bench.run_phase_transition(cfg, solver=solver) == serial
+
+    def test_no_worker_outlives_the_sweep(self):
+        bench.run_phase_transition(self.make_cfg(degrees=(16,), trials=2), solver="pgd")
+        assert multiprocessing.active_children() == []
+        # a negative step makes every trial raise in its worker
+        with pytest.raises(ParameterError, match="eta must be positive"):
+            bench.run_phase_transition(self.make_cfg(eta=-1.0), solver="pgd")
+        assert multiprocessing.active_children() == []
 
     def test_bernoulli_rate_matches_expected_count(self):
         from detmc.graphs import bernoulli_mask
@@ -89,14 +108,18 @@ class TestPhaseTransition:
         assert abs(mean_m - n * d) <= 0.01 * n * d + 3 * np.sqrt(n * n * p)
 
     def test_infeasible_degree_writes_warning_row(self):
-        cfg = self.make_cfg(degrees=(13, 48))  # 48*13 not divisible by 48 is... it is; use odd n2
+        # 48 * 13 is not divisible by 36
         cfg = bench.ExperimentConfig(
             n1=48, n2=36, r=2, degrees=(13, 36), trials=1, tol=1e-6,
             seed=1, eta=0.35, max_iter=200,
         )
         with pytest.warns(UserWarning):
             rows = bench.run_phase_transition(cfg, solver="pgd")
-        assert rows[0]["sampler"] == "skipped"
+        assert [row["sampler"] for row in rows] == ["skipped", *bench.SAMPLERS]
+        # a sweep with no feasible degree runs no trial
+        with pytest.warns(UserWarning):
+            rows = bench.run_phase_transition(replace(cfg, degrees=(13,)), solver="pgd")
+        assert [row["sampler"] for row in rows] == ["skipped"]
 
 
 class TestSolve:

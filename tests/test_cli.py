@@ -306,30 +306,32 @@ class TestConfigFile:
         assert code == 2
 
 
+# flags no command takes any more: ``--threads`` went with the thread pool
+REMOVED_FLAGS = ("threads",)
+
+
 class TestFlags:
     """Each subcommand takes only the flags it reads: a shared flag it would
     ignore exits 2, and so does its key in a config file."""
 
     # command: (its required flags, the shared flags it does not read)
     IGNORED = {
-        "graph gen": (("--kind", "random"), ("threads", "tol", "eta", "lam", "solver")),
-        "graph verify": (("--graph", "g.edges"),
-                         ("seed", "threads", "tol", "eta", "lam", "solver")),
-        "graph export": (("--graph", "g.edges"),
-                         ("seed", "threads", "tol", "eta", "lam", "solver")),
+        "graph gen": (("--kind", "random"), ("tol", "eta", "lam", "solver")),
+        "graph verify": (("--graph", "g.edges"), ("seed", "tol", "eta", "lam", "solver")),
+        "graph export": (("--graph", "g.edges"), ("seed", "tol", "eta", "lam", "solver")),
         "complete": (("--observed", "o.mtx", "--graph", "g.edges", "--rank", "2"),
-                     ("seed", "threads")),
-        "bench convergence": ((), ("threads", "solver")),
-        "bench compare": ((), ("threads", "solver")),
-        "theory run": ((), ("threads", "tol", "eta", "lam", "solver")),
+                     ("seed",)),
+        "bench phase": ((), ()),
+        "bench convergence": ((), ("solver",)),
+        "bench compare": ((), ("solver",)),
+        "theory run": ((), ("tol", "eta", "lam", "solver")),
     }
-
     @pytest.mark.parametrize("command, dest", [
         pytest.param(command, dest, id=f"{command} {dest}")
-        for command, (_, dests) in IGNORED.items() for dest in dests])
+        for command, (_, dests) in IGNORED.items() for dest in (*dests, *REMOVED_FLAGS)])
     def test_dropped_flag_exits_2(self, tmp_path, capsys, command, dest):
         argv = [*command.split(), *self.IGNORED[command][0]]
-        value = "pgd" if dest == "solver" else "1"
+        value = {"solver": "pgd", "threads": "2"}.get(dest, "1")
         with pytest.raises(SystemExit) as exc:
             cli.main([*argv, cli._flag_of(dest), value])
         assert exc.value.code == 2
@@ -527,6 +529,15 @@ class TestErrorExitCodes:
         code = cli.main(["theory", "run", "--n", "16", "--r", "1", "--d", "4",
                          "--trials", "1", "--out", str(tmp_path / "missing" / "t.json")])
         self.assert_one_line_error(capsys, code)
+
+    def test_graph_verify_missing_out_dir(self, tmp_path, capsys, monkeypatch):
+        # the certificate used to be printed in full before --out failed
+        _, graph_path = write_instance(tmp_path)
+        monkeypatch.setattr(graphs, "load_edges", lambda *a: pytest.fail("graph loaded"))
+        code = cli.main(["graph", "verify", "--graph", str(graph_path),
+                         "--out", str(tmp_path / "missing" / "v.json")])
+        assert capsys.readouterr().out == ""
+        assert code == 2
 
     def test_generation_error(self, tmp_path, capsys, monkeypatch):
         def fail(*args, **kwargs):

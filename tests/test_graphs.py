@@ -6,7 +6,7 @@ import pytest
 
 from detmc import graphs
 from detmc.errors import FormatError, ParameterError
-from support import complete_graph
+from support import complete_graph, random_biregular_reference
 
 
 def two_k22():
@@ -65,6 +65,22 @@ class TestRandomBiregular:
             cert = graphs.certify(g)
             expected = math.sqrt(g.d1 * g.d2)
             assert abs(cert.sigma1 - expected) <= 1e-6 * expected
+
+    @pytest.mark.parametrize("n1, n2, d1, seed", [
+        *[(n, n, d, seed) for n, d in ((4, 2), (16, 8), (40, 6), (64, 20))
+          for seed in (0, 1, 7)],
+        *[(48, 36, 12, seed) for seed in (0, 1, 2)],  # rectangular
+        (60, 40, 10, 3), (24, 36, 9, 2),
+        *[(n1, n2, d1, seed) for n1, n2, d1 in ((16, 16, 13), (48, 36, 30))
+          for seed in (0, 5)],  # the complement branch
+        (512, 512, 60, 7),  # the desk graph
+        *[(1092, 1092, d, np.random.SeedSequence((1, d)).entropy) for d in (20, 22)],
+    ])
+    def test_matches_the_reference(self, n1, n2, d1, seed):
+        # the duplicate repair draws from the generator in the old order, so
+        # every graph is the old one edge for edge
+        g = graphs.random_biregular(n1, n2, d1, seed)
+        assert np.array_equal(g.edges, random_biregular_reference(n1, n2, d1, seed).edges)
 
     def test_desk_graph_regression(self, desk_graph):
         cert = graphs.certify(desk_graph)
