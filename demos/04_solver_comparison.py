@@ -12,7 +12,6 @@ from detmc import bench
 cfg = bench.ExperimentConfig(
     n1=256, n2=256, r=2, r_list=(2, 3), degrees=(64,), trials=3,
     tol=1e-4, seed=9, max_iter=6000,
-    solvers=("ialm", "pgd", "scaled-pgd"),
 )
 rows = bench.run_solver_comparison(cfg, kappa=1.2)
 

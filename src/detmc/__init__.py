@@ -18,7 +18,6 @@ The package is organized as a small numpy/scipy library:
 
 from . import bench, graphs, ialm, kernels, metrics, pgd, sampling, scaled_pgd, theory
 from .errors import (
-    AlignmentError,
     DivergenceError,
     FormatError,
     GenerationError,
@@ -38,7 +37,6 @@ __all__ = [
     "sampling",
     "scaled_pgd",
     "theory",
-    "AlignmentError",
     "DivergenceError",
     "FormatError",
     "GenerationError",

@@ -49,7 +49,6 @@ class ExperimentConfig:
     degrees: tuple = (8, 10, 12, 16, 24, 36)
     trials: int = 20
     tol: float = 1e-4  # stop threshold; phase rows also count a success below it
-    solvers: tuple = ("ialm", "pgd", "scaled-pgd")
     seed: int = 0
     eta: float | None = None  # solver default when None
     lam: float | None = None  # solver default when None
@@ -230,7 +229,8 @@ def run_convergence_comparison(cfg, degree=60, solvers=("pgd", "scaled-pgd")):
 
 
 def run_solver_comparison(cfg, kappa=1.0):
-    """Mean iterations / wall seconds per (solver, rank, degree).
+    """Mean iterations / wall seconds per (solver, rank, degree), for IALM,
+    PGD and scaled PGD in that order.
 
     The same ground truths and graph are shared across solvers at each
     sweep point; timing runs execute serially, the solvers of one instance
@@ -243,16 +243,16 @@ def run_solver_comparison(cfg, kappa=1.0):
                 cfg.n1, cfg.n2, d,
                 seed=np.random.SeedSequence((cfg.seed, 1000 + d)).entropy,
             )
-            runs = [[] for _ in cfg.solvers]
+            runs = {solver: [] for solver in ("ialm", "pgd", "scaled-pgd")}
             for t in range(cfg.trials):
                 gt = synthetic_low_rank(
                     cfg.n1, cfg.n2, r, kappa,
                     np.random.SeedSequence((cfg.seed, d, r, t)),
                 )
                 obs = observe(gt.matrix, graph)
-                for solver, recs in zip(cfg.solvers, runs):
+                for solver, recs in runs.items():
                     recs.append(run_trial(solver, obs, r, gt, cfg)[0])
-            for solver, recs in zip(cfg.solvers, runs):
+            for solver, recs in runs.items():
                 rows.append({
                     "solver": solver,
                     "rank": r,
@@ -278,11 +278,11 @@ def _fmt(v):
     return str(v)
 
 
-def write_csv(rows, path, drop=()):
+def write_csv(rows, path):
     """Write dict rows as CSV; column order follows the first row."""
     if not rows:
         raise ParameterError("no rows to write")
-    fields = [k for k in rows[0] if k not in drop]
+    fields = list(rows[0])
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(fields)

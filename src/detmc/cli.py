@@ -20,8 +20,7 @@ from dataclasses import fields
 import numpy as np
 
 from . import bench, graphs, sampling, theory
-from .errors import (AlignmentError, DivergenceError, FormatError, GenerationError,
-                     InputError, ParameterError)
+from .errors import DivergenceError, FormatError, GenerationError, InputError, ParameterError
 
 
 def load_config_file(path):
@@ -230,8 +229,10 @@ def cmd_graph_export(args):
 
 
 def _check_out_dir(path):
-    """``path`` (None: no ``--out``), refused before any work when its
-    directory does not exist."""
+    """``path`` (None: no ``--out``), refused before any work when it is a
+    directory or its directory does not exist."""
+    if path is not None and os.path.isdir(path):
+        raise InputError(f"--out {path} is a directory")
     if path is not None and not os.path.isdir(os.path.dirname(path) or "."):
         raise InputError(f"the directory of --out {path} does not exist")
     return path
@@ -273,8 +274,8 @@ def cmd_bench_phase(args):
         tol=args.tol, seed=args.seed, max_iter=args.max_iter, eval_every=5,
         **_tuning(args),
     )
-    rows = bench.run_phase_transition(cfg, solver=args.solver)
     out = os.path.join(_outdir(args), "phase.csv")
+    rows = bench.run_phase_transition(cfg, solver=args.solver)
     bench.write_csv(rows, out)
     print(json.dumps({"path": out, "rows": len(rows)}))
     return 0
@@ -285,8 +286,8 @@ def cmd_bench_convergence(args):
         n1=args.n, n2=args.n, r_list=args.ranks, kappa_list=args.kappas, trials=1,
         tol=args.tol, seed=args.seed, eta=args.eta, lam=args.lam, max_iter=args.max_iter,
     )
-    traces, rates = bench.run_convergence_comparison(cfg, degree=args.degree)
     outdir = _outdir(args)
+    traces, rates = bench.run_convergence_comparison(cfg, degree=args.degree)
     tpath = os.path.join(outdir, "convergence.csv")
     rpath = os.path.join(outdir, "convergence_rates.csv")
     bench.write_csv(traces, tpath)
@@ -300,8 +301,8 @@ def cmd_bench_compare(args):
         n1=args.n, n2=args.n, r_list=args.ranks, degrees=args.degrees, trials=args.trials,
         tol=args.tol, seed=args.seed, eta=args.eta, lam=args.lam, max_iter=args.max_iter,
     )
-    rows = bench.run_solver_comparison(cfg)
     outdir = _outdir(args)
+    rows = bench.run_solver_comparison(cfg)
     cpath = os.path.join(outdir, "compare.csv")
     jpath = os.path.join(outdir, "compare.json")
     bench.write_csv(rows, cpath)
@@ -312,6 +313,8 @@ def cmd_bench_compare(args):
 
 def cmd_theory_run(args):
     _check_out_dir(args.out)
+    if args.trials < 1:
+        raise ParameterError("trials must be at least 1")
     if args.lps is not None:
         _refuse_given(args, "--lps", ("n", "d"))
         g = graphs.lps_graph(*args.lps)
@@ -336,7 +339,7 @@ def main(argv=None):
         args = _apply_config(parser, sys.argv[1:] if argv is None else list(argv))
         return args.run(args)
     except (ParameterError, InputError, FormatError, GenerationError, DivergenceError,
-            AlignmentError, OSError) as exc:
+            OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -23,7 +23,3 @@ class DivergenceError(RuntimeError):
     def __init__(self, message, trace=None):
         super().__init__(message)
         self.trace = trace
-
-
-class AlignmentError(RuntimeError):
-    """The alignment solver did not reach the requested stationarity."""

@@ -35,25 +35,21 @@ from .kernels import as_matrix, operator_norm
 from .pgd import IterationTrace, StopRule, check_stop_settings
 
 
+# The penalty starts at 1 / ||observed matrix||_2 and grows by _RHO per
+# iteration (Lin, Chen and Ma's schedule).  The growth is deliberately
+# gentle: aggressive schedules (1.5x) freeze the thresholding far from the
+# solution on partially observed problems.
+_RHO = 1.1
+
+
 @dataclass
 class IalmConfig:
-    """Penalty schedule and stopping for the augmented-Lagrangian solver.
+    """Stopping for the augmented-Lagrangian solver."""
 
-    The growth factor is deliberately gentle: aggressive schedules (1.5x)
-    freeze the thresholding far from the solution on partially observed
-    problems.
-    """
-
-    mu0: float | None = None  # default 1 / ||observed matrix||
-    rho: float = 1.1
     max_iter: int = 500
     tol: float = 1e-4
 
     def __post_init__(self):
-        if self.mu0 is not None and not 0 < self.mu0 < math.inf:
-            raise ParameterError("mu0 must be positive and finite")
-        if not 1 < self.rho < math.inf:
-            raise ParameterError("rho must be finite and exceed 1")
         check_stop_settings(self.max_iter, self.tol)
 
 
@@ -106,9 +102,9 @@ def solve(obs, config=None, gt=None):
     is about 1/rho of the one before: the error could move by only about
     tol * ||D|| / ((rho - 1) * ||M||).  A penalty that overflows raises
     ``DivergenceError`` before it is used.  ``trace.meta["mu0"]`` is the
-    initial penalty, ``1 / ||D||_2`` unless the config sets it, and
-    ``trace.meta["svt_dense"]`` counts the iterations whose threshold took
-    the dense SVD fallback.
+    initial penalty, ``1 / ||D||_2``, ``trace.meta["rho"]`` its growth
+    factor per iteration, and ``trace.meta["svt_dense"]`` counts the
+    iterations whose threshold took the dense SVD fallback.
     """
     config = config or IalmConfig()
     pat = obs.pattern
@@ -121,14 +117,12 @@ def solve(obs, config=None, gt=None):
     if d_norm == 0:
         raise ParameterError("observation is identically zero")
 
-    mu = config.mu0
-    if mu is None:
-        mu = 1.0 / max(operator_norm(pat.csr_with_values(obs.values)), 1e-300)
+    mu = 1.0 / max(operator_norm(pat.csr_with_values(obs.values)), 1e-300)
     A = np.zeros_like(D)
     E = np.zeros_like(D)
     Y = np.zeros_like(D)
 
-    trace = IterationTrace(meta={"solver": "ialm", "rho": config.rho, "mu0": mu,
+    trace = IterationTrace(meta={"solver": "ialm", "rho": _RHO, "mu0": mu,
                                  "svt_dense": 0})
     rel0 = metrics.relative_error_dense(A, gt) if gt is not None else float("nan")
     trace.append(0, 0.0, rel0, float("nan"), 0.0)
@@ -143,7 +137,7 @@ def solve(obs, config=None, gt=None):
         E = np.where(mask, 0.0, D - A + Y_mu)
         R = D - A - E
         Y += mu * R
-        mu *= config.rho
+        mu *= _RHO
         feas = float(np.linalg.norm(R)) / d_norm
         solver_seconds += time.perf_counter() - t0
 

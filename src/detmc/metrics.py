@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AlignmentError, ParameterError
+from .errors import ParameterError
 from .kernels import orthogonal_procrustes
 
 _GAUGE_GRAD_TOL = 1e-8
@@ -49,7 +49,7 @@ def rotation_distance(pair, gt):
     )
 
 
-def gauge_distance(pair, gt, fallback=True):
+def gauge_distance(pair, gt):
     """Distance over invertible gauges, weighted by sqrt of the target spectrum.
 
     Minimizes ``||(X Q - X*) W||_F^2 + ||(Y Q^-T - Y*) W||_F^2`` over
@@ -63,8 +63,7 @@ def gauge_distance(pair, gt, fallback=True):
     finite minimizer is guaranteed only near the solution set; if the
     solve does not reach that bound, or meets a singular gauge, the
     rotation warm start is reported instead, flagged via
-    ``converged=False`` (or an ``AlignmentError`` is raised when
-    ``fallback`` is off).
+    ``converged=False``.
     """
     X, Y = pair.X, pair.Y
     Xs, Ys = gt.left_factor, gt.right_factor
@@ -125,8 +124,6 @@ def gauge_distance(pair, gt, fallback=True):
     converged = bool(gnorm <= tol)
 
     if not converged:
-        if not fallback:
-            raise AlignmentError(f"gauge alignment stalled at gradient norm {gnorm:.2e}")
         Q = R.T
         _, Ex, Ey = residuals(Q)
     fx, fy = float((Ex * Ex).sum()), float((Ey * Ey).sum())
@@ -167,17 +164,13 @@ def relative_error_dense(Mhat, gt):
     return float(np.linalg.norm(Mhat - gt.matrix)) / denom
 
 
-def fit_linear_rate(trace_or_errors, window=None):
+def fit_linear_rate(errors):
     """Per-iteration geometric factor fitted to a positive error sequence.
 
-    Least-squares slope of log(error) against iteration index over the
-    requested window (an int selects that many trailing points), clamped
+    Least-squares slope of log(error) against iteration index, clamped
     into (0, 1].
     """
-    errors = getattr(trace_or_errors, "rel_error", trace_or_errors)
     errors = np.asarray(errors, dtype=np.float64)
-    if window is not None:
-        errors = errors[-int(window):]
     if errors.size < 5:
         raise ParameterError("need at least 5 points to fit a rate")
     if np.any(errors <= 0):

@@ -4,7 +4,9 @@ Gradient steps are right-preconditioned by the inverses of the opposite
 factor's Gram matrix, which removes the condition-number dependence of
 the convergence rate.  The projection rescales rows whose contribution to
 the product exceeds an incoherence budget, using the closed form evaluated
-against the pre-projection co-factor.
+against the pre-projection co-factor.  The analysis fixes both the budget
+(``incoherence_budget``) and the step cap ``eta <= _ETA_CAP``; neither is
+a setting.
 
 ``solve`` runs the loop shared with the unscaled solver, ``pgd.iterate``,
 on r-major factors (see ``pgd``); the public ``step`` and ``project_rows``
@@ -32,10 +34,8 @@ PINV_THRESHOLD = 1e-12  # Gram eigenvalues below this times the largest are drop
 class ScaledPgdConfig:
     eta: float = 0.145
     mu: float = 2.0
-    budget: float | None = None  # B = (1+ALPHA)*sqrt(mu*r)*sigma1 when None
     max_iter: int = 2000
     tol: float = 1e-6
-    allow_large_eta: bool = False
     log_dist: bool = False
     eval_every: int = 1  # ground-truth metrics logged every k-th iteration
 
@@ -45,10 +45,8 @@ class ScaledPgdConfig:
         if not 0 < self.mu < math.inf:
             raise ParameterError("mu must be positive and finite")
         check_stop_settings(self.max_iter, self.tol, self.eval_every)
-        if self.eta > _ETA_CAP and not self.allow_large_eta:
-            raise ParameterError(
-                f"eta={self.eta} exceeds {_ETA_CAP}; pass allow_large_eta=True to override"
-            )
+        if self.eta > _ETA_CAP:
+            raise ParameterError(f"eta={self.eta} exceeds the step cap {_ETA_CAP}")
 
 
 def project_rows(pair, budget):
@@ -95,23 +93,21 @@ def _gram_norms(At, Bt):
     return np.einsum("ki,ki->i", (Bt @ Bt.T) @ At, At)
 
 
-def _resolve_budget(config, tsvd, gt):
-    if config.budget is not None:
-        return config.budget
-    sigma1 = float(tsvd.S[0])
-    mu = gt.coherence_mu if gt is not None else config.mu
-    return (1.0 + ALPHA) * np.sqrt(mu * tsvd.S.size) * sigma1
+def incoherence_budget(mu, r, sigma1):
+    """The projection's budget B = (1 + ALPHA) sqrt(mu r) sigma1."""
+    return (1.0 + ALPHA) * math.sqrt(mu * r) * sigma1
 
 
 def spectral_init(obs, r, config=None, gt=None):
-    """Projected balanced square-root factors of the rescaled observation."""
+    """Projected balanced square-root factors of the rescaled observation,
+    and the budget: at the ground truth's coherence when ``gt`` is given,
+    else at ``config.mu``."""
     config = config or ScaledPgdConfig()
     tsvd = rescaled_top_svd(obs, r)
     sq = np.sqrt(tsvd.S)
     pair = FactorPair(tsvd.U * sq, tsvd.V * sq)
-    budget = _resolve_budget(config, tsvd, gt)
-    if np.isinf(budget):
-        return pair, budget
+    mu = gt.coherence_mu if gt is not None else config.mu
+    budget = incoherence_budget(mu, tsvd.S.size, float(tsvd.S[0]))
     return project_rows(pair, budget), budget
 
 
@@ -161,8 +157,7 @@ def solve(obs, r, config=None, gt=None):
         return 0.5 * float((K.data**2).sum()) / obs.rate, K
 
     def advance(Xt, Yt, K):
-        Xt, Yt = _step(Xt, Yt, K, obs, config.eta)
-        return (Xt, Yt) if np.isinf(budget) else _scale_rows(Xt, Yt, budget)
+        return _scale_rows(*_step(Xt, Yt, K, obs, config.eta), budget)
 
     return iterate(pair, objective, advance, metrics.gauge_distance, config, gt,
                    trace, init_seconds)

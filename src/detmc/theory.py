@@ -16,6 +16,7 @@ import numpy as np
 import scipy.sparse.linalg
 
 from . import pgd, scaled_pgd
+from .errors import ParameterError
 from .graphs import certify
 from .metrics import gauge_distance, rotation_distance
 from .sampling import observe, observed_residual, subset_isotropy_gap
@@ -219,7 +220,7 @@ def check_masked_quartic(gt, g, trials, seed):
     )
 
 
-def check_masked_row_bound(g, trials, seed, width=3):
+def check_masked_row_bound(g, trials, seed):
     """Masked product energy against the row-norm bound, for arbitrary
     lifted factors."""
     rng = np.random.default_rng(seed)
@@ -227,8 +228,8 @@ def check_masked_row_bound(g, trials, seed, width=3):
     worst = np.inf
     scale = 0.0
     for _ in range(trials):
-        A = rng.standard_normal((n, width))
-        B = rng.standard_normal((n, width))
+        A = rng.standard_normal((n, 3))
+        B = rng.standard_normal((n, 3))
         # top-right block pairs A_i with B_{n1+j}; bottom-left pairs
         # B_i with A_{n1+j}, over the same edge set
         lhs = (
@@ -326,7 +327,7 @@ def check_scaled_geometry(gt, g, trials, seed):
     obs = observe(gt.matrix, g)
     mu, r, kappa = gt.coherence_mu, gt.rank, gt.condition_number
     sigr = gt.sigma_r
-    budget = (1.0 + scaled_pgd.ALPHA) * math.sqrt(mu * r) * gt.sigma1
+    budget = scaled_pgd.incoherence_budget(mu, r, gt.sigma1)
     Wsq = np.sqrt(gt.svd.S)
 
     rng = np.random.default_rng(seed)
@@ -388,6 +389,8 @@ def check_scaled_geometry(gt, g, trials, seed):
 
 def run_all(gt, g, trials, seed):
     """Run every check on one instance; returns the list of reports."""
+    if trials < 1:
+        raise ParameterError("trials must be at least 1")
     return [
         check_tangent_isometry(gt, g, trials, seed),
         check_bilinear_bound(g, trials, seed),

@@ -115,7 +115,6 @@ def test_criterion_04_solver_orderings():
     cfg = bench.ExperimentConfig(
         n1=512, n2=512, r=2, r_list=(2, 3), degrees=(60,), trials=3,
         tol=1e-4, seed=9, max_iter=6000,
-        solvers=("ialm", "pgd", "scaled-pgd"),
     )
     rows = bench.run_solver_comparison(cfg, kappa=1.2)
     by = {(r["solver"], r["rank"]): r for r in rows}

@@ -1,11 +1,13 @@
 import csv
 import json
+import keyword
+import re
 
 import numpy as np
 import pytest
 
 from detmc import bench, cli, graphs, pgd, sampling, scaled_pgd, theory
-from detmc.errors import AlignmentError, GenerationError
+from detmc.errors import GenerationError
 
 
 def run_cli(capsys, *argv):
@@ -440,9 +442,10 @@ class TestErrorExitCodes:
 
     @staticmethod
     def assert_one_line_error(capsys, code):
-        err = capsys.readouterr().err
-        assert code == 2
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1, err
+        return err
 
     def complete(self, obs_path, graph_path, tmp_path, *extra, rank=2):
         return cli.main(["complete", "--observed", str(obs_path),
@@ -548,11 +551,53 @@ class TestErrorExitCodes:
                          "--d1", "2", "--out", str(tmp_path / "g.edges")])
         self.assert_one_line_error(capsys, code)
 
-    def test_alignment_error(self, capsys, monkeypatch):
-        def fail(*args, **kwargs):
-            raise AlignmentError("gauge alignment stalled at gradient norm 1.00e-03")
+    def test_eta_above_the_cap(self, tmp_path, capsys):
+        # the message used to ask for allow_large_eta=True, which no flag sets
+        obs_path, graph_path = write_instance(tmp_path)
+        code = self.complete(obs_path, graph_path, tmp_path,
+                             "--solver", "scaled-pgd", "--eta", "0.2")
+        err = self.assert_one_line_error(capsys, code)
+        assert "0.145" in err
+        assert not any(keyword.iskeyword(word) for word in re.findall(r"\w+", err)), err
 
-        monkeypatch.setattr(theory, "run_all", fail)
-        code = cli.main(["theory", "run", "--n", "16", "--r", "1", "--d", "4",
-                         "--trials", "1"])
+    @pytest.mark.parametrize("trials", ["0", "-1"])
+    def test_theory_run_trials_below_one(self, tmp_path, capsys, monkeypatch, trials):
+        # each used to report every check as passed at worst_margin=+inf,
+        # write Infinity into --out and exit 0
+        monkeypatch.setattr(graphs, "random_biregular", lambda *a, **k: pytest.fail("work ran"))
+        out = tmp_path / "t.json"
+        code = cli.main(["theory", "run", "--n", "40", "--d", "8", "--r", "2",
+                         "--trials", trials, "--out", str(out)])
         self.assert_one_line_error(capsys, code)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["graph verify", "theory run", "complete"])
+    def test_out_is_a_directory(self, tmp_path, capsys, monkeypatch, command):
+        # graph verify printed its certificate and theory run its report
+        # before the write failed, and complete ran its solve first
+        obs_path, graph_path = write_instance(tmp_path)
+        for module, name in ((graphs, "load_edges"), (graphs, "random_biregular"),
+                             (graphs, "lps_graph"), (bench, "solve")):
+            monkeypatch.setattr(module, name, lambda *a, **k: pytest.fail("work ran"))
+        argv = {
+            "graph verify": ["--graph", str(graph_path)],
+            "theory run": ["--n", "16", "--r", "1", "--d", "4", "--trials", "1"],
+            "complete": ["--observed", str(obs_path), "--graph", str(graph_path),
+                         "--rank", "2"],
+        }[command]
+        code = cli.main([*command.split(), *argv, "--out", str(tmp_path)])
+        self.assert_one_line_error(capsys, code)
+
+    @pytest.mark.parametrize("command, sweep", [
+        ("phase", "run_phase_transition"),
+        ("convergence", "run_convergence_comparison"),
+        ("compare", "run_solver_comparison"),
+    ])
+    def test_bench_out_is_a_file(self, tmp_path, capsys, monkeypatch, command, sweep):
+        # the sweep used to run in full before --out failed
+        monkeypatch.setattr(bench, sweep, lambda *a, **k: pytest.fail("sweep ran"))
+        out = tmp_path / "taken"
+        out.write_text("")
+        code = cli.main(["bench", command, "--out", str(out)])
+        self.assert_one_line_error(capsys, code)
+        assert out.read_text() == ""

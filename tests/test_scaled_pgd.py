@@ -144,15 +144,6 @@ class TestSpectralInit:
         res = metrics.gauge_distance(pair, gt)
         assert res.distance <= 1e-8
 
-    def test_infinite_budget_is_unprojected(self):
-        gt = bench.synthetic_low_rank(16, 12, 2, 3.0, seed=6)
-        obs = sampling.observe(gt.matrix, complete_graph(16, 12))
-        cfg = scaled_pgd.ScaledPgdConfig(budget=np.inf)
-        pair, budget = scaled_pgd.spectral_init(obs, 2, cfg, gt=gt)
-        assert np.isinf(budget)
-        tsvd = sampling.rescaled_top_svd(obs, 2)
-        assert np.allclose(pair.X, tsvd.U * np.sqrt(tsvd.S), atol=1e-12)
-
     def test_init_distance_shrinks_with_rate(self):
         # theorem-scale basins need sample sizes beyond desk scale; the
         # honest check is monotone improvement toward the target
@@ -277,28 +268,28 @@ class TestSolve:
         bound = np.sqrt(1 - 1.6 * eta + 11 * eta**2) + 0.05
         assert ratios.max() <= bound
 
-    def test_eta_cap_enforced(self):
-        with pytest.raises(ParameterError):
+    def test_eta_cap_enforced(self, monkeypatch):
+        with pytest.raises(ParameterError, match="0.145"):
             scaled_pgd.ScaledPgdConfig(eta=0.2)
-        cfg = scaled_pgd.ScaledPgdConfig(eta=0.2, allow_large_eta=True)
-        assert cfg.eta == 0.2
+        assert scaled_pgd.ScaledPgdConfig(eta=0.145).eta == 0.145
+        monkeypatch.setattr(scaled_pgd, "_ETA_CAP", 0.2)
+        assert scaled_pgd.ScaledPgdConfig(eta=0.2).eta == 0.2
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
-    def test_divergence_guard(self, small_instance):
+    def test_divergence_guard(self, monkeypatch, small_instance):
         gt, g, obs = small_instance
-        cfg = scaled_pgd.ScaledPgdConfig(
-            eta=50.0, allow_large_eta=True, max_iter=400, tol=1e-10, budget=np.inf
-        )
+        monkeypatch.setattr(scaled_pgd, "_ETA_CAP", np.inf)
+        cfg = scaled_pgd.ScaledPgdConfig(eta=50.0, max_iter=400, tol=1e-10)
         with pytest.raises(DivergenceError) as exc:
             scaled_pgd.solve(obs, gt.rank, cfg, gt=gt)
         assert exc.value.trace.meta["stop_reason"] == "diverged"
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
-    def test_non_finite_iterate_raises_divergence(self, small_instance):
+    def test_non_finite_iterate_raises_divergence(self, monkeypatch, small_instance):
         gt, g, obs = small_instance
+        monkeypatch.setattr(scaled_pgd, "_ETA_CAP", np.inf)
         # the first step overflows; the projection then turns Inf into NaN
-        cfg = scaled_pgd.ScaledPgdConfig(eta=1e300, allow_large_eta=True, max_iter=10,
-                                         log_dist=True)
+        cfg = scaled_pgd.ScaledPgdConfig(eta=1e300, max_iter=10, log_dist=True)
         with pytest.raises(DivergenceError) as exc:
             scaled_pgd.solve(obs, gt.rank, cfg, gt=gt)
         trace = exc.value.trace

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from detmc import bench, graphs, theory
+from detmc.errors import ParameterError
 from support import complete_graph
 
 
@@ -231,6 +232,13 @@ class TestReports:
             "pgd_geometry",
             "scaled_geometry",
         }
+
+    @pytest.mark.parametrize("trials", [0, -1])
+    def test_run_all_refuses_trials_below_one(self, certified_instance, trials):
+        # each used to report every check as passed at worst_margin=+inf
+        gt, g = certified_instance
+        with pytest.raises(ParameterError, match="trials must be at least 1"):
+            theory.run_all(gt, g, trials=trials, seed=0)
 
     def test_run_all_measures_the_certificate_once(self, monkeypatch):
         measured, certified = [], []
