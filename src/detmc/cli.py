@@ -100,7 +100,7 @@ def build_parser():
     complete.add_argument("--mu", type=float,
                           help="incoherence estimate for the projection")
     complete.add_argument("--max-iter", type=int, default=2000)
-    _finish(complete, cmd_complete, "out", "tol", "eta", "lam", "solver", tol=1e-6)
+    _finish(complete, cmd_complete, "out", "tol", "eta", "lam", "solver")
 
     b = sub.add_parser("bench", help="experiment sweeps")
     bsub = b.add_subparsers(required=True)
@@ -189,6 +189,7 @@ def _tuning(args):
 
 
 def cmd_graph_gen(args):
+    out = _check_out_dir(args.out or "graph.edges")
     for kind, dests in {"lps": ("p", "q"), "random": ("n1", "n2", "d1")}.items():
         given = [getattr(args, dest) is not None for dest in dests]
         if given != [kind == args.kind] * len(dests):  # all of its own flags, none else
@@ -199,7 +200,6 @@ def cmd_graph_gen(args):
         g = graphs.lps_graph(args.p, args.q)
     else:
         g = graphs.random_biregular(args.n1, args.n2, args.d1, seed=args.seed or 0)
-    out = args.out or "graph.edges"
     graphs.save_edges(g, out)
     cert = graphs.certify(g)
     print(json.dumps({"path": out, "n1": g.n1, "n2": g.n2, "d1": g.d1,
@@ -221,8 +221,8 @@ def cmd_graph_verify(args):
 
 
 def cmd_graph_export(args):
+    out = _check_out_dir(args.out or "graph.mtx")
     g = graphs.load_edges(args.graph)
-    out = args.out or "graph.mtx"
     graphs.save_matrixmarket_pattern(g, out)
     print(json.dumps({"path": out, "entries": int(g.m)}))
     return 0
@@ -240,11 +240,14 @@ def _check_out_dir(path):
 
 def cmd_complete(args):
     tuning = _tuning(args)
+    if args.solver == "ialm":
+        tuning["tol"] = 1e-6 if args.tol is None else args.tol
+    else:  # a factored run without a ground truth stops on its loss, never on tol
+        _refuse_given(args, f"--solver {args.solver}", ("tol",))
     out = _check_out_dir(args.out or "completed.mtx")
     g = graphs.load_edges(args.graph)
     obs = sampling.load_observed(args.observed, g)
-    M, trace = bench.solve(args.solver, obs, args.rank, max_iter=args.max_iter,
-                           tol=args.tol, **tuning)
+    M, trace = bench.solve(args.solver, obs, args.rank, max_iter=args.max_iter, **tuning)
     if not isinstance(M, np.ndarray):
         M = M.X @ M.Y.T
     sampling.save_dense_array(M, out)

@@ -23,12 +23,9 @@ _NEWTON_STEPS = 200
 
 @dataclass
 class AlignmentResult:
-    kind: str  # "orthogonal" | "general-linear"
     Q: np.ndarray
     distance: float
-    residual_X: float | None = None
-    residual_Y: float | None = None
-    H: np.ndarray | None = None  # aligned residual (orthogonal kind)
+    H: np.ndarray | None = None  # aligned residual (rotation_distance only)
     converged: bool = True
 
 
@@ -44,9 +41,7 @@ def rotation_distance(pair, gt):
     if Z.shape != Zstar.shape:
         raise ParameterError(f"shape mismatch: {Z.shape} vs {Zstar.shape}")
     R, residual = orthogonal_procrustes(Z, Zstar)
-    return AlignmentResult(
-        kind="orthogonal", Q=R, distance=residual, H=Z - Zstar @ R
-    )
+    return AlignmentResult(Q=R, distance=residual, H=Z - Zstar @ R)
 
 
 def gauge_distance(pair, gt):
@@ -63,7 +58,8 @@ def gauge_distance(pair, gt):
     finite minimizer is guaranteed only near the solution set; if the
     solve does not reach that bound, or meets a singular gauge, the
     rotation warm start is reported instead, flagged via
-    ``converged=False``.
+    ``converged=False``.  The result carries ``Q``, the distance (the
+    root sum of squares of the two weighted residuals) and ``converged``.
     """
     X, Y = pair.X, pair.Y
     Xs, Ys = gt.left_factor, gt.right_factor
@@ -127,14 +123,7 @@ def gauge_distance(pair, gt):
         Q = R.T
         _, Ex, Ey = residuals(Q)
     fx, fy = float((Ex * Ex).sum()), float((Ey * Ey).sum())
-    return AlignmentResult(
-        kind="general-linear",
-        Q=Q,
-        distance=float(np.sqrt(fx + fy)),
-        residual_X=float(np.sqrt(fx)),
-        residual_Y=float(np.sqrt(fy)),
-        converged=converged,
-    )
+    return AlignmentResult(Q=Q, distance=float(np.sqrt(fx + fy)), converged=converged)
 
 
 def relative_error(X, Y, gt):

@@ -203,13 +203,6 @@ def ground_truth(M, rank):
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class IncoherenceReport:
-    mu: float
-    delta_d_estimate: float
-    subsets_checked: int
-
-
 def _neighborhood_gaps(A, F, scale):
     """Largest || scale * F_S' F_S - I ||_2 over the neighborhoods S of the
     columns of ``A``: the sums of the rows' outer products over every S are
@@ -221,18 +214,18 @@ def _neighborhood_gaps(A, F, scale):
 
 
 def subset_isotropy_gap(gt, graph):
-    """Lower bound on the worst isotropy defect over row/column subsets.
+    """The isotropy gap delta_d, a float: a lower bound on the worst
+    isotropy defect over row/column subsets.
 
-    Evaluates every graph neighborhood, the subsets the recovery analysis
-    actually touches: || (n1/d2) U_S' U_S - I ||_2 over the rows S adjacent
-    to a column, and its mirror with V.  The result is a certified lower
-    bound on the true uniform constant, never an upper bound.
+    Evaluates every graph neighborhood (n1 + n2 of them), the subsets the
+    recovery analysis actually touches: || (n1/d2) U_S' U_S - I ||_2 over
+    the rows S adjacent to a column, and its mirror with V.  The result is
+    a certified lower bound on the true uniform constant, never an upper
+    bound.
     """
     A = graph.adjacency
-    worst = max(_neighborhood_gaps(A, gt.svd.U, graph.n1 / graph.d2),
-                _neighborhood_gaps(A.T, gt.svd.V, graph.n2 / graph.d1))
-    return IncoherenceReport(mu=gt.coherence_mu, delta_d_estimate=worst,
-                             subsets_checked=graph.n1 + graph.n2)
+    return max(_neighborhood_gaps(A, gt.svd.U, graph.n1 / graph.d2),
+               _neighborhood_gaps(A.T, gt.svd.V, graph.n2 / graph.d1))
 
 
 # ---------------------------------------------------------------------------
@@ -262,9 +255,11 @@ def save_dense_array(M, path):
     reads back exactly. The file holds the banner, the ``n1 n2`` line and
     the n1*n2 values: scipy's ``%`` comment lines are dropped, because
     readers take the size from line 2. ``symmetry="general"`` keeps scipy
-    from storing a small symmetric matrix as its lower triangle, which
-    ``load_dense_array`` does not read. The body goes through a buffer, so
+    from storing a small symmetric matrix as its lower triangle, so every
+    file holds all n1*n2 values. The body goes through a buffer, so
     ``path`` is written as given, without scipy's ``.mtx`` suffix.
+    ``scipy.io.mmread`` reads the file back bit for bit, except that it
+    reads ``-0`` as ``+0.0``.
     """
     M = as_matrix(M)
     n1, n2 = M.shape
@@ -277,39 +272,6 @@ def save_dense_array(M, path):
     with open(path, "wb") as fh:
         fh.write(f"%%MatrixMarket matrix array real general\n{n1} {n2}\n".encode())
         fh.write(buf.getbuffer()[buf.tell():])
-
-
-def load_dense_array(path):
-    """Read a matrix written by ``save_dense_array``."""
-    with open(path) as fh:
-        header = fh.readline().strip()
-        if not header.lower().startswith("%%matrixmarket matrix array real"):
-            raise FormatError(f"bad MatrixMarket array header in {path}")
-        line = fh.readline()
-        while line.startswith("%"):
-            line = fh.readline()
-        parts = line.split()
-        if len(parts) != 2:
-            raise FormatError(f"bad dimensions line in {path}")
-        n1, n2 = int(parts[0]), int(parts[1])
-        size = n1 * n2
-        lines = fh.read().split("\n", size)[:size]
-    table = _parse_rows(lines, np.float64, (size, 1))
-    if table is not None:
-        data = table[:, 0]
-    else:
-        # the line loop runs only when the one-pass parse fails: it names
-        # the first bad entry
-        data = np.empty(size)
-        for k in range(size):
-            token = lines[k].split() if k < len(lines) else []
-            if len(token) != 1:
-                raise FormatError(f"{path}: truncated at entry {k}")
-            try:
-                data[k] = float(token[0])
-            except ValueError as exc:
-                raise FormatError(f"{path}: non-numeric entry {k}") from exc
-    return data.reshape((n2, n1)).T
 
 
 def load_observed(path, pattern):

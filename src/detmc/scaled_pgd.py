@@ -9,8 +9,8 @@ against the pre-projection co-factor.  The analysis fixes both the budget
 a setting.
 
 ``solve`` runs the loop shared with the unscaled solver, ``pgd.iterate``,
-on r-major factors (see ``pgd``); the public ``step`` and ``project_rows``
-run the loop's helpers on that layout.  ``bench.solve`` runs any solver
+on r-major factors (see ``pgd``); the public ``project_rows`` runs the
+loop's projection on a ``FactorPair``.  ``bench.solve`` runs any solver
 by name.
 """
 
@@ -119,13 +119,6 @@ def _pinv_gram(G):
     return (V * inv_w) @ V.T
 
 
-def step(pair, obs, eta):
-    """One preconditioned gradient step; both blocks use the same residual."""
-    Xt, Yt = pair.r_major()
-    K = observed_residual(Xt.T, Yt.T, obs)
-    return FactorPair.from_r_major(*_step(Xt, Yt, K, obs, eta))
-
-
 def _preconditioned(Xt, Yt, K):
     """r-major ``(K @ Y) @ pinv(Y'Y)`` and ``(K' @ X) @ pinv(X'X)``: the scaled
     step's directions, times ``obs.rate``, at ``(Xt, Yt)`` with residual ``K``."""
@@ -134,7 +127,8 @@ def _preconditioned(Xt, Yt, K):
 
 
 def _step(Xt, Yt, K, obs, eta):
-    """r-major ``step`` from the residual ``K`` at ``(Xt, Yt)``."""
+    """One preconditioned gradient step on r-major ``(Xt, Yt)``; both blocks
+    use the same residual ``K``."""
     PX, PY = _preconditioned(Xt, Yt, K)
     return Xt - (eta / obs.rate) * PX, Yt - (eta / obs.rate) * PY
 

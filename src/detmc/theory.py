@@ -8,7 +8,6 @@ instance does not satisfy are labeled out-of-regime and their margins are
 informational.
 """
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -52,8 +51,11 @@ class TheoryCheckReport:
             "passed": bool(self.passed),
         }
 
-    def to_json(self):
-        return json.dumps(self.to_dict(), sort_keys=True, default=float)
+
+def _check_trials(trials):
+    """Refuse a trial count below one, which would test nothing and pass."""
+    if trials < 1:
+        raise ParameterError("trials must be at least 1")
 
 
 def _delta_tilde(delta_d, c0, mu, r, dmin):
@@ -82,8 +84,9 @@ def check_tangent_isometry(gt, g, trials, seed):
     formed: ||Z||_F^2 = <L'L, R'R>, and the masked energy is summed on the
     edges.
     """
+    _check_trials(trials)
     cert = certify(g)
-    delta_d = subset_isotropy_gap(gt, g).delta_d_estimate
+    delta_d = subset_isotropy_gap(gt, g)
     dt = _delta_tilde(delta_d, cert.c0, gt.coherence_mu, gt.rank, min(g.d1, g.d2))
     U, V = gt.svd.U, gt.svd.V
     rng = np.random.default_rng(seed)
@@ -109,6 +112,7 @@ def check_tangent_isometry(gt, g, trials, seed):
 
 def check_bilinear_bound(g, trials, seed):
     """Rescaled bilinear sums over the edge set against the l1/l2 bound."""
+    _check_trials(trials)
     cert = certify(g)
     rng = np.random.default_rng(seed)
     slack = 0.5 * cert.c0 * (math.sqrt(g.n1) + math.sqrt(g.n2)) / math.sqrt(g.rate)
@@ -189,6 +193,7 @@ def check_masked_quartic(gt, g, trials, seed):
     Rows of the lifted direction are clipped to the incoherence level the
     bound presumes before evaluating both sides.
     """
+    _check_trials(trials)
     cert = certify(g)
     mu, r, kappa = gt.coherence_mu, gt.rank, gt.condition_number
     nmin = min(g.n1, g.n2)
@@ -223,6 +228,7 @@ def check_masked_quartic(gt, g, trials, seed):
 def check_masked_row_bound(g, trials, seed):
     """Masked product energy against the row-norm bound, for arbitrary
     lifted factors."""
+    _check_trials(trials)
     rng = np.random.default_rng(seed)
     n = g.n1 + g.n2
     worst = np.inf
@@ -267,8 +273,9 @@ def check_pgd_geometry(gt, g, trials, seed):
     the constraint set.  The constants assume a sample-size regime recorded
     in ``out_of_regime``; outside it violations are informational.
     """
+    _check_trials(trials)
     cert = certify(g)
-    delta_d = subset_isotropy_gap(gt, g).delta_d_estimate
+    delta_d = subset_isotropy_gap(gt, g)
     obs = observe(gt.matrix, g)
     _, _, clip_bound = pgd.spectral_init(obs, gt.rank, gt.coherence_mu)
     lam = 0.5
@@ -322,8 +329,9 @@ def check_pgd_geometry(gt, g, trials, seed):
 
 def check_scaled_geometry(gt, g, trials, seed):
     """Preconditioned curvature and smoothness margins inside the gauge basin."""
+    _check_trials(trials)
     cert = certify(g)
-    delta_d = subset_isotropy_gap(gt, g).delta_d_estimate
+    delta_d = subset_isotropy_gap(gt, g)
     obs = observe(gt.matrix, g)
     mu, r, kappa = gt.coherence_mu, gt.rank, gt.condition_number
     sigr = gt.sigma_r
@@ -388,9 +396,9 @@ def check_scaled_geometry(gt, g, trials, seed):
 
 
 def run_all(gt, g, trials, seed):
-    """Run every check on one instance; returns the list of reports."""
-    if trials < 1:
-        raise ParameterError("trials must be at least 1")
+    """Run every check on one instance; returns the list of reports.
+
+    ``trials`` below one is refused by the first check, before any work."""
     return [
         check_tangent_isometry(gt, g, trials, seed),
         check_bilinear_bound(g, trials, seed),

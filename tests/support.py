@@ -7,12 +7,21 @@ directory's under ``from conftest import ...``.
 
 import numpy as np
 
-from detmc import graphs
+from detmc import graphs, pgd, sampling, scaled_pgd
 
 
 def complete_graph(n1, n2):
     rows, cols = np.divmod(np.arange(n1 * n2), n2)
     return graphs.BiregularGraph(n1, n2, np.column_stack([rows, cols]))
+
+
+def scaled_step(pair, obs, eta):
+    """One scaled PGD step from ``pair``, as ``scaled_pgd.solve`` takes it:
+    ``scaled_pgd._step`` on the r-major factors, both blocks from the one
+    residual ``observed_residual`` gives at ``pair``."""
+    Xt, Yt = pair.r_major()
+    K = sampling.observed_residual(Xt.T, Yt.T, obs)
+    return pgd.FactorPair.from_r_major(*scaled_pgd._step(Xt, Yt, K, obs, eta))
 
 
 def random_biregular_reference(n1, n2, d1, seed):

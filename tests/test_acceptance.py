@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from detmc import bench, graphs, metrics, pgd, sampling, scaled_pgd, theory
-from support import complete_graph
+from support import complete_graph, scaled_step
 
 
 def report(num, name, detail=""):
@@ -221,7 +221,7 @@ def test_criterion_06_gradient_correctness():
         Xw = gt.left_factor + 0.3 * rng.standard_normal((n1, r))
         Yw = gt.right_factor + 0.3 * rng.standard_normal((n2, r))
         eta = 0.12
-        out = scaled_pgd.step(pgd.FactorPair(Xw, Yw), obs, eta=eta)
+        out = scaled_step(pgd.FactorPair(Xw, Yw), obs, eta=eta)
         mask = np.zeros((n1, n2))
         mask[g.rows, g.cols] = 1.0
         Kd = (Xw @ Yw.T - gt.matrix) * mask

@@ -5,6 +5,7 @@ import re
 
 import numpy as np
 import pytest
+from scipy.io import mmread
 
 from detmc import bench, cli, graphs, pgd, sampling, scaled_pgd, theory
 from detmc.errors import GenerationError
@@ -130,17 +131,18 @@ class TestComplete:
         sampling.save_observed(obs, obs_path)
         graphs.save_edges(g, graph_path)
 
-        mu = () if solver == "ialm" else ("--mu", "8.0")  # IALM has no incoherence knob
+        # IALM has no incoherence knob, and only IALM reads --tol without a truth
+        flags = ("--tol", "1e-8") if solver == "ialm" else ("--mu", "8.0")
         code, out = run_cli(
             capsys, "complete", "--observed", str(obs_path),
-            "--graph", str(graph_path), "--rank", "2", *mu,
-            "--solver", solver, "--out", str(out_path), "--tol", "1e-8",
+            "--graph", str(graph_path), "--rank", "2", *flags,
+            "--solver", solver, "--out", str(out_path),
         )
         assert code == 0
         summary = json.loads(out)
         assert summary["observed_residual"] < 1e-3
         assert summary["stop_reason"] == self.STOP_REASON[solver]
-        M = sampling.load_dense_array(out_path)
+        M = mmread(out_path)
         rel = np.linalg.norm(M - gt.matrix) / np.linalg.norm(gt.matrix)
         assert rel < 1e-3
 
@@ -353,6 +355,8 @@ class TestSolverSettings:
         ("ialm", ("--mu", "5")),
         ("ialm", ("--eta", "0.3", "--lambda", "7", "--mu", "5")),
         ("scaled-pgd", ("--lambda", "7")),
+        ("pgd", ("--tol", "1e-8")),
+        ("scaled-pgd", ("--tol", "1e-8")),
     ])
     def test_complete(self, tmp_path, capsys, solver, flags):
         obs_path, graph_path = write_instance(tmp_path)
@@ -375,14 +379,17 @@ class TestSolverSettings:
         assert code == 2 and "does not read" in capsys.readouterr().err
         assert not (tmp_path / "phase.csv").exists()
 
-    def test_config_value_is_refused_too(self, tmp_path, capsys):
+    def test_config_value_is_refused_too(self, tmp_path, capsys, monkeypatch):
         obs_path, graph_path = write_instance(tmp_path)
+        monkeypatch.setattr(graphs, "load_edges", lambda *a: pytest.fail("graph loaded"))
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("eta=0.3\n")
-        code = cli.main(["complete", "--observed", str(obs_path), "--graph",
-                         str(graph_path), "--rank", "2", "--solver", "ialm",
-                         "--config", str(cfg)])
-        assert code == 2 and "does not read --eta" in capsys.readouterr().err
+        for solver, key in (("ialm", "eta"), ("pgd", "tol"), ("scaled-pgd", "tol")):
+            cfg.write_text(f"{key}=0.3\n")
+            code = cli.main(["complete", "--observed", str(obs_path), "--graph",
+                             str(graph_path), "--rank", "2", "--solver", solver,
+                             "--config", str(cfg)])
+            err = capsys.readouterr().err
+            assert code == 2 and err == f"error: --solver {solver} does not read --{key}\n"
 
 
 @pytest.mark.parametrize("command, key, value", [
@@ -571,16 +578,20 @@ class TestErrorExitCodes:
         self.assert_one_line_error(capsys, code)
         assert not out.exists()
 
-    @pytest.mark.parametrize("command", ["graph verify", "theory run", "complete"])
+    @pytest.mark.parametrize("command", ["graph gen", "graph verify", "graph export",
+                                         "theory run", "complete"])
     def test_out_is_a_directory(self, tmp_path, capsys, monkeypatch, command):
         # graph verify printed its certificate and theory run its report
-        # before the write failed, and complete ran its solve first
+        # before the write failed, complete ran its solve first, and graph
+        # gen and export built or loaded the graph first
         obs_path, graph_path = write_instance(tmp_path)
         for module, name in ((graphs, "load_edges"), (graphs, "random_biregular"),
                              (graphs, "lps_graph"), (bench, "solve")):
             monkeypatch.setattr(module, name, lambda *a, **k: pytest.fail("work ran"))
         argv = {
+            "graph gen": ["--kind", "random", "--n1", "8", "--n2", "8", "--d1", "2"],
             "graph verify": ["--graph", str(graph_path)],
+            "graph export": ["--graph", str(graph_path)],
             "theory run": ["--n", "16", "--r", "1", "--d", "4", "--trials", "1"],
             "complete": ["--observed", str(obs_path), "--graph", str(graph_path),
                          "--rank", "2"],

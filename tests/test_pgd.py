@@ -3,7 +3,7 @@ import pytest
 
 from detmc import bench, graphs, metrics, pgd, sampling, scaled_pgd
 from detmc.errors import DivergenceError, ParameterError
-from support import complete_graph
+from support import complete_graph, scaled_step
 
 
 def lifted_loss_oracle(pair, gt, g, lam):
@@ -347,7 +347,7 @@ class TestLayout:
         config = scaled_pgd.ScaledPgdConfig(max_iter=1, mu=8.0)
         start, budget = scaled_pgd.spectral_init(obs, gt.rank, config)
         out, _ = scaled_pgd.solve(obs, gt.rank, config)
-        expected = scaled_pgd.project_rows(scaled_pgd.step(start, obs, config.eta), budget)
+        expected = scaled_pgd.project_rows(scaled_step(start, obs, config.eta), budget)
         assert np.array_equal(out.X, expected.X) and np.array_equal(out.Y, expected.Y)
 
 

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.io import mmread
 
 from detmc import bench, graphs, sampling
 from detmc.errors import FormatError, ParameterError
@@ -340,9 +341,7 @@ class TestSubsetIsotropyGap:
         n = 16
         gt = sampling.ground_truth(np.ones((n, n)) / n, 1)
         g = graphs.random_biregular(n, n, 4, seed=13)
-        rep = sampling.subset_isotropy_gap(gt, g)
-        assert rep.delta_d_estimate <= 1e-12
-        assert rep.subsets_checked == 2 * n
+        assert sampling.subset_isotropy_gap(gt, g) <= 1e-12
 
     def test_exhaustive_identity_case(self):
         # U = I_4 (rank 4), neighborhoods of size 2: (4/2)(e_a e_a' + e_b e_b')
@@ -352,28 +351,23 @@ class TestSubsetIsotropyGap:
         gt = sampling.ground_truth_from_svd(U, S, np.linalg.qr(
             np.random.default_rng(14).standard_normal((6, 4)))[0])
         g = graphs.random_biregular(4, 6, 3, seed=15)  # d2 = 2
-        rep = sampling.subset_isotropy_gap(gt, g)
-        assert rep.delta_d_estimate == pytest.approx(1.0, rel=1e-12)
+        assert sampling.subset_isotropy_gap(gt, g) == pytest.approx(1.0, rel=1e-12)
 
     def test_complete_graph_single_subset(self):
         gt = bench.synthetic_low_rank(8, 8, 2, 2.0, seed=16)
-        rep = sampling.subset_isotropy_gap(gt, complete_graph(8, 8))
         # the only size-n subset is everything: U'U = I exactly
-        assert rep.delta_d_estimate <= 1e-10
+        assert sampling.subset_isotropy_gap(gt, complete_graph(8, 8)) <= 1e-10
 
     def test_matches_neighborhood_loop_on_lps(self, lps_5_13):
         gt = bench.synthetic_low_rank(lps_5_13.n1, lps_5_13.n2, 3, 2.0, seed=17)
-        rep = sampling.subset_isotropy_gap(gt, lps_5_13)
-        assert rep.delta_d_estimate == pytest.approx(neighborhood_loop_gap(gt, lps_5_13),
-                                                     rel=1e-12)
-        assert rep.subsets_checked == 2 * lps_5_13.n1
+        gap = sampling.subset_isotropy_gap(gt, lps_5_13)
+        assert gap == pytest.approx(neighborhood_loop_gap(gt, lps_5_13), rel=1e-12)
 
     def test_matches_neighborhood_loop_rectangular(self):
         gt = bench.synthetic_low_rank(48, 36, 2, 2.0, seed=18)
         g = graphs.random_biregular(48, 36, 12, seed=19)  # d2 = 16
-        rep = sampling.subset_isotropy_gap(gt, g)
-        assert rep.delta_d_estimate == pytest.approx(neighborhood_loop_gap(gt, g), rel=1e-12)
-        assert rep.subsets_checked == 48 + 36
+        gap = sampling.subset_isotropy_gap(gt, g)
+        assert gap == pytest.approx(neighborhood_loop_gap(gt, g), rel=1e-12)
 
 
 class TestMatrixMarket:
@@ -422,26 +416,11 @@ class TestMatrixMarket:
             sampling.load_observed(path, g)
         assert str(info.value) == f"{path}: {message}"
 
-    @pytest.mark.parametrize("bad, message", [
-        ("0.5 0.5", "truncated at entry 3"),
-        ("", "truncated at entry 3"),
-        ("half", "non-numeric entry 3"),
-    ])
-    def test_bad_dense_entry_in_the_middle_is_named(self, tmp_path, bad, message):
-        path = tmp_path / "dense.mtx"
-        sampling.save_dense_array(np.arange(12.0).reshape(3, 4), path)
-        lines = path.read_text().splitlines()
-        lines[2 + 3] = bad
-        path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(FormatError) as info:
-            sampling.load_dense_array(path)
-        assert str(info.value) == f"{path}: {message}"
-
     def test_dense_round_trip(self, tmp_path):
         M = np.random.default_rng(24).standard_normal((5, 3))
         path = tmp_path / "dense.mtx"
         sampling.save_dense_array(M, path)
-        assert np.array_equal(sampling.load_dense_array(path), M)
+        assert np.array_equal(mmread(path), M)
 
     # signed zeros, whole numbers, tiny, huge and subnormal values, and a
     # value that needs all 17 significant digits
@@ -465,12 +444,11 @@ class TestMatrixMarket:
         assert lines[:2] == ["%%MatrixMarket matrix array real general", f"{n1} {n2}"]
         assert not any(line.startswith("%") for line in lines[1:])
         assert len(lines) == 2 + n1 * n2 and text.endswith("\n")
-        # read back by the package's reader and by an independent one that
-        # splits on whitespace and reshapes column-major
-        independent = np.array(text.split("\n", 2)[2].split(), dtype=float)
-        for back in (sampling.load_dense_array(out), independent.reshape(n2, n1).T):
-            assert back.shape == M.shape
-            assert np.array_equal(back.view(np.int64), M.view(np.int64))
+        # read back by a reader that splits on whitespace and reshapes
+        # column-major; scipy's mmread would read "-0" as +0.0
+        back = np.array(text.split("\n", 2)[2].split(), dtype=float).reshape(n2, n1).T
+        assert back.shape == M.shape
+        assert np.array_equal(back.view(np.int64), M.view(np.int64))
 
     def test_dense_path_is_written_as_given(self, tmp_path):
         out = tmp_path / "result.txt"

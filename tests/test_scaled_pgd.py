@@ -4,7 +4,7 @@ import scipy.optimize
 
 from detmc import bench, graphs, metrics, pgd, sampling, scaled_pgd
 from detmc.errors import DivergenceError, ParameterError
-from support import complete_graph
+from support import complete_graph, scaled_step
 
 
 def ball_projection_oracle(X, Y, budget):
@@ -162,7 +162,7 @@ class TestStep:
     def test_fixed_point_at_ground_truth(self, small_instance):
         gt, g, obs = small_instance
         pair = pgd.FactorPair(gt.left_factor, gt.right_factor)
-        out = scaled_pgd.step(pair, obs, eta=0.145)
+        out = scaled_step(pair, obs, eta=0.145)
         assert np.allclose(out.X, pair.X, atol=1e-10)
         assert np.allclose(out.Y, pair.Y, atol=1e-10)
 
@@ -171,7 +171,7 @@ class TestStep:
         g = complete_graph(1, 1)
         obs = sampling.observe(np.array([[1.0]]), g)
         pair = pgd.FactorPair(np.array([[2.0]]), np.array([[1.0]]))
-        out = scaled_pgd.step(pair, obs, eta=0.1)
+        out = scaled_step(pair, obs, eta=0.1)
         assert out.X[0, 0] == pytest.approx(2.0 - 0.1)
 
     def test_matches_dense_oracle(self, small_instance):
@@ -180,7 +180,7 @@ class TestStep:
         X = gt.left_factor + 0.2 * rng.standard_normal(gt.left_factor.shape)
         Y = gt.right_factor + 0.2 * rng.standard_normal(gt.right_factor.shape)
         eta = 0.12
-        out = scaled_pgd.step(pgd.FactorPair(X, Y), obs, eta=eta)
+        out = scaled_step(pgd.FactorPair(X, Y), obs, eta=eta)
         mask = np.zeros((g.n1, g.n2))
         mask[g.rows, g.cols] = 1.0
         Kd = (X @ Y.T - gt.matrix) * mask
@@ -195,7 +195,7 @@ class TestStep:
         obs = sampling.observe(M, g)
         X = np.column_stack([np.ones(4), np.zeros(4)])  # second column dead
         Y = np.column_stack([np.ones(4), np.zeros(4)])
-        out = scaled_pgd.step(pgd.FactorPair(X, Y), obs, eta=0.1)
+        out = scaled_step(pgd.FactorPair(X, Y), obs, eta=0.1)
         assert np.all(np.isfinite(out.X))
         assert np.all(np.isfinite(out.Y))
         assert np.allclose(out.X[:, 1], 0.0)  # dead direction untouched
@@ -206,8 +206,8 @@ class TestStep:
         X = gt.left_factor + 0.1 * rng.standard_normal(gt.left_factor.shape)
         Y = gt.right_factor + 0.1 * rng.standard_normal(gt.right_factor.shape)
         Q0 = np.eye(gt.rank) + 0.3 * rng.standard_normal((gt.rank, gt.rank))
-        a = scaled_pgd.step(pgd.FactorPair(X, Y), obs, eta=0.145)
-        b = scaled_pgd.step(
+        a = scaled_step(pgd.FactorPair(X, Y), obs, eta=0.145)
+        b = scaled_step(
             pgd.FactorPair(X @ Q0, Y @ np.linalg.inv(Q0).T), obs, eta=0.145
         )
         pa = a.X @ a.Y.T

@@ -211,10 +211,12 @@ class TestGeometryChecks:
 
 
 class TestReports:
-    def test_json_round_trip(self, certified_instance):
+    def test_json_round_trip(self, certified_instance, tmp_path):
         gt, g = certified_instance
         rep = theory.check_bilinear_bound(g, trials=5, seed=19)
-        payload = json.loads(rep.to_json())
+        path = tmp_path / "report.json"
+        bench.write_json([rep.to_dict()], path)  # as theory run writes --out
+        [payload] = json.loads(path.read_text())
         assert payload["check_name"] == "bilinear_bound"
         assert payload["passed"] is True
         assert "params" in payload and "c0" in payload["params"]
@@ -239,6 +241,18 @@ class TestReports:
         gt, g = certified_instance
         with pytest.raises(ParameterError, match="trials must be at least 1"):
             theory.run_all(gt, g, trials=trials, seed=0)
+
+    @pytest.mark.parametrize("name", ["tangent_isometry", "bilinear_bound",
+                                      "masked_quartic", "masked_row_bound",
+                                      "pgd_geometry", "scaled_geometry"])
+    def test_each_check_refuses_trials_below_one(self, certified_instance, name):
+        # five of these used to pass at worst_margin=+inf with no instance
+        # tested, and scaled_geometry to fail on a nan margin
+        gt, g = certified_instance
+        instance = (g,) if name in ("bilinear_bound", "masked_row_bound") else (gt, g)
+        for trials in (0, -1):
+            with pytest.raises(ParameterError, match="trials must be at least 1"):
+                getattr(theory, "check_" + name)(*instance, trials=trials, seed=0)
 
     def test_run_all_measures_the_certificate_once(self, monkeypatch):
         measured, certified = [], []
