@@ -6,19 +6,26 @@ alternating a singular-value-thresholding update of the full matrix with
 a multiplier update supported on the observed entries and a geometric
 penalty schedule.
 
+In the completion form of Lin, Chen and Ma (arXiv:1009.5055) the
+unobserved part E, set after each threshold, is minus the new iterate
+off the pattern and zero on it; the multiplier Y and the residual vanish
+off it.  So E needs no array: the next operand ``D - E + Y / mu`` is that
+iterate with its observed entries set to ``values + Y / mu``.  Y and the
+residual are m-vectors on the pattern's edges, the layout of
+``sampling.observed_residual``; the iterate stays dense.
+
 Each iteration thresholds one dense n1 x n2 operand.  Only its singular
 values above tau survive the shrinkage (k of them, 1-53 of 256 on the
 256 x 256 comparison tables), so ``_svt`` forms the Gram matrix on the
 smaller side, O(n1 n2 min(n1, n2)), and asks LAPACK for its eigenpairs
-above tau^2 only; the rest of an iteration is a few dense n1 x n2 passes.
-On one OpenBLAS thread of a 2-core x86 machine a threshold takes 5-10 ms
-at 256 x 256 and 23 ms at 512 x 512, against 16-19 ms and 111 ms for a
-full SVD.  Squaring the spectrum costs accuracy: the result is off by
-about eps * sigma1 / tau relative to ||A||_F, so this route runs only
-while ||A||_F <= 1e5 * tau (``_GRAM_RATIO``; errors below 1e-10 ||A||_F
-were measured there).  Past that ratio, and at tau = 0, the threshold
-comes from a full LAPACK SVD; ``trace.meta["svt_dense"]`` counts those
-iterations.
+above tau^2 only.  On one OpenBLAS thread of a 2-core x86 machine a
+threshold takes 5-10 ms at 256 x 256 and 23 ms at 512 x 512, against
+16-19 ms and 111 ms for a full SVD.  Squaring the spectrum costs
+accuracy: the result is off by about eps * sigma1 / tau relative to
+||A||_F, so this route runs only while ||A||_F <= 1e5 * tau
+(``_GRAM_RATIO``; errors below 1e-10 ||A||_F were measured there).  Past
+that ratio, and at tau = 0, the threshold comes from a full LAPACK SVD;
+``trace.meta["svt_dense"]`` counts those iterations.
 """
 
 import itertools
@@ -31,7 +38,7 @@ import scipy.linalg
 
 from . import metrics
 from .errors import ParameterError
-from .kernels import as_matrix, operator_norm
+from .kernels import operator_norm
 from .pgd import IterationTrace, StopRule, check_stop_settings
 
 
@@ -82,45 +89,33 @@ def _svt(A, tau):
     return (U[:, :k] * shrunk) @ Vt[:k], shrunk, True
 
 
-def svt(A, tau):
-    """Singular value thresholding: the proximal map of tau * nuclear norm."""
-    A = as_matrix(A)
-    if not 0 <= tau < math.inf:
-        raise ParameterError("threshold must be finite and nonnegative")
-    return _svt(A, tau)[0]
-
-
 def solve(obs, config=None, gt=None):
     """Complete the observation by nuclear-norm minimization.
 
     Returns the dense estimate and an iteration trace whose ``loss`` column
-    records the nuclear norm of the running iterate.  The run has settled
-    once primal feasibility is below tol and the last step moved the
-    iterate by less than tol times the observation's norm: the label "tol"
-    it gives ``StopRule``, which lists why a run stops.  A settled run with
-    a ground truth stops on "stall" above 10 * tol because each later step
-    is about 1/rho of the one before: the error could move by only about
-    tol * ||D|| / ((rho - 1) * ||M||).  A penalty that overflows raises
-    ``DivergenceError`` before it is used.  ``trace.meta["mu0"]`` is the
-    initial penalty, ``1 / ||D||_2``, ``trace.meta["rho"]`` its growth
-    factor per iteration, and ``trace.meta["svt_dense"]`` counts the
-    iterations whose threshold took the dense SVD fallback.
+    records the nuclear norm of the running iterate.  Y and the residual
+    live on the pattern's edges (see above); D is the observation, zero
+    off them.  The run has settled once primal feasibility, ||residual|| /
+    ||D||, is below tol and the last step moved the iterate by less than
+    tol * ||D||: the label "tol" it gives ``StopRule``, which lists why a
+    run stops.  A settled run with a ground truth stops on "stall" above
+    10 * tol because each later step is about 1/rho of the one before: the
+    error could move by only about tol * ||D|| / ((rho - 1) * ||M||).  A
+    penalty that overflows raises ``DivergenceError`` before it is used.
+    ``trace.meta["mu0"]`` is the initial penalty, ``1 / ||D||_2``,
+    ``trace.meta["rho"]`` its growth factor per iteration, and
+    ``trace.meta["svt_dense"]`` counts the iterations whose threshold took
+    the dense SVD fallback.
     """
     config = config or IalmConfig()
     pat = obs.pattern
-    mask = np.zeros((pat.n1, pat.n2), dtype=bool)
-    mask[pat.rows, pat.cols] = True
-
-    D = np.zeros((pat.n1, pat.n2))
-    D[pat.rows, pat.cols] = obs.values
-    d_norm = np.linalg.norm(D)
+    d_norm = np.linalg.norm(obs.values)
     if d_norm == 0:
         raise ParameterError("observation is identically zero")
 
     mu = 1.0 / max(operator_norm(pat.csr_with_values(obs.values)), 1e-300)
-    A = np.zeros_like(D)
-    E = np.zeros_like(D)
-    Y = np.zeros_like(D)
+    A = np.zeros((pat.n1, pat.n2))
+    Y = np.zeros(pat.m)
 
     trace = IterationTrace(meta={"solver": "ialm", "rho": _RHO, "mu0": mu,
                                  "svt_dense": 0})
@@ -130,12 +125,12 @@ def solve(obs, config=None, gt=None):
     rule = StopRule(config, gt is not None, trace, "feasibility")
     for k in itertools.count(1):
         t0 = time.perf_counter()
-        Y_mu = Y / mu
         A_prev = A  # rebound below, never written in place
-        A, shrunk, dense = _svt(D - E + Y_mu, 1.0 / mu)
+        Z = A.copy()  # the SVT operand; A_prev off the pattern
+        Z[pat.rows, pat.cols] = obs.values + Y / mu
+        A, shrunk, dense = _svt(Z, 1.0 / mu)
         trace.meta["svt_dense"] += dense
-        E = np.where(mask, 0.0, D - A + Y_mu)
-        R = D - A - E
+        R = obs.values - A[pat.rows, pat.cols]
         Y += mu * R
         mu *= _RHO
         feas = float(np.linalg.norm(R)) / d_norm

@@ -293,7 +293,8 @@ def load_observed(path, pattern):
         n1, n2, m = (int(x) for x in parts)
         if (n1, n2) != (pattern.n1, pattern.n2) or m != pattern.m:
             raise FormatError(f"{path}: dimensions do not match the pattern")
-        lines = fh.read().split("\n", m)[:m]
+        lines = fh.read().split("\n", m)
+    rest = lines.pop() if len(lines) > m else ""  # all after the m-th entry
     table = _parse_rows(lines, _OBSERVED_ROW, (m,))
     if table is not None:
         coords = np.column_stack([table["i"] - 1, table["j"] - 1])
@@ -312,6 +313,8 @@ def load_observed(path, pattern):
                 values[k] = float(parts[2])
             except ValueError as exc:
                 raise FormatError(f"{path}: non-numeric entry {k}") from exc
+    if rest.strip():
+        raise FormatError(f"{path}: more entries than the {m} its size line declares")
     order = np.lexsort((coords[:, 1], coords[:, 0]))
     if not np.array_equal(coords[order], pattern.edges):
         raise FormatError(f"{path}: coordinates do not match the pattern")

@@ -15,6 +15,13 @@ def complete_graph(n1, n2):
     return graphs.BiregularGraph(n1, n2, np.column_stack([rows, cols]))
 
 
+def bernoulli_with_empty_row_and_column():
+    """A 40 x 25 Bernoulli(0.3) mask with row 0 and column 0 left empty."""
+    mask = graphs.bernoulli_mask(40, 25, 0.3, seed=22)
+    keep = (mask.rows != 0) & (mask.cols != 0)
+    return graphs.BernoulliMask(40, 25, mask.edges[keep], mask.rate)
+
+
 def scaled_step(pair, obs, eta):
     """One scaled PGD step from ``pair``, as ``scaled_pgd.solve`` takes it:
     ``scaled_pgd._step`` on the r-major factors, both blocks from the one

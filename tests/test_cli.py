@@ -469,6 +469,14 @@ class TestErrorExitCodes:
         code = self.complete(obs_path, graph_path, tmp_path)
         self.assert_one_line_error(capsys, code)
 
+    def test_entries_past_the_declared_count(self, tmp_path, capsys):
+        obs_path, graph_path = write_instance(tmp_path)
+        with open(obs_path, "a") as fh:
+            fh.write("1 1 123.0\n3 4 0.5\n")
+        code = self.complete(obs_path, graph_path, tmp_path)
+        err = self.assert_one_line_error(capsys, code)
+        assert "more entries than the" in err
+
     def test_input_error(self, tmp_path, capsys):
         obs_path, graph_path = write_instance(tmp_path)
         lines = obs_path.read_text().splitlines()

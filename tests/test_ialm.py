@@ -3,7 +3,7 @@ import pytest
 
 from detmc import bench, graphs, ialm, sampling
 from detmc.errors import DivergenceError, ParameterError
-from support import complete_graph
+from support import bernoulli_with_empty_row_and_column, complete_graph
 
 
 def nuclear_norm(A):
@@ -110,31 +110,23 @@ class TestSvtOracle:
 
 
 class TestSvt:
+    """The proximal map of tau * nuclear norm that ``ialm._svt`` computes."""
+
     def test_diagonal(self):
-        out = ialm.svt(np.diag([3.0, 1.0]), 2.0)
+        out = ialm._svt(np.diag([3.0, 1.0]), 2.0)[0]
         assert np.allclose(out, np.diag([1.0, 0.0]), atol=1e-12)
 
     def test_zero_threshold_is_identity(self):
         rng = np.random.default_rng(0)
         A = rng.standard_normal((6, 4))
-        assert np.allclose(ialm.svt(A, 0.0), A, atol=1e-12)
-
-    def test_negative_threshold_rejected(self):
-        with pytest.raises(ParameterError):
-            ialm.svt(np.eye(2), -1.0)
-
-    @pytest.mark.parametrize("tau", [float("nan"), float("inf")])
-    def test_non_finite_threshold_rejected(self, tau):
-        # a NaN threshold used to return an all-NaN matrix
-        with pytest.raises(ParameterError):
-            ialm.svt(np.eye(2), tau)
+        assert np.allclose(ialm._svt(A, 0.0)[0], A, atol=1e-12)
 
     def test_rank_reduction_and_prox_optimality(self):
         rng = np.random.default_rng(1)
         A = rng.standard_normal((8, 6))
         s = np.linalg.svd(A, compute_uv=False)
         tau = s[1]
-        out = ialm.svt(A, tau)
+        out = ialm._svt(A, tau)[0]
         assert np.linalg.matrix_rank(out, tol=1e-9) <= 1
 
         def prox_objective(X):
@@ -151,7 +143,7 @@ class TestSvt:
         for tau in (0.1, 0.7, 2.0):
             A = rng.standard_normal((7, 5))
             B = rng.standard_normal((7, 5))
-            lhs = np.linalg.norm(ialm.svt(A, tau) - ialm.svt(B, tau))
+            lhs = np.linalg.norm(ialm._svt(A, tau)[0] - ialm._svt(B, tau)[0])
             assert lhs <= np.linalg.norm(A - B) + 1e-10
 
 
@@ -245,6 +237,29 @@ class TestSolve:
         _, trace = ialm.solve(obs, ialm.IalmConfig(tol=tol, max_iter=500), gt=gt)
         k = trace.iterations[-1]
         assert 0 < trace.meta["svt_dense"] < k
+        rel, settled, _ = self._reference(obs, gt, trace, tol, k)
+        assert np.allclose(trace.rel_error[1:], rel, rtol=1e-9, atol=0)
+        assert int(np.argmax(settled)) + 1 == k
+
+    @staticmethod
+    def _non_square_pattern(kind):
+        if kind == "tall":
+            return graphs.random_biregular(48, 36, 12, seed=3)
+        if kind == "wide":
+            return graphs.random_biregular(36, 48, 16, seed=3)
+        return bernoulli_with_empty_row_and_column()
+
+    @pytest.mark.parametrize("kind", ["tall", "wide", "bernoulli-empty-row-and-column"])
+    def test_non_square_pattern_matches_the_reference(self, kind):
+        # the Gram route thresholds A^T A on a tall operand and A A^T on a
+        # wide one; an empty row or column is never observed
+        tol = 1e-6
+        pat = self._non_square_pattern(kind)
+        gt = bench.synthetic_low_rank(pat.n1, pat.n2, 2, 1.0, seed=4)
+        obs = sampling.observe(gt.matrix, pat)
+        _, trace = ialm.solve(obs, ialm.IalmConfig(tol=tol, max_iter=300), gt=gt)
+        k = trace.iterations[-1]
+        assert trace.meta["stop_reason"] == "stall"
         rel, settled, _ = self._reference(obs, gt, trace, tol, k)
         assert np.allclose(trace.rel_error[1:], rel, rtol=1e-9, atol=0)
         assert int(np.argmax(settled)) + 1 == k

@@ -4,7 +4,7 @@ from scipy.io import mmread
 
 from detmc import bench, graphs, sampling
 from detmc.errors import FormatError, ParameterError
-from support import complete_graph
+from support import bernoulli_with_empty_row_and_column, complete_graph
 
 
 def dense_mask(g):
@@ -186,10 +186,7 @@ def _layouts(A):
 def _kernel_pattern(kind):
     if kind == "biregular":
         return graphs.random_biregular(40, 30, 6, seed=21)
-    # rectangular, with row 0 and column 0 left empty
-    mask = graphs.bernoulli_mask(40, 25, 0.3, seed=22)
-    keep = (mask.rows != 0) & (mask.cols != 0)
-    return graphs.BernoulliMask(40, 25, mask.edges[keep], mask.rate)
+    return bernoulli_with_empty_row_and_column()
 
 
 class TestResidualKernel:
@@ -397,6 +394,26 @@ class TestMatrixMarket:
         path.write_text("\n".join(lines[:-5]) + "\n")
         with pytest.raises(FormatError):
             sampling.load_observed(path, g)
+
+    @pytest.mark.parametrize("extra", ["1 1 123.0\n3 4 0.5\n", "  \n1 1 123.0"])
+    def test_entries_past_the_declared_count_rejected(self, small_instance, tmp_path, extra):
+        # they used to be dropped without a word
+        gt, g, obs = small_instance
+        path = tmp_path / "obs.mtx"
+        sampling.save_observed(obs, path)
+        with open(path, "a") as fh:
+            fh.write(extra)
+        with pytest.raises(FormatError) as info:
+            sampling.load_observed(path, g)
+        assert str(info.value) == f"{path}: more entries than the {g.m} its size line declares"
+
+    def test_trailing_whitespace_accepted(self, small_instance, tmp_path):
+        gt, g, obs = small_instance
+        path = tmp_path / "obs.mtx"
+        sampling.save_observed(obs, path)
+        with open(path, "a") as fh:
+            fh.write(" \n\n\t\n")
+        assert np.array_equal(sampling.load_observed(path, g).values, obs.values)
 
     @pytest.mark.parametrize("bad, message", [
         ("3 4", "truncated or malformed entry 4"),
