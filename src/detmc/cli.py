@@ -15,7 +15,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import fields
+from dataclasses import asdict, fields
 
 import numpy as np
 
@@ -45,12 +45,17 @@ _SHARED_FLAGS = {  # dest: add_argument keywords of the flags several commands t
 }
 
 
-def _finish(parser, run, *dests, **defaults):
+def _finish(parser, run, *dests, required=(), **defaults):
     """Give a subcommand its handler ``run``, the shared flags ``dests`` (keys
-    of ``_SHARED_FLAGS``), this command's ``defaults`` for them and ``--config``."""
+    of ``_SHARED_FLAGS``), this command's ``defaults`` for them and ``--config``.
+
+    The flags whose dests are ``required`` must be given, on the command line
+    or in the config file; ``_apply_config`` checks them once the two are
+    merged, as argparse's own check would refuse a flag given in the file."""
     for dest in dests:
         parser.add_argument(_flag_of(dest), dest=dest, **_SHARED_FLAGS[dest])
-    parser.set_defaults(run=run, command=parser, **defaults)  # over the shared ones
+    parser.set_defaults(run=run, command=parser, required=required,
+                        **defaults)  # over the shared ones
     parser.add_argument("--config", default=None, help="key=value defaults file")
 
 
@@ -77,30 +82,32 @@ def build_parser():
     gsub = graph.add_subparsers(required=True)
 
     ggen = gsub.add_parser("gen", help="generate a certified sampling graph")
-    ggen.add_argument("--kind", choices=("lps", "random"), required=True)
+    ggen.add_argument("--kind", choices=("lps", "random"))
     ggen.add_argument("--p", type=int, help="LPS prime p (degree p+1)")
     ggen.add_argument("--q", type=int, help="LPS prime q (side q(q^2-1)/2)")
     ggen.add_argument("--n1", type=int)
     ggen.add_argument("--n2", type=int)
     ggen.add_argument("--d1", type=int)
-    _finish(ggen, cmd_graph_gen, "seed", "out", seed=None)  # None: --kind lps refuses it
+    # seed None: --kind lps refuses it
+    _finish(ggen, cmd_graph_gen, "seed", "out", required=("kind",), seed=None)
 
     gverify = gsub.add_parser("verify", help="print the spectral certificate")
-    gverify.add_argument("--graph", required=True)
-    _finish(gverify, cmd_graph_verify, "out")
+    gverify.add_argument("--graph")
+    _finish(gverify, cmd_graph_verify, "out", required=("graph",))
 
     gexport = gsub.add_parser("export", help="export adjacency as MatrixMarket pattern")
-    gexport.add_argument("--graph", required=True)
-    _finish(gexport, cmd_graph_export, "out")
+    gexport.add_argument("--graph")
+    _finish(gexport, cmd_graph_export, "out", required=("graph",))
 
     complete = sub.add_parser("complete", help="complete an observed matrix file")
-    complete.add_argument("--observed", required=True, help="MatrixMarket coordinate file")
-    complete.add_argument("--graph", required=True, help="edge-list file of the pattern")
-    complete.add_argument("--rank", type=int, required=True)
+    complete.add_argument("--observed", help="MatrixMarket coordinate file")
+    complete.add_argument("--graph", help="edge-list file of the pattern")
+    complete.add_argument("--rank", type=int, help="rank of the factors (pgd, scaled-pgd)")
     complete.add_argument("--mu", type=float,
                           help="incoherence estimate for the projection")
     complete.add_argument("--max-iter", type=int, default=2000)
-    _finish(complete, cmd_complete, "out", "tol", "eta", "lam", "solver")
+    _finish(complete, cmd_complete, "out", "tol", "eta", "lam", "solver",
+            required=("observed", "graph"))
 
     b = sub.add_parser("bench", help="experiment sweeps")
     bsub = b.add_subparsers(required=True)
@@ -151,22 +158,25 @@ def _flag_of(dest):
 def _apply_config(parser, argv):
     """Parse argv with the ``--config`` file's values as the defaults of the
     chosen subcommand's flags: argparse converts and checks them as it does
-    the flags, and a flag given in argv, abbreviated or not, wins."""
+    the flags, and a flag given in argv, abbreviated or not, wins.  A required
+    flag may come from either."""
     ns = parser.parse_args(argv)
-    if not ns.config:
-        return ns
-    values = load_config_file(ns.config)
-    actions = {key: ns.command._option_string_actions.get("--" + key) for key in values}
-    unknown = [key for key, action in actions.items()
-               if action is None or action.dest in ("config", "help")]
-    if unknown:
-        raise ParameterError(f"unknown config keys: {', '.join(sorted(unknown))}")
-    ns.command.set_defaults(**{action.dest: values[key] for key, action in actions.items()})
-    ns = parser.parse_args(argv)
-    for action in actions.values():  # argparse checks choices in argv only
-        value = getattr(ns, action.dest)
-        if action.choices and value not in action.choices:
-            ns.command.error(f"invalid choice {value!r} for {action.option_strings[0]}")
+    if ns.config:
+        values = load_config_file(ns.config)
+        actions = {key: ns.command._option_string_actions.get("--" + key) for key in values}
+        unknown = [key for key, action in actions.items()
+                   if action is None or action.dest in ("config", "help")]
+        if unknown:
+            raise ParameterError(f"unknown config keys: {', '.join(sorted(unknown))}")
+        ns.command.set_defaults(**{action.dest: values[key] for key, action in actions.items()})
+        ns = parser.parse_args(argv)
+        for action in actions.values():  # argparse checks choices in argv only
+            value = getattr(ns, action.dest)
+            if action.choices and value not in action.choices:
+                ns.command.error(f"invalid choice {value!r} for {action.option_strings[0]}")
+    missing = [_flag_of(dest) for dest in ns.required if getattr(ns, dest) is None]
+    if missing:
+        ns.command.error(f"the following arguments are required: {', '.join(missing)}")
     return ns
 
 
@@ -203,7 +213,7 @@ def cmd_graph_gen(args):
     graphs.save_edges(g, out)
     cert = graphs.certify(g)
     print(json.dumps({"path": out, "n1": g.n1, "n2": g.n2, "d1": g.d1,
-                      "d2": g.d2, **cert.to_dict()}, sort_keys=True))
+                      "d2": g.d2, **asdict(cert)}, sort_keys=True))
     return 0
 
 
@@ -211,7 +221,7 @@ def cmd_graph_verify(args):
     _check_out_dir(args.out)
     g = graphs.load_edges(args.graph)
     cert = graphs.certify(g)
-    payload = {"n1": g.n1, "n2": g.n2, "d1": g.d1, "d2": g.d2, **cert.to_dict()}
+    payload = {"n1": g.n1, "n2": g.n2, "d1": g.d1, "d2": g.d2, **asdict(cert)}
     text = json.dumps(payload, sort_keys=True, indent=2)
     print(text)
     if args.out:
@@ -240,10 +250,13 @@ def _check_out_dir(path):
 
 def cmd_complete(args):
     tuning = _tuning(args)
-    if args.solver == "ialm":
+    if args.solver == "ialm":  # the nuclear-norm solve finds its own rank
+        _refuse_given(args, "--solver ialm", ("rank",))
         tuning["tol"] = 1e-6 if args.tol is None else args.tol
     else:  # a factored run without a ground truth stops on its loss, never on tol
         _refuse_given(args, f"--solver {args.solver}", ("tol",))
+        if args.rank is None:
+            raise ParameterError(f"--solver {args.solver} requires --rank")
     out = _check_out_dir(args.out or "completed.mtx")
     g = graphs.load_edges(args.graph)
     obs = sampling.load_observed(args.observed, g)

@@ -397,16 +397,6 @@ class SpectralCertificate:
     g1_residual: float  # deviation of the constant pair from exact top pair
     is_ramanujan: bool
 
-    def to_dict(self):
-        return {
-            "sigma1": self.sigma1,
-            "sigma2": self.sigma2,
-            "ramanujan_bound": self.ramanujan_bound,
-            "c0": self.c0,
-            "g1_residual": self.g1_residual,
-            "is_ramanujan": self.is_ramanujan,
-        }
-
 
 def _top_two(g):
     """sigma1 / sigma2 of the adjacency, by Lanczos on the sparse matrix.

@@ -6,6 +6,11 @@ negative means a violation).  These are spot checks with recorded seeds,
 not proofs.  Checks whose constants assume a sample-size regime the
 instance does not satisfy are labeled out-of-regime and their margins are
 informational.
+
+Each sampled check is a draw function folded by one loop (``_sampled``):
+the draws share one generator seeded with the check's seed, the worst
+margin is the min over the counted draws' margins and the scale the max
+over their scales.
 """
 
 import math
@@ -29,7 +34,7 @@ class TheoryCheckReport:
     instances_tested: int
     worst_margin: float
     scale: float  # magnitude of the bound, for relative pass judgment
-    delta_tilde: float | None
+    delta_tilde: float | None = None
     params: dict = field(default_factory=dict)
     out_of_regime: bool = False
     seed: int = 0
@@ -56,6 +61,25 @@ def _check_trials(trials):
     """Refuse a trial count below one, which would test nothing and pass."""
     if trials < 1:
         raise ParameterError("trials must be at least 1")
+
+
+def _sampled(name, trials, seed, draw, **report):
+    """Fold ``trials`` calls of ``draw(rng)``, on one generator seeded with
+    ``seed``, into the report ``name`` with the fields ``report``.
+
+    A draw returns its margins and scales, or None when it is not counted.
+    With no counted draw the worst margin is NaN, which does not pass."""
+    rng = np.random.default_rng(seed)
+    worst, scale, counted = math.inf, 0.0, 0
+    for _ in range(trials):
+        drawn = draw(rng)
+        if drawn is not None:
+            margins, scales = drawn
+            worst = min(worst, *margins)
+            scale = max(scale, *scales)
+            counted += 1
+    return TheoryCheckReport(name, counted, float(worst) if counted else math.nan, scale,
+                             seed=seed, **report)
 
 
 def _delta_tilde(delta_d, c0, mu, r, dmin):
@@ -89,51 +113,33 @@ def check_tangent_isometry(gt, g, trials, seed):
     delta_d = subset_isotropy_gap(gt, g)
     dt = _delta_tilde(delta_d, cert.c0, gt.coherence_mu, gt.rank, min(g.d1, g.d2))
     U, V = gt.svd.U, gt.svd.V
-    rng = np.random.default_rng(seed)
-    worst = np.inf
-    scale = 0.0
-    for _ in range(trials):
+
+    def draw(rng):
         R = np.hstack([rng.standard_normal((g.n2, gt.rank)), V])
         L = np.hstack([U, rng.standard_normal((g.n1, gt.rank))])
         full = float(((L.T @ L) * (R.T @ R)).sum())
         masked = _masked_product_energy(L, R, g)
-        worst = min(worst, (1 + dt) * full - masked, masked - (1 - dt) * full)
-        scale = max(scale, (1 + dt) * full)
-    return TheoryCheckReport(
-        check_name="tangent_isometry",
-        instances_tested=trials,
-        worst_margin=float(worst),
-        scale=scale,
-        delta_tilde=dt,
-        params=_base_params(gt, g, cert, delta_d),
-        seed=seed,
-    )
+        return ((1 + dt) * full - masked, masked - (1 - dt) * full), ((1 + dt) * full,)
+
+    return _sampled("tangent_isometry", trials, seed, draw, delta_tilde=dt,
+                    params=_base_params(gt, g, cert, delta_d))
 
 
 def check_bilinear_bound(g, trials, seed):
     """Rescaled bilinear sums over the edge set against the l1/l2 bound."""
     _check_trials(trials)
     cert = certify(g)
-    rng = np.random.default_rng(seed)
     slack = 0.5 * cert.c0 * (math.sqrt(g.n1) + math.sqrt(g.n2)) / math.sqrt(g.rate)
-    worst = np.inf
-    scale = 0.0
-    for _ in range(trials):
+
+    def draw(rng):
         x = np.abs(rng.standard_normal(g.n1))
         y = np.abs(rng.standard_normal(g.n2))
         lhs = float(x @ (g.adjacency @ y)) / g.rate
         rhs = x.sum() * y.sum() + slack * np.linalg.norm(x) * np.linalg.norm(y)
-        worst = min(worst, rhs - lhs)
-        scale = max(scale, rhs)
-    return TheoryCheckReport(
-        check_name="bilinear_bound",
-        instances_tested=trials,
-        worst_margin=float(worst),
-        scale=scale,
-        delta_tilde=None,
-        params=_base_params(None, g, cert, None),
-        seed=seed,
-    )
+        return (rhs - lhs,), (rhs,)
+
+    return _sampled("bilinear_bound", trials, seed, draw,
+                    params=_base_params(None, g, cert, None))
 
 
 def check_graph_deviation(g, gt=None):
@@ -170,15 +176,9 @@ def check_graph_deviation(g, gt=None):
         ) * gt.sigma1
         margins.append(bound2 - dev2)
         scale = max(scale, bound2)
-    return TheoryCheckReport(
-        check_name="graph_deviation",
-        instances_tested=len(margins),
-        worst_margin=float(min(margins)),
-        scale=scale,
-        delta_tilde=None,
-        params={**_base_params(gt, g, cert, None), "deviation": dev,
-                "sigma2_over_p": dev},
-    )
+    params = {**_base_params(gt, g, cert, None), "deviation": dev, "sigma2_over_p": dev}
+    return TheoryCheckReport("graph_deviation", len(margins), float(min(margins)), scale,
+                             params=params)
 
 
 def _masked_product_energy(HU, HV, g):
@@ -202,38 +202,27 @@ def check_masked_quartic(gt, g, trials, seed):
         16.0 * cert.c0 * mu * r * kappa * (math.sqrt(g.n1) + math.sqrt(g.n2))
         / (math.sqrt(g.rate) * nmin)
     ) * gt.sigma_r
-    rng = np.random.default_rng(seed)
-    worst = np.inf
-    scale = 0.0
-    for _ in range(trials):
+
+    def draw(rng):
         H = rng.standard_normal((g.n1 + g.n2, r)) * rng.uniform(0.2, 1.0) * row_cap / math.sqrt(r)
         H = pgd.project_rows(pgd.FactorPair(H[: g.n1], H[g.n1 :]), row_cap)
         Hs = H.stacked()
         lhs = 2.0 * _masked_product_energy(H.X, H.Y, g)
         hf2 = float((Hs * Hs).sum())
         rhs = 2.0 * hf2**2 + coef * hf2
-        worst = min(worst, rhs - lhs)
-        scale = max(scale, rhs)
-    return TheoryCheckReport(
-        check_name="masked_quartic",
-        instances_tested=trials,
-        worst_margin=float(worst),
-        scale=scale,
-        delta_tilde=None,
-        params=_base_params(gt, g, cert, None),
-        seed=seed,
-    )
+        return (rhs - lhs,), (rhs,)
+
+    return _sampled("masked_quartic", trials, seed, draw,
+                    params=_base_params(gt, g, cert, None))
 
 
 def check_masked_row_bound(g, trials, seed):
     """Masked product energy against the row-norm bound, for arbitrary
     lifted factors."""
     _check_trials(trials)
-    rng = np.random.default_rng(seed)
     n = g.n1 + g.n2
-    worst = np.inf
-    scale = 0.0
-    for _ in range(trials):
+
+    def draw(rng):
         A = rng.standard_normal((n, 3))
         B = rng.standard_normal((n, 3))
         # top-right block pairs A_i with B_{n1+j}; bottom-left pairs
@@ -247,17 +236,9 @@ def check_masked_row_bound(g, trials, seed):
         a_row = float((A * A).sum(axis=1).max())
         b_row = float((B * B).sum(axis=1).max())
         rhs = max(g.n1, g.n2) * min(a_f2 * b_row, b_f2 * a_row)
-        worst = min(worst, rhs - lhs)
-        scale = max(scale, rhs)
-    return TheoryCheckReport(
-        check_name="masked_row_bound",
-        instances_tested=trials,
-        worst_margin=float(worst),
-        scale=scale,
-        delta_tilde=None,
-        params={"d1": g.d1, "d2": g.d2},
-        seed=seed,
-    )
+        return (rhs - lhs,), (rhs,)
+
+    return _sampled("masked_row_bound", trials, seed, draw, params={"d1": g.d1, "d2": g.d2})
 
 
 def _random_orthogonal(rng, r):
@@ -284,10 +265,7 @@ def check_pgd_geometry(gt, g, trials, seed):
     Zs = gt.stacked_factor
     n1 = g.n1
 
-    rng = np.random.default_rng(seed)
-    worst = np.inf
-    scale = 0.0
-    for _ in range(trials):
+    def draw(rng):
         R = _random_orthogonal(rng, r)
         W = rng.standard_normal(Zs.shape)
         W /= np.linalg.norm(W)
@@ -305,26 +283,19 @@ def check_pgd_geometry(gt, g, trials, seed):
         inner = float((Gs * H).sum())
         g2 = float((Gs * Gs).sum())
 
+        smooth = 1524.0 * mu**2 * r**2 * sig1**2 * h2 + 5.0 * sig1 * cross2
         m_curv = inner - (0.375 * sigr * h2 + 0.25 * cross2)
-        m_smooth = (1524.0 * mu**2 * r**2 * sig1**2 * h2 + 5.0 * sig1 * cross2) - g2
         m_reg = inner - (0.125 * sigr * h2 + g2 / (6096.0 * mu**2 * r**2 * kappa * sig1))
-        worst = min(worst, m_curv, m_smooth, m_reg)
-        scale = max(scale, abs(inner) + 0.375 * sigr * h2 + 0.25 * cross2,
-                    1524.0 * mu**2 * r**2 * sig1**2 * h2 + 5.0 * sig1 * cross2)
+        return (m_curv, smooth - g2, m_reg), (abs(inner) + 0.375 * sigr * h2 + 0.25 * cross2,
+                                              smooth)
 
     required_rate = 262144.0 * cert.c0**2 * mu**2 * r**2 * kappa**2 / min(g.n1, g.n2)
     in_regime = g.rate >= required_rate and delta_d <= 1.0 / 64.0
-    return TheoryCheckReport(
-        check_name="pgd_geometry",
-        instances_tested=trials,
-        worst_margin=float(worst),
-        scale=scale,
-        delta_tilde=_delta_tilde(delta_d, cert.c0, mu, r, min(g.d1, g.d2)),
-        params={**_base_params(gt, g, cert, delta_d),
-                "required_rate": required_rate, "rate": g.rate},
-        out_of_regime=not in_regime,
-        seed=seed,
-    )
+    return _sampled("pgd_geometry", trials, seed, draw,
+                    delta_tilde=_delta_tilde(delta_d, cert.c0, mu, r, min(g.d1, g.d2)),
+                    params={**_base_params(gt, g, cert, delta_d),
+                            "required_rate": required_rate, "rate": g.rate},
+                    out_of_regime=not in_regime)
 
 
 def check_scaled_geometry(gt, g, trials, seed):
@@ -338,11 +309,7 @@ def check_scaled_geometry(gt, g, trials, seed):
     budget = scaled_pgd.incoherence_budget(mu, r, gt.sigma1)
     Wsq = np.sqrt(gt.svd.S)
 
-    rng = np.random.default_rng(seed)
-    worst = np.inf
-    scale = 0.0
-    evaluated = 0
-    for _ in range(trials):
+    def draw(rng):
         dX = rng.standard_normal(gt.left_factor.shape)
         dY = rng.standard_normal(gt.right_factor.shape)
         norm = math.sqrt(
@@ -359,7 +326,7 @@ def check_scaled_geometry(gt, g, trials, seed):
         )
         align = gauge_distance(pair, gt)
         if not align.converged or align.distance > 0.1 * sigr + 1e-9:
-            continue
+            return None  # outside the gauge basin: not counted
         Q = align.Q
         DX = (pair.X @ Q - gt.left_factor) * Wsq
         DY = (pair.Y @ np.linalg.inv(Q).T - gt.right_factor) * Wsq
@@ -375,24 +342,14 @@ def check_scaled_geometry(gt, g, trials, seed):
         m_curv_y = float((DY * GY).sum()) - (0.833 * dy2 - 0.023 * dx2)
         m_smooth_x = 5.5 * (dx2 + dy2) - float((GX * GX).sum())
         m_smooth_y = 5.5 * (dx2 + dy2) - float((GY * GY).sum())
-        worst = min(worst, m_curv_x, m_curv_y, m_smooth_x, m_smooth_y)
-        scale = max(scale, dx2 + dy2, 5.5 * (dx2 + dy2))
-        evaluated += 1
+        return (m_curv_x, m_curv_y, m_smooth_x, m_smooth_y), (dx2 + dy2, 5.5 * (dx2 + dy2))
 
     required_deg = 100.0**2 * cert.c0**2 * mu**2 * r**2 * kappa**4
     in_regime = min(g.d1, g.d2) >= required_deg and delta_d <= 1.0 / 64.0
-    if evaluated == 0:
-        worst = float("nan")
-    return TheoryCheckReport(
-        check_name="scaled_geometry",
-        instances_tested=evaluated,
-        worst_margin=float(worst),
-        scale=scale,
-        delta_tilde=None,
-        params={**_base_params(gt, g, cert, delta_d), "required_degree": required_deg},
-        out_of_regime=not in_regime,
-        seed=seed,
-    )
+    return _sampled("scaled_geometry", trials, seed, draw,
+                    params={**_base_params(gt, g, cert, delta_d),
+                            "required_degree": required_deg},
+                    out_of_regime=not in_regime)
 
 
 def run_all(gt, g, trials, seed):

@@ -131,11 +131,12 @@ class TestComplete:
         sampling.save_observed(obs, obs_path)
         graphs.save_edges(g, graph_path)
 
-        # IALM has no incoherence knob, and only IALM reads --tol without a truth
-        flags = ("--tol", "1e-8") if solver == "ialm" else ("--mu", "8.0")
+        # IALM has no rank or incoherence knob, and only IALM reads --tol
+        # without a truth
+        flags = ("--tol", "1e-8") if solver == "ialm" else ("--rank", "2", "--mu", "8.0")
         code, out = run_cli(
             capsys, "complete", "--observed", str(obs_path),
-            "--graph", str(graph_path), "--rank", "2", *flags,
+            "--graph", str(graph_path), *flags,
             "--solver", solver, "--out", str(out_path),
         )
         assert code == 0
@@ -309,6 +310,40 @@ class TestConfigFile:
                           "--config", str(cfg))
         assert code == 2
 
+    # command, its argv without the required flag, the flag's key and a value
+    REQUIRED = {
+        "complete --observed": (("complete", "--graph", "g.edges", "--rank", "2"),
+                                "observed", "o.mtx"),
+        "complete --graph": (("complete", "--observed", "o.mtx", "--rank", "2"),
+                             "graph", "g.edges"),
+        "graph verify --graph": (("graph", "verify"), "graph", "g.edges"),
+        "graph export --graph": (("graph", "export"), "graph", "g.edges"),
+        "graph gen --kind": (("graph", "gen", "--p", "5", "--q", "13"), "kind", "lps"),
+    }
+
+    @pytest.mark.parametrize("case", REQUIRED)
+    def test_required_flag_from_the_file(self, tmp_path, capsys, case):
+        # each used to exit 2 with the flag given only in the file
+        argv, key, value = self.REQUIRED[case]
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key}={value}\n")
+        ns = cli._apply_config(cli.build_parser(), [*argv, "--config", str(cfg)])
+        assert getattr(ns, key) == value
+        with pytest.raises(SystemExit) as exc:  # in neither place: argparse's message
+            cli.main(list(argv))
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.endswith(
+            f"error: the following arguments are required: --{key}\n")
+
+    def test_rank_from_the_file(self, tmp_path, capsys):
+        # this used to exit 2 with "the following arguments are required: --rank"
+        obs_path, graph_path = write_instance(tmp_path)
+        cfg, out = tmp_path / "run.cfg", tmp_path / "completed.mtx"
+        cfg.write_text("rank=2\n")
+        code, _ = run_cli(capsys, "complete", "--observed", str(obs_path), "--graph",
+                          str(graph_path), "--config", str(cfg), "--out", str(out))
+        assert code == 0 and out.exists()
+
 
 # flags no command takes any more: ``--threads`` went with the thread pool
 REMOVED_FLAGS = ("threads",)
@@ -455,8 +490,10 @@ class TestErrorExitCodes:
         return err
 
     def complete(self, obs_path, graph_path, tmp_path, *extra, rank=2):
+        """``complete`` at ``rank``, or with no ``--rank`` when that is None."""
+        rank_flag = () if rank is None else ("--rank", str(rank))
         return cli.main(["complete", "--observed", str(obs_path),
-                         "--graph", str(graph_path), "--rank", str(rank),
+                         "--graph", str(graph_path), *rank_flag,
                          "--out", str(tmp_path / "completed.mtx"), *extra])
 
     def test_parameter_error(self, capsys):
@@ -509,7 +546,7 @@ class TestErrorExitCodes:
         # iterations; it used to end in a LinAlgError traceback
         obs_path, graph_path = write_instance(tmp_path)
         code = self.complete(obs_path, graph_path, tmp_path, "--solver", "ialm",
-                             "--tol", "0", "--max-iter", "9000")
+                             "--tol", "0", "--max-iter", "9000", rank=None)
         self.assert_one_line_error(capsys, code)
 
     @pytest.mark.parametrize("extra", [
@@ -522,8 +559,26 @@ class TestErrorExitCodes:
         # each of these used to run (with a numpy warning for --mu -1), write
         # a matrix and exit 0
         obs_path, graph_path = write_instance(tmp_path, n=64, d=16)
-        code = self.complete(obs_path, graph_path, tmp_path, *extra)
+        code = self.complete(obs_path, graph_path, tmp_path, *extra,
+                             rank=None if "ialm" in extra else 2)
         self.assert_one_line_error(capsys, code)
+        assert not (tmp_path / "completed.mtx").exists()
+
+    @pytest.mark.parametrize("solver", ["pgd", "scaled-pgd"])
+    def test_factored_solver_requires_rank(self, tmp_path, capsys, solver):
+        obs_path, graph_path = write_instance(tmp_path)
+        code = self.complete(obs_path, graph_path, tmp_path, "--solver", solver, rank=None)
+        err = self.assert_one_line_error(capsys, code)
+        assert err == f"error: --solver {solver} requires --rank\n"
+        assert not (tmp_path / "completed.mtx").exists()
+
+    @pytest.mark.parametrize("rank", [3, -7])
+    def test_ialm_refuses_rank(self, tmp_path, capsys, rank):
+        # IALM never read --rank: both used to run and write the same file
+        obs_path, graph_path = write_instance(tmp_path)
+        code = self.complete(obs_path, graph_path, tmp_path, "--solver", "ialm", rank=rank)
+        err = self.assert_one_line_error(capsys, code)
+        assert err == "error: --solver ialm does not read --rank\n"
         assert not (tmp_path / "completed.mtx").exists()
 
     @pytest.mark.parametrize("missing", ["graph", "observed", "config", "out"])

@@ -1,8 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 import scipy.optimize
 
-from detmc import bench, graphs, metrics, pgd, sampling, scaled_pgd
+from detmc import bench, graphs, metrics, pgd, sampling, scaled_pgd, theory
 from detmc.errors import DivergenceError, ParameterError
 from support import complete_graph, scaled_step
 
@@ -309,3 +311,15 @@ class TestSolve:
         logged = int(np.isfinite(trace.dist).sum())
         assert logged == 21
         assert trace.meta["dist_fallbacks"] == (0 if newton_steps is None else logged)
+
+    def test_theory_check_counts_no_draw_outside_the_gauge_basin(self, monkeypatch,
+                                                                 small_instance):
+        # with no Newton step no gauge solve converges, so every draw of the
+        # scaled-geometry check is out of its basin: none is counted, and a
+        # check that tested nothing does not pass
+        gt, g, _ = small_instance
+        assert theory.check_scaled_geometry(gt, g, trials=5, seed=0).instances_tested == 5
+        monkeypatch.setattr(metrics, "_NEWTON_STEPS", 0)
+        rep = theory.check_scaled_geometry(gt, g, trials=5, seed=0)
+        assert rep.instances_tested == 0 and math.isnan(rep.worst_margin)
+        assert rep.passed is False and rep.to_dict()["passed"] is False
