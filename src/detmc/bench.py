@@ -133,13 +133,13 @@ def run_trial(solver, obs, r, gt, cfg):
 SAMPLERS = ("deterministic", "bernoulli")
 
 
-def phase_trial(cfg, solver, kappa, graph, sampler, t):
-    """Trial ``t`` of ``sampler`` at ``graph``'s degree d, on the ground truth
-    and Bernoulli mask (at ``graph``'s rate) seeded by the two children of
-    ``SeedSequence((cfg.seed, d, t))``: ``(sampler, TrialRecord)``.
+def phase_trial(cfg, solver, graph, sampler, t):
+    """Trial ``t`` of ``sampler`` at ``graph``'s degree d, on the kappa = 1
+    ground truth and Bernoulli mask (at ``graph``'s rate) seeded by the two
+    children of ``SeedSequence((cfg.seed, d, t))``: ``(sampler, TrialRecord)``.
     """
     gt_seed, mask_seed = np.random.SeedSequence((cfg.seed, graph.d1, t)).spawn(2)
-    gt = synthetic_low_rank(cfg.n1, cfg.n2, cfg.r, kappa, gt_seed)
+    gt = synthetic_low_rank(cfg.n1, cfg.n2, cfg.r, 1.0, gt_seed)
     if sampler == "deterministic":
         pattern = graph
     else:
@@ -148,7 +148,7 @@ def phase_trial(cfg, solver, kappa, graph, sampler, t):
     return sampler, rec
 
 
-def run_phase_transition(cfg, solver="pgd", kappa=1.0):
+def run_phase_transition(cfg, solver="pgd"):
     """Success-ratio sweep over sampling rates for certified-graph vs
     Bernoulli sampling; a trial stops, and succeeds, below ``cfg.tol``.
     Returns rows (sampler, p, success_ratio, mean_iters).
@@ -169,7 +169,7 @@ def run_phase_transition(cfg, solver="pgd", kappa=1.0):
                          "success_ratio": float("nan"), "mean_iters": float("nan")})
             continue
         rows += [{"sampler": s, "p": graph.rate} for s in SAMPLERS]
-        tasks += [(cfg, solver, kappa, graph, s, t) for s in SAMPLERS for t in range(cfg.trials)]
+        tasks += [(cfg, solver, graph, s, t) for s in SAMPLERS for t in range(cfg.trials)]
     with ProcessPoolExecutor(min(len(tasks), os.cpu_count() or 1) or 1) as pool:
         results = pool.map(phase_trial, *zip(*tasks))  # in the order of tasks
     for row in rows:
@@ -185,8 +185,8 @@ def run_phase_transition(cfg, solver="pgd", kappa=1.0):
 # ---------------------------------------------------------------------------
 
 
-def run_convergence_comparison(cfg, degree=60, solvers=("pgd", "scaled-pgd")):
-    """Full error traces per (solver, kappa, r) plus fitted per-iteration rates.
+def run_convergence_comparison(cfg, degree=60):
+    """Full error traces of PGD and scaled PGD per (kappa, r), and fitted rates.
 
     Returns (trace_rows, rate_rows); trace rows are long-format
     (solver, kappa, r, iter, rel_error).
@@ -200,7 +200,7 @@ def run_convergence_comparison(cfg, degree=60, solvers=("pgd", "scaled-pgd")):
             gt = synthetic_low_rank(cfg.n1, cfg.n2, r, kappa, gt_seed)
             graph = random_biregular(cfg.n1, cfg.n2, degree, seed=graph_seed.entropy)
             obs = observe(gt.matrix, graph)
-            for solver in solvers:
+            for solver in ("pgd", "scaled-pgd"):
                 rec, trace = run_trial(solver, obs, r, gt, cfg)
                 errs = np.asarray(trace.rel_error)
                 for k, e in zip(trace.iterations, errs):

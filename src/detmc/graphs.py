@@ -14,11 +14,11 @@ Two generators are provided:
 
 ``certify`` measures the top two singular values of the bipartite
 adjacency matrix and reports whether the graph passes the Ramanujan test.
-It takes both from Lanczos runs on the sparse adjacency (sigma2 after
-deflating the constant pair), falling back to a dense SVD only for the
-complete graph, whose deflated operator is zero.  The certificate is
-measured once per graph and cached on it, like ``adjacency``: a graph's
-edges are not to be edited after construction.
+It takes both from one Lanczos run (k=2) on the sparse adjacency, falling
+back to a dense SVD for the complete graph, which has rank one, and for a
+graph with a side of at most two vertices, where Lanczos cannot take two
+values.  The certificate is measured once per graph and cached on it, like
+``adjacency``: a graph's edges are not to be edited after construction.
 """
 
 import math
@@ -399,47 +399,23 @@ class SpectralCertificate:
 
 
 def _top_two(g):
-    """sigma1 / sigma2 of the adjacency, by Lanczos on the sparse matrix.
+    """sigma1 / sigma2 of the adjacency, by one Lanczos run on its sparse form.
 
-    The constant pair is an exact singular pair of any biregular adjacency
-    (value sqrt(d1*d2)); sigma2 is the top singular value after deflating it.
-    Lanczos is used on the deflated operator because plain power iteration
-    can under-report sigma2 when the trailing spectrum is clustered.
+    ARPACK's ``svds`` returns the top two singular values together: the
+    constant pair (value sqrt(d1*d2)) is the top pair of any biregular
+    adjacency, and sigma2 the one after it.  Two cases take a dense SVD:
+    the complete graph, which has rank one, and a graph with a side of at
+    most two vertices, where ``svds`` cannot take k=2.
     """
     A = g.adjacency
-    n1, n2 = g.n1, g.n2
-    complete = g.d1 == n2  # includes every graph with a one-vertex side
-    if complete:
-        # rank one: the deflated operator is zero and svds cannot start on
-        # it (nor take k=1 on a one-vertex side), so use a dense SVD
+    if g.d1 == g.n2 or min(g.n1, g.n2) <= 2:
         s = np.linalg.svd(A.toarray(), compute_uv=False)
         return float(s[0]), float(s[1]) if s.size > 1 else 0.0
-
-    u1 = np.full(n1, 1.0 / math.sqrt(n1))
-    v1 = np.full(n2, 1.0 / math.sqrt(n2))
-    s1_exact = math.sqrt(g.d1 * g.d2)
-
-    sigma1 = scipy.sparse.linalg.svds(
-        A, k=1, v0=np.ones(min(n1, n2)), return_singular_vectors=False
-    )[0]
-
-    def matvec(x):
-        x = np.asarray(x).ravel()
-        return A @ x - s1_exact * u1 * (v1 @ x)
-
-    def rmatvec(y):
-        y = np.asarray(y).ravel()
-        return A.T @ y - s1_exact * v1 * (u1 @ y)
-
-    deflated = scipy.sparse.linalg.LinearOperator(
-        (n1, n2), matvec=matvec, rmatvec=rmatvec, dtype=np.float64
+    v0 = np.random.default_rng(7).standard_normal(min(g.n1, g.n2))
+    s = scipy.sparse.linalg.svds(
+        A, k=2, v0=v0, return_singular_vectors=False, maxiter=50_000
     )
-    rng = np.random.default_rng(7)
-    sigma2 = scipy.sparse.linalg.svds(
-        deflated, k=1, v0=rng.standard_normal(min(n1, n2)),
-        return_singular_vectors=False, maxiter=50_000,
-    )[0]
-    return float(sigma1), float(sigma2)
+    return float(s.max()), float(s.min())
 
 
 def _measure_certificate(g):

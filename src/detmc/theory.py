@@ -23,7 +23,7 @@ from . import pgd, scaled_pgd
 from .errors import ParameterError
 from .graphs import certify
 from .metrics import gauge_distance, rotation_distance
-from .sampling import observe, observed_residual, subset_isotropy_gap
+from .sampling import observe, observed_residual, rescaled_dense, subset_isotropy_gap
 
 _PASS_SLACK = 1e-9
 
@@ -50,7 +50,7 @@ class TheoryCheckReport:
             "worst_margin": float(self.worst_margin),
             "scale": float(self.scale),
             "delta_tilde": None if self.delta_tilde is None else float(self.delta_tilde),
-            "params": {k: (None if v is None else float(v)) for k, v in self.params.items()},
+            "params": dict(self.params),
             "out_of_regime": bool(self.out_of_regime),
             "seed": int(self.seed),
             "passed": bool(self.passed),
@@ -146,7 +146,7 @@ def check_graph_deviation(g, gt=None):
     """Spectral deviation of the rescaled adjacency from the all-ones matrix,
     and (with a ground truth) of the rescaled masked matrix from the matrix.
 
-    A/p - 11' is the certificate's deflated adjacency divided by p, so its
+    A/p - 11' is the adjacency less its constant pair, divided by p, so its
     norm is sigma2/p, read from the certificate.  The graph half holds by
     construction: c0 is measured from the same sigma2, so its margin is
     (sigma2/p)(2 sqrt(d_max)/(sqrt(d1) + sqrt(d2)) - 1) >= 0, which is 0 up
@@ -159,8 +159,7 @@ def check_graph_deviation(g, gt=None):
     bound = cert.c0 * math.sqrt(g.n1 * g.n2) / math.sqrt(min(g.d1, g.d2))
     margins, scale = [bound - dev], bound
     if gt is not None:
-        rescaled = np.zeros((g.n1, g.n2))
-        rescaled[g.rows, g.cols] = gt.matrix[g.rows, g.cols] / g.rate
+        rescaled = rescaled_dense(observe(gt.matrix, g))
         if g.d1 == g.n2:  # complete: the rescaled matrix IS the matrix
             dev2 = 0.0
         else:

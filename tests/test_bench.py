@@ -80,7 +80,7 @@ class TestPhaseTransition:
             graph = graphs.random_biregular(
                 48, 48, d, seed=np.random.SeedSequence((cfg.seed, d)).entropy)
             for sampler in bench.SAMPLERS:
-                recs = [bench.phase_trial(cfg, solver, 1.0, graph, sampler, t)
+                recs = [bench.phase_trial(cfg, solver, graph, sampler, t)
                         for t in range(cfg.trials)]
                 assert all(s == sampler for s, _ in recs)
                 serial.append({

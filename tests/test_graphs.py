@@ -176,10 +176,28 @@ class TestCertifyOracle:
 
     @pytest.mark.parametrize("n1, n2", [(1, 1), (1, 5), (5, 1), (2, 2), (4, 7)])
     def test_complete_graphs_take_the_dense_case(self, n1, n2):
-        # rank one: the deflated operator is zero, so Lanczos cannot run
+        # the graph has rank one, so Lanczos cannot find a second value
         cert = graphs.certify(complete_graph(n1, n2))
         assert cert.sigma1 == pytest.approx(math.sqrt(n1 * n2), rel=1e-12)
         assert cert.sigma2 == pytest.approx(0.0, abs=1e-12)
+
+    @pytest.mark.parametrize("build, calls", [
+        (lambda: graphs.random_biregular(40, 40, 6, seed=2), 1),
+        (lambda: complete_graph(4, 7), 0),
+        (lambda: graphs.random_biregular(2, 4, 2, seed=4), 0),  # a two-vertex side
+    ], ids=["random", "complete", "two-vertex-side"])
+    def test_one_lanczos_run_per_certificate(self, monkeypatch, build, calls):
+        # built here, not shared: a certificate is measured once per graph
+        svds, seen = graphs.scipy.sparse.linalg.svds, []
+
+        def counting(*args, **kwargs):
+            seen.append(kwargs.get("k"))
+            return svds(*args, **kwargs)
+
+        monkeypatch.setattr(graphs.scipy.sparse.linalg, "svds", counting)
+        g = build()
+        self.assert_matches_dense(g, graphs.certify(g))
+        assert seen == [2] * calls
 
 
 class TestCertificateCache:

@@ -220,6 +220,8 @@ class TestReports:
         assert payload["check_name"] == "bilinear_bound"
         assert payload["passed"] is True
         assert "params" in payload and "c0" in payload["params"]
+        # integer parameters stay integers
+        assert type(payload["params"]["d1"]) is type(payload["params"]["d2"]) is int
 
     def test_run_all_covers_every_check(self, certified_instance):
         gt, g = certified_instance
