@@ -28,6 +28,8 @@ def synthetic_low_rank(n1, n2, r, cond, seed):
     geometrically from ``cond`` down to 1.  The achieved coherence is
     whatever the random subspaces give; it is recorded, not targeted.
     """
+    if r < 1:
+        raise ParameterError(f"rank must be at least 1, got {r}")
     if r > min(n1, n2):
         raise ParameterError(f"rank {r} exceeds min dimension")
     if cond < 1:
@@ -56,6 +58,8 @@ class ExperimentConfig:
     eval_every: int = 1
 
     def __post_init__(self):
+        if self.n1 < 1 or self.n2 < 1:
+            raise ParameterError(f"matrix sizes must be at least 1, got {self.n1} x {self.n2}")
         if self.trials < 1:
             raise ParameterError("trials must be at least 1")
         if self.tol <= 0:

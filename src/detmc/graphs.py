@@ -394,7 +394,6 @@ class SpectralCertificate:
     sigma2: float
     ramanujan_bound: float  # sqrt(d1-1) + sqrt(d2-1)
     c0: float  # smallest C0 with sigma2 <= (C0/2)(sqrt(d1)+sqrt(d2))
-    g1_residual: float  # deviation of the constant pair from exact top pair
     is_ramanujan: bool
 
 
@@ -422,12 +421,6 @@ def _measure_certificate(g):
     sigma1, sigma2 = _top_two(g)
     s1_exact = math.sqrt(g.d1 * g.d2)
     bound = math.sqrt(g.d1 - 1) + math.sqrt(g.d2 - 1)
-    g1_res = float(
-        np.linalg.norm(
-            g.adjacency @ np.full(g.n2, 1.0 / math.sqrt(g.n2))
-            - s1_exact * np.full(g.n1, 1.0 / math.sqrt(g.n1))
-        )
-    )
     tol = 1e-6 * sigma1
     is_ram = (
         abs(sigma1 - s1_exact) <= tol
@@ -439,7 +432,6 @@ def _measure_certificate(g):
         sigma2=sigma2,
         ramanujan_bound=bound,
         c0=2.0 * sigma2 / (math.sqrt(g.d1) + math.sqrt(g.d2)),
-        g1_residual=g1_res,
         is_ramanujan=is_ram,
     )
 

@@ -51,26 +51,19 @@ def observe(M, pattern):
     return Observation(pattern, M[pattern.rows, pattern.cols])
 
 
-def rescaled_dense(obs):
-    """Dense matrix with (1/rate) * value at observed entries, 0 elsewhere."""
-    out = np.zeros(obs.shape)
-    out[obs.pattern.rows, obs.pattern.cols] = obs.values / obs.rate
-    return out
-
-
 def rescaled_top_svd(obs, r):
     """Top-r SVD of the rescaled observation.
 
-    The operand is the CSR matrix of the m rescaled values when the
-    pattern is large and sparse, so ``top_r_svd`` runs Lanczos on it, and
-    the dense rescaled matrix otherwise.
+    The operand is the CSR matrix of the m rescaled values, so
+    ``top_r_svd`` runs Lanczos on it when the pattern is large and sparse;
+    otherwise the CSR is densified (zeros off the pattern) and
+    ``top_r_svd`` takes a dense SVD.
     """
     n1, n2 = obs.shape
+    A = obs.pattern.csr_with_values(obs.values / obs.rate)
     density = obs.pattern.m / (n1 * n2)
-    if min(n1, n2) >= 200 and density <= 0.25 and r < min(n1, n2) // 2:
-        A = obs.pattern.csr_with_values(obs.values / obs.rate)
-    else:
-        A = rescaled_dense(obs)
+    if not (min(n1, n2) >= 200 and density <= 0.25 and r < min(n1, n2) // 2):
+        A = A.toarray()
     return top_r_svd(A, r)
 
 

@@ -15,6 +15,14 @@ def complete_graph(n1, n2):
     return graphs.BiregularGraph(n1, n2, np.column_stack([rows, cols]))
 
 
+def constant_pair_residual(g):
+    """||A 1/sqrt(n2) - sqrt(d1 d2) 1/sqrt(n1)||: how far the normalized
+    all-ones vectors are from a singular pair of value sqrt(d1 d2)."""
+    ones_right = np.full(g.n2, 1.0 / np.sqrt(g.n2))
+    ones_left = np.full(g.n1, 1.0 / np.sqrt(g.n1))
+    return float(np.linalg.norm(g.adjacency @ ones_right - np.sqrt(g.d1 * g.d2) * ones_left))
+
+
 def bernoulli_with_empty_row_and_column():
     """A 40 x 25 Bernoulli(0.3) mask with row 0 and column 0 left empty."""
     mask = graphs.bernoulli_mask(40, 25, 0.3, seed=22)

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from detmc import bench, graphs, metrics, pgd, sampling, scaled_pgd, theory
-from support import complete_graph, scaled_step
+from support import complete_graph, constant_pair_residual, scaled_step
 
 
 def report(num, name, detail=""):
@@ -334,9 +334,10 @@ def test_criterion_09_graph_certification(lps_5_13, lps_5_13_cert):
     assert k33.sigma1 == pytest.approx(3.0, abs=1e-12)
     assert k33.sigma2 == pytest.approx(0.0, abs=1e-12)
     assert k33.is_ramanujan
-    k22 = graphs.certify(complete_graph(2, 2))
+    k22_graph = complete_graph(2, 2)
+    k22 = graphs.certify(k22_graph)
     assert k22.sigma1 == pytest.approx(2.0, abs=1e-12)
-    assert k22.g1_residual <= 1e-12
+    assert constant_pair_residual(k22_graph) <= 1e-12 * math.sqrt(2 * 2)
     report(9, "LPS(5,13) certifies Ramanujan; complete controls exact",
            f"sigma2 {cert.sigma2:.6f} <= {2 * math.sqrt(5):.6f}")
 
@@ -352,7 +353,7 @@ def test_criterion_10_margin_suite(lps_5_13):
     reports = [
         theory.check_tangent_isometry(gt, lps_5_13, trials=200, seed=10),
         theory.check_bilinear_bound(lps_5_13, trials=200, seed=10),
-        theory.check_graph_deviation(lps_5_13, gt),
+        theory.check_graph_deviation(gt, lps_5_13),
         theory.check_masked_quartic(gt, lps_5_13, trials=200, seed=10),
         theory.check_masked_row_bound(lps_5_13, trials=200, seed=10),
     ]

@@ -38,6 +38,9 @@ class TestSyntheticLowRank:
             bench.synthetic_low_rank(10, 10, 11, 1.0, seed=0)
         with pytest.raises(ParameterError):
             bench.synthetic_low_rank(10, 10, 2, 0.5, seed=0)
+        for r in (0, -1):
+            with pytest.raises(ParameterError, match="rank must be at least 1"):
+                bench.synthetic_low_rank(10, 10, r, 1.0, seed=0)
 
 
 class TestExperimentConfig:
@@ -48,6 +51,12 @@ class TestExperimentConfig:
             bench.ExperimentConfig(trials=0)
         with pytest.raises(ParameterError):
             bench.ExperimentConfig(tol=0.0)
+
+    @pytest.mark.parametrize("sizes", [{"n1": 0}, {"n2": -5}, {"n1": -5, "n2": -5}])
+    def test_sizes_below_one_rejected(self, sizes):
+        # n = -5 used to run and write one skipped row with p = -1.6
+        with pytest.raises(ParameterError, match="matrix sizes must be at least 1"):
+            bench.ExperimentConfig(**sizes)
 
 
 class TestPhaseTransition:

@@ -532,6 +532,19 @@ class TestErrorExitCodes:
                                  rank=rank)
             self.assert_one_line_error(capsys, code)
 
+    @pytest.mark.parametrize("argv", [
+        ("theory", "run", "--n", "64", "--d", "8", "--r", "-1"),
+        ("theory", "run", "--n", "64", "--d", "8", "--r", "0"),
+        ("bench", "phase", "--n", "64", "--r", "-2", "--degrees", "8", "--trials", "1"),
+    ])
+    def test_synthetic_rank_below_one(self, tmp_path, capsys, argv):
+        # these used to end in numpy's "negative dimensions are not allowed"
+        # traceback, or (at --r 0) in a complaint about a (64, 0) matrix
+        code = cli.main([*argv, "--out", str(tmp_path / "out")])
+        err = self.assert_one_line_error(capsys, code)
+        assert "rank must be at least 1" in err
+        assert not [path for path in tmp_path.rglob("*") if path.is_file()]
+
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_divergence_error(self, tmp_path, capsys):
         # a huge mu lifts the row clip, so a large step overflows the loss

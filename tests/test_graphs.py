@@ -6,7 +6,7 @@ import pytest
 
 from detmc import graphs
 from detmc.errors import FormatError, ParameterError
-from support import complete_graph, random_biregular_reference
+from support import complete_graph, constant_pair_residual, random_biregular_reference
 
 
 def two_k22():
@@ -102,7 +102,6 @@ class TestLps:
         assert abs(cert.sigma1 - 6.0) <= 1e-6 * 6.0
         assert cert.sigma2 <= 2 * math.sqrt(5) + 1e-6
         assert cert.is_ramanujan
-        assert cert.g1_residual <= 1e-10
 
     def test_parameter_guards(self):
         with pytest.raises(ParameterError):
@@ -136,7 +135,6 @@ class TestCertify:
     def test_complete_bipartite_2x2(self):
         cert = graphs.certify(complete_graph(2, 2))
         assert cert.sigma1 == pytest.approx(2.0, abs=1e-12)
-        assert cert.g1_residual <= 1e-12
 
     def test_disconnected_union_not_ramanujan(self):
         # two disjoint copies of K_{2,2}: sigma2 = sigma1 = 2
@@ -144,6 +142,41 @@ class TestCertify:
         cert = graphs.certify(g)
         assert cert.sigma2 == pytest.approx(cert.sigma1)
         assert not cert.is_ramanujan
+
+
+class TestConstantPair:
+    """What holds on every biregular graph, because d1 n1 = d2 n2: the
+    constant pair is exact, and the graph's deviation is sigma2/p."""
+
+    @staticmethod
+    def graphs_under_test(lps_5_13, tmp_path):
+        path = tmp_path / "g.edges"
+        graphs.save_edges(graphs.random_biregular(12, 8, 4, seed=2), path)
+        return (lps_5_13, graphs.random_biregular(60, 40, 10, seed=1),  # d2 = 15
+                complete_graph(2, 2), graphs.load_edges(path))
+
+    def test_constant_pair_is_exact(self, lps_5_13, tmp_path):
+        for g in self.graphs_under_test(lps_5_13, tmp_path):
+            assert constant_pair_residual(g) <= 1e-12 * math.sqrt(g.d1 * g.d2), g
+
+    def test_deviation_equals_sigma2_over_rate(self):
+        # the oracle is the dense spectral norm of A/p - 11', on a square
+        # and a rectangular graph
+        for g in (graphs.random_biregular(128, 128, 24, seed=2),
+                  graphs.random_biregular(48, 36, 12, seed=24)):  # d2 = 16
+            dense = np.linalg.norm(g.adjacency.toarray() / g.rate - 1.0, 2)
+            assert dense == pytest.approx(graphs.certify(g).sigma2 / g.rate, rel=1e-8)
+
+    def test_deviation_meets_its_bound(self, lps_5_13, tmp_path):
+        # sigma2/p <= c0 sqrt(n1 n2) / sqrt(d_min), with equality when
+        # d1 = d2: c0 is measured from the same sigma2
+        for g in self.graphs_under_test(lps_5_13, tmp_path):
+            cert = graphs.certify(g)
+            dev = cert.sigma2 / g.rate
+            bound = cert.c0 * math.sqrt(g.n1 * g.n2) / math.sqrt(min(g.d1, g.d2))
+            assert dev <= bound * (1 + 1e-12), g
+            if g.d1 == g.d2:
+                assert dev == pytest.approx(bound, rel=1e-12, abs=1e-12), g
 
 
 class TestCertifyOracle:

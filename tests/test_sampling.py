@@ -49,20 +49,43 @@ class TestObserve:
         assert np.array_equal(once, twice)
 
 
+def rescaled(obs):
+    """The rescaled observation p^-1 P_Omega(M), scattered into a dense array."""
+    out = np.zeros(obs.shape)
+    out[obs.pattern.rows, obs.pattern.cols] = obs.values / obs.rate
+    return out
+
+
 class TestRescaledDense:
+    """``rescaled_top_svd`` on the rescaled observation, whose small-instance
+    path densifies the CSR of the rescaled values."""
+
     def test_complete_is_identity(self):
         rng = np.random.default_rng(2)
         M = rng.standard_normal((4, 4))
         obs = sampling.observe(M, complete_graph(4, 4))
-        assert np.allclose(sampling.rescaled_dense(obs), M)
+        assert np.allclose(sampling.rescaled_top_svd(obs, 4).reconstruct(), M)
 
     def test_half_rate_doubles(self):
         g = graphs.random_biregular(4, 4, 2, seed=1)
         M = np.zeros((4, 4))
         i, j = g.edges[0]
         M[i, j] = 1.0
-        out = sampling.rescaled_dense(sampling.observe(M, g))
-        assert out[i, j] == pytest.approx(2.0)
+        tsvd = sampling.rescaled_top_svd(sampling.observe(M, g), 1)
+        assert tsvd.S[0] == pytest.approx(2.0)
+        assert tsvd.reconstruct()[i, j] == pytest.approx(2.0)
+
+    def test_small_path_densifies_the_csr(self, monkeypatch):
+        # bit for bit the scattered rescaled values, on a graph and a mask
+        rng = np.random.default_rng(3)
+        seen = []
+        monkeypatch.setattr(sampling, "top_r_svd", lambda A, r: seen.append(A))
+        for pattern in (graphs.random_biregular(30, 20, 4, seed=1),
+                        bernoulli_with_empty_row_and_column()):
+            obs = sampling.observe(rng.standard_normal((pattern.n1, pattern.n2)), pattern)
+            sampling.rescaled_top_svd(obs, 2)
+            assert isinstance(seen[-1], np.ndarray)
+            assert np.array_equal(seen[-1], rescaled(obs))
 
     def test_rank_one_exact_on_complete(self):
         M = np.ones((2, 2))
@@ -74,7 +97,7 @@ class TestRescaledDense:
         gt = bench.synthetic_low_rank(256, 256, 3, 3.0, seed=5)
         g = graphs.random_biregular(256, 256, 20, seed=6)
         obs = sampling.observe(gt.matrix, g)
-        dense = sampling.rescaled_dense(obs)
+        dense = rescaled(obs)
         assert obs.pattern.m / (256 * 256) <= 0.25  # sparse path active
         from detmc.kernels import top_r_svd
 

@@ -98,57 +98,81 @@ class TestBilinearBound:
         rep = theory.check_bilinear_bound(g, trials=100, seed=8)
         assert rep.passed
 
+    def test_slack_is_sigma2_over_rate(self, lps_5_13):
+        # the slack 0.5 c0 (sqrt(n1) + sqrt(n2)) / sqrt(p) is sigma2/p on
+        # every biregular graph (c0 is 2 sigma2 / (sqrt(d1) + sqrt(d2)) and
+        # d1 = p n2, d2 = p n1), so with the expander mixing lemma
+        # |x'(A/p - 11')y| <= (sigma2/p) |x| |y| the bound cannot fail
+        rect = (graphs.random_biregular(48, 36, 12, seed=24),  # d2 = 16
+                graphs.random_biregular(60, 40, 10, seed=3))  # d2 = 15
+        for g in (lps_5_13, *rect):
+            cert = graphs.certify(g)
+            slack = 0.5 * cert.c0 * (math.sqrt(g.n1) + math.sqrt(g.n2)) / math.sqrt(g.rate)
+            assert slack == pytest.approx(cert.sigma2 / g.rate, rel=1e-12)
+
 
 class TestGraphDeviation:
     def test_complete_graph_zero_deviation(self):
-        rep = theory.check_graph_deviation(complete_graph(12, 12))
-        assert rep.params["deviation"] <= 1e-8
+        # A = 11' and p = 1: the graph's own deviation sigma2/p vanishes
+        gt = bench.synthetic_low_rank(12, 12, 2, 2.0, seed=3)
+        rep = theory.check_graph_deviation(gt, complete_graph(12, 12))
+        assert rep.params["sigma2_over_p"] <= 1e-8
         assert rep.passed
-
-    def test_deviation_equals_sigma2_over_rate(self, certified_instance):
-        # the deviation is read from the certificate; the oracle is the dense
-        # spectral norm of A/p - 11', on a square and a rectangular graph
-        gt, g = certified_instance
-        rect = graphs.random_biregular(48, 36, 12, seed=24)  # d2 = 16
-        for g, truth in ((g, gt), (rect, None)):
-            rep = theory.check_graph_deviation(g, truth)
-            dense = np.linalg.norm(g.adjacency.toarray() / g.rate - 1.0, 2)
-            assert rep.params["deviation"] == pytest.approx(dense, rel=1e-8)
-            assert rep.passed
 
     def test_complete_graph_with_truth_zero_deviation(self):
+        # everything observed: the rescaled matrix IS the matrix, so the
+        # margin is the whole bound
         gt = bench.synthetic_low_rank(12, 12, 2, 2.0, seed=3)
-        rep = theory.check_graph_deviation(complete_graph(12, 12), gt)
-        assert rep.instances_tested == 2
+        rep = theory.check_graph_deviation(gt, complete_graph(12, 12))
+        assert rep.params["masked_deviation"] == 0.0
+        assert rep.instances_tested == 1
+        assert rep.worst_margin == rep.scale
         assert rep.passed
 
-    def test_masked_deviation_matches_dense_norm(self, certified_instance, monkeypatch):
-        # the masked-matrix deviation is the only dense svds call; it must
-        # equal the dense spectral norm of rescaled masked minus full matrix
+    def test_masked_deviation_matches_dense_norm(self, certified_instance):
+        # the oracle is the dense spectral norm of the rescaled masked
+        # matrix less the matrix
         gt, g = certified_instance
-        svds = theory.scipy.sparse.linalg.svds
-        dense_values = []
-
-        def spy(A, *args, **kwargs):
-            s = svds(A, *args, **kwargs)
-            if isinstance(A, np.ndarray):
-                dense_values.append(float(s[0]))
-            return s
-
-        monkeypatch.setattr(theory.scipy.sparse.linalg, "svds", spy)
-        theory.check_graph_deviation(g, gt)
+        rep = theory.check_graph_deviation(gt, g)
         rescaled = np.zeros((g.n1, g.n2))
         rescaled[g.rows, g.cols] = gt.matrix[g.rows, g.cols] / g.rate
-        assert dense_values == [pytest.approx(
-            np.linalg.norm(rescaled - gt.matrix, 2), rel=1e-12)]
+        assert rep.params["masked_deviation"] == pytest.approx(
+            np.linalg.norm(rescaled - gt.matrix, 2), rel=1e-12)
+
+    def test_margin_is_the_masked_bound_less_the_deviation(self, certified_instance):
+        gt, g = certified_instance
+        rep = theory.check_graph_deviation(gt, g)
+        cert = graphs.certify(g)
+        bound = cert.c0 * gt.coherence_mu * gt.rank / math.sqrt(min(g.d1, g.d2)) * gt.sigma1
+        assert rep.scale == bound
+        assert rep.worst_margin == bound - rep.params["masked_deviation"]
+        assert rep.params["sigma2_over_p"] == cert.sigma2 / g.rate
+        assert "deviation" not in rep.params
 
     def test_disconnected_control_uses_measured_constant(self):
         edges = [(i, j) for i in range(2) for j in range(2)]
         edges += [(i + 2, j + 2) for i in range(2) for j in range(2)]
         g = graphs.BiregularGraph(4, 4, np.array(edges))
-        rep = theory.check_graph_deviation(g)
+        gt = bench.synthetic_low_rank(4, 4, 1, 2.0, seed=0)
+        rep = theory.check_graph_deviation(gt, g)
         # bound built from the certificate's own (non-Ramanujan) constant
+        cert = graphs.certify(g)
+        assert not cert.is_ramanujan
+        assert rep.params["c0"] == cert.c0
+        assert rep.scale == pytest.approx(cert.c0 * gt.coherence_mu * gt.sigma1 / math.sqrt(2),
+                                          rel=1e-12)
         assert rep.passed
+
+    def test_memory_below_one_dense_matrix(self, lps_5_13):
+        g = lps_5_13
+        gt = bench.synthetic_low_rank(g.n1, g.n2, 3, 2.0, seed=5)
+        tracemalloc.start()
+        try:
+            theory.check_graph_deviation(gt, g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < g.n1 * g.n2 * 8  # one float64 n1 x n2 array: 9.1 MiB
 
 
 class TestMaskedQuartic:
