@@ -53,7 +53,6 @@ class ExperimentConfig:
     tol: float = 1e-4  # stop threshold; phase rows also count a success below it
     seed: int = 0
     eta: float | None = None  # solver default when None
-    lam: float | None = None  # solver default when None
     max_iter: int = 2000
     eval_every: int = 1
 
@@ -114,7 +113,7 @@ def run_trial(solver, obs, r, gt, cfg):
     """One solver run wrapped into a TrialRecord (plus the trace)."""
     try:
         _, trace = solve(solver, obs, r, gt, max_iter=cfg.max_iter, tol=cfg.tol,
-                         eta=cfg.eta, lam=cfg.lam, eval_every=cfg.eval_every)
+                         eta=cfg.eta, eval_every=cfg.eval_every)
         diverged = False
     except DivergenceError as exc:
         trace = exc.trace

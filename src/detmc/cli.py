@@ -40,7 +40,7 @@ def load_config_file(path):
 
 _SHARED_FLAGS = {  # dest: add_argument keywords of the flags several commands take
     "seed": {"type": int, "default": 0}, "out": {"default": None}, "tol": {"type": float},
-    "eta": {"type": float, "default": None}, "lam": {"type": float, "default": None},
+    "eta": {"type": float, "default": None},
     "solver": {"choices": tuple(bench.SOLVERS), "default": "pgd"},
 }
 
@@ -106,7 +106,7 @@ def build_parser():
     complete.add_argument("--mu", type=float,
                           help="incoherence estimate for the projection")
     complete.add_argument("--max-iter", type=int, default=2000)
-    _finish(complete, cmd_complete, "out", "tol", "eta", "lam", "solver",
+    _finish(complete, cmd_complete, "out", "tol", "eta", "solver",
             required=("observed", "graph"))
 
     b = sub.add_parser("bench", help="experiment sweeps")
@@ -126,7 +126,7 @@ def build_parser():
     conv.add_argument("--kappas", type=_comma_list(float), default=(1.0, 5.0, 10.0))
     conv.add_argument("--degree", type=int, default=60)
     conv.add_argument("--max-iter", type=int, default=6000)
-    _finish(conv, cmd_bench_convergence, "seed", "out", "tol", "eta", "lam", tol=1e-4)
+    _finish(conv, cmd_bench_convergence, "seed", "out", "tol", "eta", tol=1e-4)
 
     comp = bsub.add_parser("compare", help="solver comparison table")
     comp.add_argument("--n", type=int, default=512)
@@ -134,7 +134,7 @@ def build_parser():
     comp.add_argument("--degrees", type=_comma_list(int), default=(60,))
     comp.add_argument("--trials", type=int, default=3)
     comp.add_argument("--max-iter", type=int, default=6000)
-    _finish(comp, cmd_bench_compare, "seed", "out", "tol", "eta", "lam", tol=1e-4)
+    _finish(comp, cmd_bench_compare, "seed", "out", "tol", "eta", tol=1e-4)
 
     th = sub.add_parser("theory", help="numerical inequality checks")
     tsub = th.add_subparsers(required=True)
@@ -152,7 +152,7 @@ def build_parser():
 
 
 def _flag_of(dest):
-    return "--lambda" if dest == "lam" else "--" + dest.replace("_", "-")
+    return "--" + dest.replace("_", "-")
 
 
 def _apply_config(parser, argv):
@@ -189,9 +189,9 @@ def _refuse_given(args, reader, dests):
 
 
 def _tuning(args):
-    """The ``--eta``, ``--lambda`` and ``--mu`` values given to a command that
-    runs one ``--solver``; one that solver does not read is refused."""
-    given = {dest: value for dest in ("eta", "lam", "mu")
+    """The ``--eta`` and ``--mu`` values given to a command that runs one
+    ``--solver``; one that solver does not read is refused."""
+    given = {dest: value for dest in ("eta", "mu")
              if (value := getattr(args, dest, None)) is not None}
     read = {f.name for f in fields(bench.SOLVERS[args.solver])}
     _refuse_given(args, f"--solver {args.solver}", [d for d in given if d not in read])
@@ -300,7 +300,7 @@ def cmd_bench_phase(args):
 def cmd_bench_convergence(args):
     cfg = bench.ExperimentConfig(
         n1=args.n, n2=args.n, r_list=args.ranks, kappa_list=args.kappas, trials=1,
-        tol=args.tol, seed=args.seed, eta=args.eta, lam=args.lam, max_iter=args.max_iter,
+        tol=args.tol, seed=args.seed, eta=args.eta, max_iter=args.max_iter,
     )
     outdir = _outdir(args)
     traces, rates = bench.run_convergence_comparison(cfg, degree=args.degree)
@@ -315,7 +315,7 @@ def cmd_bench_convergence(args):
 def cmd_bench_compare(args):
     cfg = bench.ExperimentConfig(
         n1=args.n, n2=args.n, r_list=args.ranks, degrees=args.degrees, trials=args.trials,
-        tol=args.tol, seed=args.seed, eta=args.eta, lam=args.lam, max_iter=args.max_iter,
+        tol=args.tol, seed=args.seed, eta=args.eta, max_iter=args.max_iter,
     )
     outdir = _outdir(args)
     rows = bench.run_solver_comparison(cfg)

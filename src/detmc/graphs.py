@@ -136,6 +136,12 @@ class BiregularGraph(SamplingPattern):
         return self.d1 / self.n2
 
     @cached_property
+    def neighbors(self):
+        """Each left vertex's right neighbours, a read-only n1 x d1 view of
+        ``cols``: the edges are sorted by row, d1 to a row."""
+        return self.cols.reshape(self.n1, self.d1)
+
+    @cached_property
     def certificate(self):
         """The ``SpectralCertificate``, measured on first access (see ``certify``)."""
         return _measure_certificate(self)

@@ -2,8 +2,10 @@
 
 The iterate is the factor pair (X, Y); the loss charges the squared
 residual on the observed entries (rescaled by the sampling rate) plus a
-balancing penalty on X'X - Y'Y.  Rows of the stacked factor are clipped
-to an incoherence bound derived from the spectral initialization.
+balancing penalty on X'X - Y'Y weighted by ``LAM`` = 1/2, the weight the
+analysis fixes (``theory.check_pgd_geometry``'s constants assume it).  Rows
+of the stacked factor are clipped to an incoherence bound derived from the
+spectral initialization.
 
 ``iterate`` is the outer loop of both factored solvers (this one and
 ``scaled_pgd``): timing, the trace and the ``StopRule`` (``ialm``'s too)
@@ -33,6 +35,7 @@ from .sampling import observed_residual, rescaled_top_svd, residual_products
 _DIVERGENCE_PATIENCE = 50
 _LOSS_STALL_REL = 1e-12
 _LOSS_FLOOR_REL = 1e-24
+LAM = 0.5  # the balancing weight; see the module docstring
 
 
 @dataclass
@@ -71,11 +74,12 @@ class FactorPair:
 
 @dataclass
 class PgdConfig:
+    """Settings of an unscaled PGD run; the balancing weight is ``LAM`` = 1/2."""
+
     # default step reproduces the reference behavior of the unscaled
     # method: comparable to the scaled variant at kappa = 1, slower on
     # ill-conditioned targets; larger steps trade robustness for speed
     eta: float = 0.1
-    lam: float = 0.5  # balancing weight
     max_iter: int = 2000
     tol: float = 1e-6
     mu: float = 2.0  # incoherence estimate used when no ground truth is given
@@ -83,8 +87,8 @@ class PgdConfig:
     eval_every: int = 1  # ground-truth metrics logged every k-th iteration
 
     def __post_init__(self):
-        if not 0 < self.eta < math.inf or self.lam < 0:
-            raise ParameterError("eta must be positive and finite and lambda nonnegative")
+        if not 0 < self.eta < math.inf:
+            raise ParameterError("eta must be positive and finite")
         if not 0 < self.mu < math.inf:
             raise ParameterError("mu must be positive and finite")
         check_stop_settings(self.max_iter, self.tol, self.eval_every)
@@ -243,44 +247,39 @@ def spectral_init(obs, r, mu):
     return project_rows(pair, clip_bound), znorm, clip_bound
 
 
-def _objective(Xt, Yt, obs, lam, out=None):
+def _objective(Xt, Yt, obs, out=None):
     """``loss`` at the r-major factors, and the residual and Gram gap it used."""
     K = observed_residual(Xt.T, Yt.T, obs, out=out)
     gap = Xt @ Xt.T - Yt @ Yt.T
     fit = float((K.data**2).sum()) / obs.rate
-    if lam == 0:
-        return fit, (K, gap)
-    return fit + 0.25 * lam * float((gap * gap).sum()), (K, gap)
+    return fit + 0.25 * LAM * float((gap * gap).sum()), (K, gap)
 
 
-def _gradient(Xt, Yt, state, obs, lam):
+def _gradient(Xt, Yt, state, obs):
     """r-major ``gradient`` from the residual and Gram gap of ``_objective``."""
     K, gap = state
     KY, KtX = residual_products(K, Xt, Yt)
-    gXt = (2.0 / obs.rate) * KY
-    gYt = (2.0 / obs.rate) * KtX
-    if lam != 0:
-        # X @ gap and Y @ gap, transposed; the gap is symmetric
-        gXt = gXt + lam * (gap @ Xt)
-        gYt = gYt - lam * (gap @ Yt)
+    # X @ gap and Y @ gap, transposed; the gap is symmetric
+    gXt = (2.0 / obs.rate) * KY + LAM * (gap @ Xt)
+    gYt = (2.0 / obs.rate) * KtX - LAM * (gap @ Yt)
     return gXt, gYt
 
 
-def loss(pair, obs, lam):
-    """(1/rate)*||residual on the pattern||_F^2 + (lam/4)*||X'X - Y'Y||_F^2."""
-    return _objective(*pair.r_major(), obs, lam)[0]
+def loss(pair, obs):
+    """(1/rate)*||residual on the pattern||_F^2 + (LAM/4)*||X'X - Y'Y||_F^2."""
+    return _objective(*pair.r_major(), obs)[0]
 
 
-def gradient(pair, obs, lam):
+def gradient(pair, obs):
     """Exact gradient of ``loss`` as a factor pair.
 
     The observed-residual blocks carry the factor 2/rate (the loss is a
     plain squared norm, not half of one), and the balancing blocks are
-    lam * X (X'X - Y'Y) and its mirror.
+    LAM * X (X'X - Y'Y) and its mirror.
     """
     Xt, Yt = pair.r_major()
-    _, state = _objective(Xt, Yt, obs, lam)
-    return FactorPair.from_r_major(*_gradient(Xt, Yt, state, obs, lam))
+    _, state = _objective(Xt, Yt, obs)
+    return FactorPair.from_r_major(*_gradient(Xt, Yt, state, obs))
 
 
 def solve(obs, r, config=None, gt=None):
@@ -299,15 +298,15 @@ def solve(obs, r, config=None, gt=None):
     K = obs.pattern.csr_with_values(np.empty(obs.pattern.m))
 
     trace = IterationTrace(meta={
-        "solver": "pgd", "eta": config.eta, "lam": config.lam,
+        "solver": "pgd", "eta": config.eta,
         "clip_bound": clip_bound, "stepsize_denominator": denom,
     })
 
     def objective(Xt, Yt):
-        return _objective(Xt, Yt, obs, config.lam, out=K)
+        return _objective(Xt, Yt, obs, out=K)
 
     def advance(Xt, Yt, state):
-        gXt, gYt = _gradient(Xt, Yt, state, obs, config.lam)
+        gXt, gYt = _gradient(Xt, Yt, state, obs)
         return _clip_rows(Xt - step * gXt, clip_bound), _clip_rows(Yt - step * gYt, clip_bound)
 
     return iterate(pair, objective, advance, metrics.rotation_distance, config, gt,

@@ -246,15 +246,15 @@ def check_pgd_geometry(gt, g, trials, seed):
     inside the basin the unscaled solver operates in.
 
     Samples are rotated targets plus a bounded perturbation, row-clipped to
-    the constraint set.  The constants assume a sample-size regime recorded
-    in ``out_of_regime``; outside it violations are informational.
+    the constraint set.  The constants assume the balancing weight
+    ``pgd.LAM`` = 1/2 and a sample-size regime recorded in ``out_of_regime``;
+    outside it violations are informational.
     """
     _check_trials(trials)
     cert = certify(g)
     delta_d = subset_isotropy_gap(gt, g)
     obs = observe(gt.matrix, g)
     _, _, clip_bound = pgd.spectral_init(obs, gt.rank, gt.coherence_mu)
-    lam = 0.5
     mu, r, kappa = gt.coherence_mu, gt.rank, gt.condition_number
     sig1, sigr = gt.sigma1, gt.sigma_r
     Zs = gt.stacked_factor
@@ -270,7 +270,7 @@ def check_pgd_geometry(gt, g, trials, seed):
         align = rotation_distance(pair, gt)
         H = align.H
         Zbar = pair.stacked() - H
-        grad = pgd.gradient(pair, obs, lam)
+        grad = pgd.gradient(pair, obs)
         Gs = grad.stacked()
         h2 = float((H * H).sum())
         cross = Zbar[:n1].T @ H[:n1] - Zbar[n1:].T @ H[n1:]  # Zbar' D H

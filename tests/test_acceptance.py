@@ -197,8 +197,7 @@ def test_criterion_06_gradient_correctness():
         X = rng.standard_normal((n1, r))
         Y = rng.standard_normal((n2, r))
         pair = pgd.FactorPair(X, Y)
-        lam = 0.5
-        grad = pgd.gradient(pair, obs, lam)
+        grad = pgd.gradient(pair, obs)
         h = 1e-6
         scale = max(
             np.abs(grad.X).max(), np.abs(grad.Y).max(), 1e-6
@@ -210,11 +209,11 @@ def test_criterion_06_gradient_correctness():
                     Ap[i, j] += h
                     Am[i, j] -= h
                     if is_x:
-                        fd = (pgd.loss(pgd.FactorPair(Ap, Y), obs, lam)
-                              - pgd.loss(pgd.FactorPair(Am, Y), obs, lam)) / (2 * h)
+                        fd = (pgd.loss(pgd.FactorPair(Ap, Y), obs)
+                              - pgd.loss(pgd.FactorPair(Am, Y), obs)) / (2 * h)
                     else:
-                        fd = (pgd.loss(pgd.FactorPair(X, Ap), obs, lam)
-                              - pgd.loss(pgd.FactorPair(X, Am), obs, lam)) / (2 * h)
+                        fd = (pgd.loss(pgd.FactorPair(X, Ap), obs)
+                              - pgd.loss(pgd.FactorPair(X, Am), obs)) / (2 * h)
                     worst_fd = max(worst_fd, abs(fd - G[i, j]) / max(abs(fd), scale))
 
         # scaled step against the dense explicit-inverse composition

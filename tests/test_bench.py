@@ -144,11 +144,9 @@ class TestSolve:
         for module in (pgd, scaled_pgd, ialm):
             monkeypatch.setattr(module, "solve", record)
         for name in bench.SOLVERS:
-            bench.solve(name, None, 2, max_iter=7, tol=1e-3, eta=0.12, lam=0.25,
-                        mu=3.0)
+            bench.solve(name, None, 2, max_iter=7, tol=1e-3, eta=0.12, mu=3.0)
         assert seen == {
-            pgd.PgdConfig: pgd.PgdConfig(max_iter=7, tol=1e-3, eta=0.12, lam=0.25,
-                                         mu=3.0),
+            pgd.PgdConfig: pgd.PgdConfig(max_iter=7, tol=1e-3, eta=0.12, mu=3.0),
             scaled_pgd.ScaledPgdConfig: scaled_pgd.ScaledPgdConfig(
                 max_iter=7, tol=1e-3, eta=0.12, mu=3.0),
             ialm.IalmConfig: ialm.IalmConfig(max_iter=7, tol=1e-3),

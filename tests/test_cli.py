@@ -277,15 +277,16 @@ class TestConfigFile:
         assert graphs.load_edges(edges).d1 == 6
 
     def test_keys_are_flag_names(self, tmp_path, capsys, monkeypatch):
-        # lambda for --lambda, max_iter or max-iter for --max-iter
+        # max_iter or max-iter for --max-iter; a dest that is no flag is unknown
         obs_path, graph_path = write_instance(tmp_path)
         seen = record_configs(monkeypatch, pgd)
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("lambda=0.25\nmax_iter=7\n")
-        with pytest.raises(Recorded):
-            cli.main(["complete", "--observed", str(obs_path), "--graph", str(graph_path),
-                      "--rank", "2", "--config", str(cfg)])
-        assert seen == [pgd.PgdConfig(lam=0.25, max_iter=7)]
+        for key in ("max_iter", "max-iter"):
+            cfg.write_text(f"{key}=7\n")
+            with pytest.raises(Recorded):
+                cli.main(["complete", "--observed", str(obs_path), "--graph",
+                          str(graph_path), "--rank", "2", "--config", str(cfg)])
+        assert seen == [pgd.PgdConfig(max_iter=7)] * 2
         cfg.write_text("lam=0.25\n")
         code = cli.main(["complete", "--observed", str(obs_path), "--graph",
                          str(graph_path), "--rank", "2", "--config", str(cfg)])
@@ -345,8 +346,9 @@ class TestConfigFile:
         assert code == 0 and out.exists()
 
 
-# flags no command takes any more: ``--threads`` went with the thread pool
-REMOVED_FLAGS = ("threads",)
+# flags no command takes any more, by the dest they had: ``--threads`` went
+# with the thread pool, ``--lambda`` when the balancing weight became ``pgd.LAM``
+REMOVED_FLAGS = {"threads": "--threads", "lam": "--lambda"}
 
 
 class TestFlags:
@@ -355,27 +357,28 @@ class TestFlags:
 
     # command: (its required flags, the shared flags it does not read)
     IGNORED = {
-        "graph gen": (("--kind", "random"), ("tol", "eta", "lam", "solver")),
-        "graph verify": (("--graph", "g.edges"), ("seed", "tol", "eta", "lam", "solver")),
-        "graph export": (("--graph", "g.edges"), ("seed", "tol", "eta", "lam", "solver")),
+        "graph gen": (("--kind", "random"), ("tol", "eta", "solver")),
+        "graph verify": (("--graph", "g.edges"), ("seed", "tol", "eta", "solver")),
+        "graph export": (("--graph", "g.edges"), ("seed", "tol", "eta", "solver")),
         "complete": (("--observed", "o.mtx", "--graph", "g.edges", "--rank", "2"),
                      ("seed",)),
         "bench phase": ((), ()),
         "bench convergence": ((), ("solver",)),
         "bench compare": ((), ("solver",)),
-        "theory run": ((), ("tol", "eta", "lam", "solver")),
+        "theory run": ((), ("tol", "eta", "solver")),
     }
     @pytest.mark.parametrize("command, dest", [
         pytest.param(command, dest, id=f"{command} {dest}")
         for command, (_, dests) in IGNORED.items() for dest in (*dests, *REMOVED_FLAGS)])
     def test_dropped_flag_exits_2(self, tmp_path, capsys, command, dest):
         argv = [*command.split(), *self.IGNORED[command][0]]
+        flag = REMOVED_FLAGS.get(dest) or cli._flag_of(dest)
         value = {"solver": "pgd", "threads": "2"}.get(dest, "1")
         with pytest.raises(SystemExit) as exc:
-            cli.main([*argv, cli._flag_of(dest), value])
+            cli.main([*argv, flag, value])
         assert exc.value.code == 2
         cfg = tmp_path / "run.cfg"
-        cfg.write_text(f"{cli._flag_of(dest)[2:]}={value}\n")
+        cfg.write_text(f"{flag[2:]}={value}\n")
         assert cli.main([*argv, "--config", str(cfg)]) == 2
         assert "unknown config keys" in capsys.readouterr().err
 
@@ -384,28 +387,29 @@ class TestSolverSettings:
     """``complete`` and ``bench phase`` run one solver and refuse a tuning flag
     it does not read; each of these used to exit 0 with the flag ignored."""
 
+    # each case keeps its id as cases come and go, so a run compares by name
     @pytest.mark.parametrize("solver, flags", [
-        ("ialm", ("--eta", "0.3")),
-        ("ialm", ("--lambda", "7")),
-        ("ialm", ("--mu", "5")),
-        ("ialm", ("--eta", "0.3", "--lambda", "7", "--mu", "5")),
-        ("scaled-pgd", ("--lambda", "7")),
-        ("pgd", ("--tol", "1e-8")),
-        ("scaled-pgd", ("--tol", "1e-8")),
+        pytest.param("ialm", ("--eta", "0.3"), id="ialm-flags0"),
+        pytest.param("ialm", ("--rank", "2"), id="ialm-flags1"),
+        pytest.param("ialm", ("--mu", "5"), id="ialm-flags2"),
+        pytest.param("ialm", ("--eta", "0.3", "--mu", "5"), id="ialm-flags3"),
+        pytest.param("pgd", ("--tol", "1e-8"), id="pgd-flags5"),
+        pytest.param("scaled-pgd", ("--tol", "1e-8"), id="scaled-pgd-flags6"),
     ])
     def test_complete(self, tmp_path, capsys, solver, flags):
         obs_path, graph_path = write_instance(tmp_path)
         out = tmp_path / "completed.mtx"
+        rank = () if solver == "ialm" else ("--rank", "2")  # ialm refuses --rank
         code = cli.main(["complete", "--observed", str(obs_path), "--graph",
-                         str(graph_path), "--rank", "2", "--solver", solver, *flags,
+                         str(graph_path), *rank, "--solver", solver, *flags,
                          "--out", str(out)])
         err = capsys.readouterr().err
-        assert code == 2 and err.startswith(f"error: --solver {solver} does not read")
+        named = ", ".join(flag for flag in flags if flag.startswith("--"))
+        assert code == 2 and err == f"error: --solver {solver} does not read {named}\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("solver, flags", [
         ("ialm", ("--eta", "0.3")),
-        ("scaled-pgd", ("--lambda", "7")),
     ])
     def test_bench_phase(self, tmp_path, capsys, solver, flags):
         code = cli.main(["bench", "phase", "--n", "48", "--r", "2", "--degrees", "16",

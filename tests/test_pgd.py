@@ -67,27 +67,28 @@ class TestLoss:
     def test_zero_at_balanced_ground_truth(self, small_instance):
         gt, g, obs = small_instance
         pair = pgd.FactorPair(gt.left_factor, gt.right_factor)
-        assert pgd.loss(pair, obs, lam=0.5) <= 1e-16
+        assert pgd.loss(pair, obs) <= 1e-16
 
     def test_zero_factors_lambda_zero(self, small_instance):
+        # the Gram gap is 0 at zero factors, so the balancing term is too
         gt, g, obs = small_instance
         pair = pgd.FactorPair(
             np.zeros((g.n1, gt.rank)), np.zeros((g.n2, gt.rank))
         )
         expected = float((obs.values**2).sum()) / obs.rate
-        assert pgd.loss(pair, obs, lam=0.0) == pytest.approx(expected, rel=1e-12)
+        assert pgd.loss(pair, obs) == pytest.approx(expected, rel=1e-12)
 
     def test_matches_dense_lifted_oracle(self):
         gt = bench.synthetic_low_rank(14, 10, 2, 2.0, seed=1)
         g = graphs.random_biregular(14, 10, 5, seed=2)
         obs = sampling.observe(gt.matrix, g)
         rng = np.random.default_rng(3)
-        for lam in (0.0, 0.5, 1.0):
+        for _ in range(3):
             pair = pgd.FactorPair(
                 rng.standard_normal((14, 2)), rng.standard_normal((10, 2))
             )
-            mine = pgd.loss(pair, obs, lam)
-            oracle = lifted_loss_oracle(pair, gt, g, lam)
+            mine = pgd.loss(pair, obs)
+            oracle = lifted_loss_oracle(pair, gt, g, pgd.LAM)
             assert mine == pytest.approx(oracle, rel=1e-10)
 
 
@@ -95,19 +96,24 @@ class TestGradient:
     def test_zero_at_balanced_ground_truth(self, small_instance):
         gt, g, obs = small_instance
         pair = pgd.FactorPair(gt.left_factor, gt.right_factor)
-        grad = pgd.gradient(pair, obs, lam=0.5)
+        grad = pgd.gradient(pair, obs)
         scale = np.linalg.norm(gt.stacked_factor)
         assert np.linalg.norm(grad.stacked()) <= 1e-9 * scale
 
     def test_balancing_blocks_vanish_when_balanced(self, small_instance):
         gt, g, obs = small_instance
         rng = np.random.default_rng(4)
-        Q = np.linalg.qr(rng.standard_normal((gt.rank, gt.rank)))[0]
-        # X'X = Y'Y by construction
-        pair = pgd.FactorPair(gt.left_factor @ Q, gt.right_factor @ Q)
-        g0 = pgd.gradient(pair, obs, lam=0.0)
-        g1 = pgd.gradient(pair, obs, lam=0.7)
-        assert np.allclose(g0.stacked(), g1.stacked(), atol=1e-12)
+        U, V, Q = (np.linalg.qr(rng.standard_normal((n, gt.rank)))[0]
+                   for n in (g.n1, g.n2, gt.rank))
+        # X'X = Y'Y by construction, but X Y' does not fit the observation,
+        # so the fit blocks are far from zero
+        s = rng.uniform(0.5, 2.0, gt.rank)
+        pair = pgd.FactorPair(U * s @ Q, V * s @ Q)
+        grad = pgd.gradient(pair, obs)
+        Xt, Yt = pair.r_major()
+        K = sampling.observed_residual(pair.X, pair.Y, obs)
+        fit = [(2.0 / obs.rate) * block.T for block in sampling.residual_products(K, Xt, Yt)]
+        assert np.allclose(grad.stacked(), np.vstack(fit), atol=1e-12)
 
     def test_matches_finite_differences(self):
         gt = bench.synthetic_low_rank(12, 8, 2, 2.0, seed=5)
@@ -117,15 +123,15 @@ class TestGradient:
         X = rng.standard_normal((12, 2))
         Y = rng.standard_normal((8, 2))
         pair = pgd.FactorPair(X, Y)
-        grad = pgd.gradient(pair, obs, lam=0.5)
+        grad = pgd.gradient(pair, obs)
         h = 1e-6
         for idx in [(0, 0), (3, 1), (11, 0)]:
             Xp, Xm = X.copy(), X.copy()
             Xp[idx] += h
             Xm[idx] -= h
             fd = (
-                pgd.loss(pgd.FactorPair(Xp, Y), obs, 0.5)
-                - pgd.loss(pgd.FactorPair(Xm, Y), obs, 0.5)
+                pgd.loss(pgd.FactorPair(Xp, Y), obs)
+                - pgd.loss(pgd.FactorPair(Xm, Y), obs)
             ) / (2 * h)
             assert grad.X[idx] == pytest.approx(fd, rel=1e-6, abs=1e-9)
         for idx in [(0, 1), (7, 0)]:
@@ -133,8 +139,8 @@ class TestGradient:
             Yp[idx] += h
             Ym[idx] -= h
             fd = (
-                pgd.loss(pgd.FactorPair(X, Yp), obs, 0.5)
-                - pgd.loss(pgd.FactorPair(X, Ym), obs, 0.5)
+                pgd.loss(pgd.FactorPair(X, Yp), obs)
+                - pgd.loss(pgd.FactorPair(X, Ym), obs)
             ) / (2 * h)
             assert grad.Y[idx] == pytest.approx(fd, rel=1e-6, abs=1e-9)
 
@@ -223,11 +229,11 @@ class TestSolve:
         rot = pgd.FactorPair(pair.X @ R0, pair.Y @ R0)
         step = 0.3 / znorm**2
         for _ in range(20):
-            gr = pgd.gradient(pair, obs, 0.5)
+            gr = pgd.gradient(pair, obs)
             pair = pgd.project_rows(
                 pgd.FactorPair(pair.X - step * gr.X, pair.Y - step * gr.Y), clip
             )
-            gr2 = pgd.gradient(rot, obs, 0.5)
+            gr2 = pgd.gradient(rot, obs)
             rot = pgd.project_rows(
                 pgd.FactorPair(rot.X - step * gr2.X, rot.Y - step * gr2.Y), clip
             )
@@ -334,13 +340,13 @@ class TestLayout:
         config = pgd.PgdConfig(max_iter=1, eta=0.2)
         start, znorm, clip = pgd.spectral_init(obs, gt.rank, config.mu)
         out, trace = pgd.solve(obs, gt.rank, config)
-        assert trace.loss[0] == pgd.loss(start, obs, config.lam)
+        assert trace.loss[0] == pgd.loss(start, obs)
         step = config.eta / znorm**2
-        grad = pgd.gradient(start, obs, config.lam)
+        grad = pgd.gradient(start, obs)
         moved = pgd.FactorPair(start.X - step * grad.X, start.Y - step * grad.Y)
         expected = pgd.project_rows(moved, clip)
         assert np.array_equal(out.X, expected.X) and np.array_equal(out.Y, expected.Y)
-        assert trace.loss[1] == pgd.loss(out, obs, config.lam)
+        assert trace.loss[1] == pgd.loss(out, obs)
 
     def test_scaled_iteration_is_the_public_step_and_projection(self, small_instance):
         gt, g, obs = small_instance
@@ -355,8 +361,6 @@ class TestConfig:
     def test_validation(self):
         with pytest.raises(ParameterError):
             pgd.PgdConfig(eta=0.0)
-        with pytest.raises(ParameterError):
-            pgd.PgdConfig(lam=-0.1)
         with pytest.raises(ParameterError):
             pgd.PgdConfig(eval_every=0)
         # a NaN mu made the clip bound NaN, so the projection never clipped

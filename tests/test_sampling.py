@@ -294,6 +294,38 @@ class TestResidualKernel:
             with pytest.raises(ParameterError):
                 sampling.observed_residual(X, Y, obs, out=other)
 
+    @pytest.mark.parametrize("r", [1, 3, 5])
+    @pytest.mark.parametrize("kind", ["lps", "random", "loaded", "bernoulli"])
+    def test_equals_the_repeat_path_bit_for_bit(self, lps_5_13, tmp_path, kind, r):
+        # a biregular graph gathers Y by its neighbour table and dots each
+        # row against it; the values are those of the repeat by the row
+        # counts, which a Bernoulli mask still takes
+        if kind == "loaded":
+            graphs.save_edges(graphs.random_biregular(60, 40, 10, seed=27), tmp_path / "g")
+        pat = {"lps": lambda: lps_5_13,
+               "random": lambda: graphs.random_biregular(96, 64, 8, seed=26),
+               "loaded": lambda: graphs.load_edges(tmp_path / "g"),
+               "bernoulli": lambda: graphs.bernoulli_mask(50, 40, 0.2, seed=28)}[kind]()
+        assert isinstance(pat, graphs.BiregularGraph) == (kind != "bernoulli")
+        rng = np.random.default_rng(29)
+        Xt, Yt = rng.standard_normal((r, pat.n1)), rng.standard_normal((r, pat.n2))
+        obs = sampling.Observation(pat, rng.standard_normal(pat.m))
+        repeat = np.einsum("ki,ki->i", np.repeat(Xt, pat.row_counts, axis=1),
+                           np.take(Yt, pat.cols, axis=1)) - obs.values
+        K = pat.csr_with_values(np.empty(pat.m))
+        assert sampling.observed_residual(Xt.T, Yt.T, obs, out=K) is K
+        assert np.array_equal(K.data, repeat)
+        assert np.array_equal(sampling.observed_residual(Xt.T, Yt.T, obs).data, repeat)
+
+    def test_neighbors_are_cached_and_read_only(self, lps_5_13):
+        g = lps_5_13
+        neighbors = g.neighbors
+        assert neighbors is g.neighbors and neighbors.shape == (g.n1, g.d1)
+        for i in (0, 17, g.n1 - 1):
+            assert np.array_equal(neighbors[i], g.cols[g.rows == i])
+        with pytest.raises(ValueError):
+            neighbors[0, 0] = 0
+
     def test_row_counts_are_cached_and_read_only(self):
         pat = _kernel_pattern("bernoulli")
         counts = pat.row_counts
