@@ -120,8 +120,7 @@ def solve(obs, config=None, gt=None):
     trace = IterationTrace(meta={"solver": "ialm", "rho": _RHO, "mu0": mu,
                                  "svt_dense": 0})
     rel0 = metrics.relative_error_dense(A, gt) if gt is not None else float("nan")
-    trace.append(0, 0.0, rel0, float("nan"), 0.0)
-    solver_seconds = 0.0
+    trace.append(0.0, rel0)
     rule = StopRule(config, gt is not None, trace, "feasibility")
     for k in itertools.count(1):
         t0 = time.perf_counter()
@@ -134,10 +133,10 @@ def solve(obs, config=None, gt=None):
         Y += mu * R
         mu *= _RHO
         feas = float(np.linalg.norm(R)) / d_norm
-        solver_seconds += time.perf_counter() - t0
+        trace.solver_seconds += time.perf_counter() - t0
 
         rel = metrics.relative_error_dense(A, gt) if gt is not None else float("nan")
-        trace.append(k, float(shrunk.sum()), rel, float("nan"), solver_seconds)
+        trace.append(float(shrunk.sum()), rel)
         # feasibility alone is forced by the penalty schedule; require the
         # iterate itself to have settled too
         settled = (k > 1 and feas < config.tol

@@ -38,10 +38,6 @@ class TruncatedSVD:
     S: np.ndarray  # (r,), nonincreasing, nonnegative
     V: np.ndarray  # (n2, r), orthonormal columns
 
-    @property
-    def rank(self):
-        return self.S.size
-
     def reconstruct(self):
         return (self.U * self.S) @ self.V.T
 

@@ -55,10 +55,6 @@ class FactorPair:
         if not (np.all(np.isfinite(self.X)) and np.all(np.isfinite(self.Y))):
             raise ParameterError("factors contain NaN or Inf")
 
-    @property
-    def rank(self):
-        return self.X.shape[1]
-
     def stacked(self):
         return np.vstack([self.X, self.Y])
 
@@ -83,7 +79,6 @@ class PgdConfig:
     max_iter: int = 2000
     tol: float = 1e-6
     mu: float = 2.0  # incoherence estimate used when no ground truth is given
-    log_dist: bool = False
     eval_every: int = 1  # ground-truth metrics logged every k-th iteration
 
     def __post_init__(self):
@@ -110,35 +105,28 @@ def check_stop_settings(max_iter, tol, eval_every=1):
 
 @dataclass
 class IterationTrace:
-    """Per-iteration log of one solver run."""
+    """Per-iteration log of one solver run, one entry per iteration from 0."""
 
-    iterations: list = field(default_factory=list)
     loss: list = field(default_factory=list)
     rel_error: list = field(default_factory=list)
-    dist: list = field(default_factory=list)
-    wall: list = field(default_factory=list)  # cumulative solver seconds
+    solver_seconds: float = 0.0  # time in the solver, ground-truth metrics excluded
     meta: dict = field(default_factory=dict)
 
-    def append(self, k, loss, rel, dist, wall):
-        if self.iterations and k <= self.iterations[-1]:
-            raise ParameterError("iteration indices must be strictly increasing")
-        self.iterations.append(k)
+    def append(self, loss, rel):
         self.loss.append(loss)
         self.rel_error.append(rel)
-        self.dist.append(dist)
-        self.wall.append(wall)
+
+    @property
+    def iterations(self):
+        return list(range(len(self.loss)))
 
     @property
     def final_rel_error(self):
         return self.rel_error[-1] if self.rel_error else float("nan")
 
-    @property
-    def solver_seconds(self):
-        return self.wall[-1] if self.wall else 0.0
-
     def iterations_to(self, tol):
-        """First logged iteration index with relative error below ``tol``."""
-        for k, e in zip(self.iterations, self.rel_error):
+        """First iteration index with relative error below ``tol``."""
+        for k, e in enumerate(self.rel_error):
             if e is not None and not np.isnan(e) and e < tol:
                 return k
         return None
@@ -297,7 +285,7 @@ def solve(obs, r, config=None, gt=None):
     step = config.eta / denom
     K = obs.pattern.csr_with_values(np.empty(obs.pattern.m))
 
-    trace = IterationTrace(meta={
+    trace = IterationTrace(solver_seconds=init_seconds, meta={
         "solver": "pgd", "eta": config.eta,
         "clip_bound": clip_bound, "stepsize_denominator": denom,
     })
@@ -309,46 +297,35 @@ def solve(obs, r, config=None, gt=None):
         gXt, gYt = _gradient(Xt, Yt, state, obs)
         return _clip_rows(Xt - step * gXt, clip_bound), _clip_rows(Yt - step * gYt, clip_bound)
 
-    return iterate(pair, objective, advance, metrics.rotation_distance, config, gt,
-                   trace, init_seconds)
+    return iterate(pair, objective, advance, config, gt, trace)
 
 
-def iterate(pair, objective, advance, distance, config, gt, trace, solver_seconds):
+def iterate(pair, objective, advance, config, gt, trace):
     """The outer loop of both factored solvers, started at ``pair``.
 
     Both callbacks take the factors r-major (``FactorPair.r_major``):
-    ``objective(Xt, Yt)`` returns ``(loss, state)``, ``advance(Xt, Yt,
-    state)`` the next r-major iterate (step and projection), and
-    ``distance`` is the alignment metric logged under ``config.log_dist``,
-    called on an n x r pair of views.  Logged distances
-    whose alignment did not converge (a warm-start fallback, not a
-    minimum) are counted in ``trace.meta["dist_fallbacks"]``.  A blind run
+    ``objective(Xt, Yt)`` returns ``(loss, state)`` and ``advance(Xt, Yt,
+    state)`` the next r-major iterate (step and projection).  A blind run
     gives ``StopRule`` the labels "loss-floor" (the loss is below
     ``_LOSS_FLOOR_REL`` times its initial value) and "stagnation" (it moved
     by at most ``_LOSS_STALL_REL`` relative); a run with a ground truth
-    gives none.  ``solver_seconds`` starts at the initialization's time.
+    gives none.  Solver time accumulates on ``trace.solver_seconds``, which
+    the caller starts at the initialization's time.
     """
     # the iterate stays as plain r-major arrays inside the loop; the
     # finite-loss check is what guards it against NaN and Inf, so numpy's
     # overflow warnings on the way there are noise
     Xt, Yt = pair.r_major()
     rule = StopRule(config, gt is not None, trace, "loss")
-    if config.log_dist:
-        trace.meta["dist_fallbacks"] = 0
     with np.errstate(over="ignore", invalid="ignore"):
         for k in itertools.count():
             t0 = time.perf_counter()
             loss_k, state = objective(Xt, Yt)
-            solver_seconds += time.perf_counter() - t0
+            trace.solver_seconds += time.perf_counter() - t0
 
             evaluate = gt is not None and (k % config.eval_every == 0 or k == config.max_iter)
             rel = metrics.relative_error(Xt.T, Yt.T, gt) if evaluate else float("nan")
-            dist = float("nan")
-            if config.log_dist and evaluate and np.isfinite(loss_k):
-                aligned = distance(FactorPair(Xt.T, Yt.T), gt)
-                dist = aligned.distance
-                trace.meta["dist_fallbacks"] += not aligned.converged
-            trace.append(k, loss_k, rel, dist, solver_seconds)
+            trace.append(loss_k, rel)
 
             settled = None
             if gt is None and loss_k <= _LOSS_FLOOR_REL * max(trace.loss[0], 1e-300):
@@ -361,6 +338,6 @@ def iterate(pair, objective, advance, distance, config, gt, trace, solver_second
 
             t0 = time.perf_counter()
             Xt, Yt = advance(Xt, Yt, state)
-            solver_seconds += time.perf_counter() - t0
+            trace.solver_seconds += time.perf_counter() - t0
 
     return FactorPair.from_r_major(Xt, Yt), trace

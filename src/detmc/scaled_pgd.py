@@ -6,7 +6,8 @@ the convergence rate.  The projection rescales rows whose contribution to
 the product exceeds an incoherence budget, using the closed form evaluated
 against the pre-projection co-factor.  The analysis fixes both the budget
 (``incoherence_budget``) and the step cap ``eta <= _ETA_CAP``; neither is
-a setting.
+a setting: ``ScaledPgdConfig`` is ``PgdConfig`` with the scaled step's
+default, the cap itself, and a refusal of any ``eta`` above it.
 
 ``solve`` runs the loop shared with the unscaled solver, ``pgd.iterate``,
 on r-major factors (see ``pgd``); the public ``project_rows`` runs the
@@ -20,9 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import metrics
 from .errors import ParameterError
-from .pgd import FactorPair, IterationTrace, check_stop_settings, iterate
+from .pgd import FactorPair, IterationTrace, PgdConfig, iterate
 from .sampling import observed_residual, rescaled_top_svd, residual_products
 
 _ETA_CAP = 0.145
@@ -31,20 +31,13 @@ PINV_THRESHOLD = 1e-12  # Gram eigenvalues below this times the largest are drop
 
 
 @dataclass
-class ScaledPgdConfig:
-    eta: float = 0.145
-    mu: float = 2.0
-    max_iter: int = 2000
-    tol: float = 1e-6
-    log_dist: bool = False
-    eval_every: int = 1  # ground-truth metrics logged every k-th iteration
+class ScaledPgdConfig(PgdConfig):
+    """``PgdConfig`` whose step defaults to, and may not exceed, ``_ETA_CAP``."""
+
+    eta: float = _ETA_CAP
 
     def __post_init__(self):
-        if not 0 < self.eta < math.inf:
-            raise ParameterError("eta must be positive and finite")
-        if not 0 < self.mu < math.inf:
-            raise ParameterError("mu must be positive and finite")
-        check_stop_settings(self.max_iter, self.tol, self.eval_every)
+        super().__post_init__()
         if self.eta > _ETA_CAP:
             raise ParameterError(f"eta={self.eta} exceeds the step cap {_ETA_CAP}")
 
@@ -142,7 +135,7 @@ def solve(obs, r, config=None, gt=None):
     init_seconds = time.perf_counter() - t0
     K = obs.pattern.csr_with_values(np.empty(obs.pattern.m))
 
-    trace = IterationTrace(meta={
+    trace = IterationTrace(solver_seconds=init_seconds, meta={
         "solver": "scaled-pgd", "eta": config.eta, "budget": budget,
     })
 
@@ -153,5 +146,4 @@ def solve(obs, r, config=None, gt=None):
     def advance(Xt, Yt, K):
         return _scale_rows(*_step(Xt, Yt, K, obs, config.eta), budget)
 
-    return iterate(pair, objective, advance, metrics.gauge_distance, config, gt,
-                   trace, init_seconds)
+    return iterate(pair, objective, advance, config, gt, trace)

@@ -177,8 +177,9 @@ def check_graph_deviation(gt, g):
 
 
 def _masked_product_energy(HU, HV, g):
-    """(1/p) * ||masked(HU @ HV.T)||_F^2 computed on the edge set."""
-    vals = np.einsum("ij,ij->i", HU[g.rows], HV[g.cols])
+    """(1/p) * ||masked(HU @ HV.T)||_F^2 computed on the edge set, gathered
+    by the biregular graph's neighbour table as ``observed_residual`` does."""
+    vals = np.einsum("ij,ikj->ik", HU, HV[g.neighbors])
     return float((vals * vals).sum()) / g.rate
 
 

@@ -7,7 +7,7 @@ directory's under ``from conftest import ...``.
 
 import numpy as np
 
-from detmc import graphs, pgd, sampling, scaled_pgd
+from detmc import graphs, metrics, pgd, sampling, scaled_pgd
 
 
 def complete_graph(n1, n2):
@@ -37,6 +37,50 @@ def scaled_step(pair, obs, eta):
     Xt, Yt = pair.r_major()
     K = sampling.observed_residual(Xt.T, Yt.T, obs)
     return pgd.FactorPair.from_r_major(*scaled_pgd._step(Xt, Yt, K, obs, eta))
+
+
+def replay(solver, obs, r, config, gt=None):
+    """Run ``solver`` ("pgd" or "scaled-pgd"), then take its iterates again
+    with the public step and projection, one for each entry of the trace:
+    ``pgd.gradient`` and ``pgd.project_rows`` at step ``eta / znorm**2``, or
+    ``scaled_step`` and ``scaled_pgd.project_rows``.
+
+    Asserts that the last iterate is the returned pair bit for bit, and
+    returns the trace and the iterates as the loop holds them: n x r views
+    ``FactorPair(Xt.T, Yt.T)`` of C-ordered r-major factors.  A distance
+    measured on those views takes the loop's bits; on C-ordered n x r
+    copies the gauge distance can move in its last digits.
+    """
+    if solver == "pgd":
+        mu = gt.coherence_mu if gt is not None else config.mu
+        pair, znorm, clip = pgd.spectral_init(obs, r, mu)
+        step = config.eta / znorm**2
+
+        def advance(p):
+            grad = pgd.gradient(p, obs)
+            moved = pgd.FactorPair(p.X - step * grad.X, p.Y - step * grad.Y)
+            return pgd.project_rows(moved, clip)
+
+        out, trace = pgd.solve(obs, r, config, gt=gt)
+    else:
+        pair, budget = scaled_pgd.spectral_init(obs, r, config, gt=gt)
+
+        def advance(p):
+            return scaled_pgd.project_rows(scaled_step(p, obs, config.eta), budget)
+
+        out, trace = scaled_pgd.solve(obs, r, config, gt=gt)
+    iterates = [pair]
+    for _ in range(len(trace.loss) - 1):
+        iterates.append(advance(iterates[-1]))
+    assert np.array_equal(iterates[-1].X, out.X) and np.array_equal(iterates[-1].Y, out.Y)
+    return trace, [pgd.FactorPair(*(A.T for A in p.r_major())) for p in iterates]
+
+
+def replayed_distances(solver, obs, r, config, gt):
+    """The distance to ``gt`` of every iterate of the run ``replay`` takes
+    again: the rotation distance for PGD, the gauge distance for scaled PGD."""
+    metric = metrics.rotation_distance if solver == "pgd" else metrics.gauge_distance
+    return np.asarray([metric(p, gt).distance for p in replay(solver, obs, r, config, gt)[1]])
 
 
 def random_biregular_reference(n1, n2, d1, seed):

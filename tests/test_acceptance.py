@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from detmc import bench, graphs, metrics, pgd, sampling, scaled_pgd, theory
-from support import complete_graph, constant_pair_residual, scaled_step
+from support import complete_graph, constant_pair_residual, replayed_distances, scaled_step
 
 
 def report(num, name, detail=""):
@@ -144,10 +144,9 @@ def test_criterion_05_contraction_factors(desk_graph):
     gt = bench.synthetic_low_rank(512, 512, 3, 5.0, seed=11)
     obs = sampling.observe(gt.matrix, desk_graph)
 
-    _, tr = pgd.solve(
-        obs, 3, pgd.PgdConfig(eta=0.25, max_iter=400, tol=1e-12, log_dist=True), gt=gt
+    dists = replayed_distances(
+        "pgd", obs, 3, pgd.PgdConfig(eta=0.25, max_iter=400, tol=1e-12), gt
     )
-    dists = np.asarray(tr.dist)
     floor = 1e-8 * math.sqrt(gt.sigma_r)
     keep = dists[:-1] > floor
     ratios = (dists[1:] / dists[:-1])[keep]
@@ -155,12 +154,10 @@ def test_criterion_05_contraction_factors(desk_graph):
     assert ratios.max() <= 1.0 + 1e-12, ratios.max()
 
     eta = 0.1
-    _, tr2 = scaled_pgd.solve(
-        obs, 3,
-        scaled_pgd.ScaledPgdConfig(eta=eta, max_iter=400, tol=1e-12, log_dist=True),
-        gt=gt,
+    d2 = replayed_distances(
+        "scaled-pgd", obs, 3,
+        scaled_pgd.ScaledPgdConfig(eta=eta, max_iter=400, tol=1e-12), gt,
     )
-    d2 = np.asarray(tr2.dist)
     inb = d2 <= 0.1 * gt.sigma_r
     assert inb.any()
     seg = d2[int(np.argmax(inb)):]

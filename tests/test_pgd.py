@@ -3,7 +3,7 @@ import pytest
 
 from detmc import bench, graphs, metrics, pgd, sampling, scaled_pgd
 from detmc.errors import DivergenceError, ParameterError
-from support import complete_graph, scaled_step
+from support import complete_graph, replay, replayed_distances
 
 
 def lifted_loss_oracle(pair, gt, g, lam):
@@ -277,9 +277,8 @@ class TestSolve:
     def test_trace_monotone_distance_in_basin(self, desk_graph):
         gt = bench.synthetic_low_rank(512, 512, 3, 5.0, seed=11)
         obs = sampling.observe(gt.matrix, desk_graph)
-        cfg = pgd.PgdConfig(eta=0.25, max_iter=300, tol=1e-12, log_dist=True)
-        _, trace = pgd.solve(obs, 3, cfg, gt=gt)
-        dists = np.asarray(trace.dist)
+        cfg = pgd.PgdConfig(eta=0.25, max_iter=300, tol=1e-12)
+        dists = replayed_distances("pgd", obs, 3, cfg, gt)
         floor = 1e-8 * np.sqrt(gt.sigma_r)
         keep = dists[:-1] > floor
         ratios = (dists[1:] / dists[:-1])[keep]
@@ -335,26 +334,23 @@ class TestLayout:
             assert pair.X.shape == (g.n1, gt.rank) and pair.Y.shape == (g.n2, gt.rank)
             assert pair.X.flags.c_contiguous and pair.Y.flags.c_contiguous
 
+    # ``replay`` asserts the endpoints bit for bit.  Runs of 60 iterations
+    # pin that nothing carries from one iteration to the next, such as the
+    # residual matrix that each solve refills.
     def test_pgd_iteration_is_the_public_gradient_step_and_projection(self, small_instance):
         gt, g, obs = small_instance
-        config = pgd.PgdConfig(max_iter=1, eta=0.2)
-        start, znorm, clip = pgd.spectral_init(obs, gt.rank, config.mu)
-        out, trace = pgd.solve(obs, gt.rank, config)
-        assert trace.loss[0] == pgd.loss(start, obs)
-        step = config.eta / znorm**2
-        grad = pgd.gradient(start, obs)
-        moved = pgd.FactorPair(start.X - step * grad.X, start.Y - step * grad.Y)
-        expected = pgd.project_rows(moved, clip)
-        assert np.array_equal(out.X, expected.X) and np.array_equal(out.Y, expected.Y)
-        assert trace.loss[1] == pgd.loss(out, obs)
+        config = pgd.PgdConfig(max_iter=60, eta=0.2, tol=1e-14)
+        for truth in (gt, None):
+            trace, iterates = replay("pgd", obs, gt.rank, config, truth)
+            assert len(iterates) == 61
+            assert trace.loss == [pgd.loss(p, obs) for p in iterates]
 
     def test_scaled_iteration_is_the_public_step_and_projection(self, small_instance):
         gt, g, obs = small_instance
-        config = scaled_pgd.ScaledPgdConfig(max_iter=1, mu=8.0)
-        start, budget = scaled_pgd.spectral_init(obs, gt.rank, config)
-        out, _ = scaled_pgd.solve(obs, gt.rank, config)
-        expected = scaled_pgd.project_rows(scaled_step(start, obs, config.eta), budget)
-        assert np.array_equal(out.X, expected.X) and np.array_equal(out.Y, expected.Y)
+        config = scaled_pgd.ScaledPgdConfig(max_iter=60, mu=8.0, tol=1e-14)
+        for truth in (gt, None):
+            _, iterates = replay("scaled-pgd", obs, gt.rank, config, truth)
+            assert len(iterates) == 61
 
 
 class TestConfig:
@@ -371,12 +367,6 @@ class TestConfig:
                             {"max_iter": 0}):
                 with pytest.raises(ParameterError):
                     config_cls(**setting)
-
-    def test_trace_indices_strictly_increasing(self):
-        tr = pgd.IterationTrace()
-        tr.append(0, 1.0, 0.5, float("nan"), 0.0)
-        with pytest.raises(ParameterError):
-            tr.append(0, 0.9, 0.4, float("nan"), 0.0)
 
 
 class TestStopRule:

@@ -6,7 +6,7 @@ import scipy.optimize
 
 from detmc import bench, graphs, metrics, pgd, sampling, scaled_pgd, theory
 from detmc.errors import DivergenceError, ParameterError
-from support import complete_graph, scaled_step
+from support import complete_graph, replayed_distances, scaled_step
 
 
 def ball_projection_oracle(X, Y, budget):
@@ -257,9 +257,8 @@ class TestSolve:
         gt = bench.synthetic_low_rank(512, 512, 3, 5.0, seed=11)
         obs = sampling.observe(gt.matrix, desk_graph)
         eta = 0.1
-        cfg = scaled_pgd.ScaledPgdConfig(eta=eta, max_iter=300, tol=1e-12, log_dist=True)
-        _, trace = scaled_pgd.solve(obs, 3, cfg, gt=gt)
-        dists = np.asarray(trace.dist)
+        cfg = scaled_pgd.ScaledPgdConfig(eta=eta, max_iter=300, tol=1e-12)
+        dists = replayed_distances("scaled-pgd", obs, 3, cfg, gt)
         inb = dists <= 0.1 * gt.sigma_r
         assert inb.any()
         start = int(np.argmax(inb))
@@ -291,26 +290,13 @@ class TestSolve:
         gt, g, obs = small_instance
         monkeypatch.setattr(scaled_pgd, "_ETA_CAP", np.inf)
         # the first step overflows; the projection then turns Inf into NaN
-        cfg = scaled_pgd.ScaledPgdConfig(eta=1e300, max_iter=10, log_dist=True)
+        cfg = scaled_pgd.ScaledPgdConfig(eta=1e300, max_iter=10)
         with pytest.raises(DivergenceError) as exc:
             scaled_pgd.solve(obs, gt.rank, cfg, gt=gt)
         trace = exc.value.trace
         assert trace.iterations == [0, 1]
         assert np.isfinite(trace.loss[0]) and not np.isfinite(trace.loss[1])
         assert trace.meta["stop_reason"] == "diverged"
-
-    @pytest.mark.parametrize("newton_steps", [None, 0])
-    def test_gauge_fallbacks_are_counted(self, monkeypatch, small_instance, newton_steps):
-        # with no Newton step every gauge solve falls back to its rotation
-        # warm start, so every logged distance is a fallback
-        gt, g, obs = small_instance
-        if newton_steps is not None:
-            monkeypatch.setattr(metrics, "_NEWTON_STEPS", newton_steps)
-        cfg = scaled_pgd.ScaledPgdConfig(max_iter=20, tol=1e-12, log_dist=True)
-        _, trace = scaled_pgd.solve(obs, gt.rank, cfg, gt=gt)
-        logged = int(np.isfinite(trace.dist).sum())
-        assert logged == 21
-        assert trace.meta["dist_fallbacks"] == (0 if newton_steps is None else logged)
 
     def test_theory_check_counts_no_draw_outside_the_gauge_basin(self, monkeypatch,
                                                                  small_instance):
