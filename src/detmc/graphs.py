@@ -14,11 +14,10 @@ Two generators are provided:
 
 ``certify`` measures the top two singular values of the bipartite
 adjacency matrix and reports whether the graph passes the Ramanujan test.
-It takes both from one Lanczos run (k=2) on the sparse adjacency, falling
-back to a dense SVD for the complete graph, which has rank one, and for a
-graph with a side of at most two vertices, where Lanczos cannot take two
-values.  The certificate is measured once per graph and cached on it, like
-``adjacency``: a graph's edges are not to be edited after construction.
+It takes both from one ``kernels.top_r_svd`` call on the sparse adjacency,
+Lanczos or LAPACK by that routine's rule.  The certificate is measured
+once per graph and cached on it, like ``adjacency``: a graph's edges are
+not to be edited after construction.
 """
 
 import math
@@ -29,9 +28,9 @@ from itertools import product
 
 import numpy as np
 import scipy.sparse
-import scipy.sparse.linalg
 
 from .errors import FormatError, GenerationError, ParameterError
+from .kernels import top_r_svd
 
 _SWAP_ATTEMPT_CAP = 1_000_000
 
@@ -403,28 +402,11 @@ class SpectralCertificate:
     is_ramanujan: bool
 
 
-def _top_two(g):
-    """sigma1 / sigma2 of the adjacency, by one Lanczos run on its sparse form.
-
-    ARPACK's ``svds`` returns the top two singular values together: the
-    constant pair (value sqrt(d1*d2)) is the top pair of any biregular
-    adjacency, and sigma2 the one after it.  Two cases take a dense SVD:
-    the complete graph, which has rank one, and a graph with a side of at
-    most two vertices, where ``svds`` cannot take k=2.
-    """
-    A = g.adjacency
-    if g.d1 == g.n2 or min(g.n1, g.n2) <= 2:
-        s = np.linalg.svd(A.toarray(), compute_uv=False)
-        return float(s[0]), float(s[1]) if s.size > 1 else 0.0
-    v0 = np.random.default_rng(7).standard_normal(min(g.n1, g.n2))
-    s = scipy.sparse.linalg.svds(
-        A, k=2, v0=v0, return_singular_vectors=False, maxiter=50_000
-    )
-    return float(s.max()), float(s.min())
-
-
 def _measure_certificate(g):
-    sigma1, sigma2 = _top_two(g)
+    # the constant pair (value sqrt(d1*d2)) is the top pair of any
+    # biregular adjacency, sigma2 the one after it (0 on a one-vertex side)
+    S = top_r_svd(g.adjacency, min(2, g.n1, g.n2)).S
+    sigma1, sigma2 = float(S[0]), float(S[1]) if S.size > 1 else 0.0
     s1_exact = math.sqrt(g.d1 * g.d2)
     bound = math.sqrt(g.d1 - 1) + math.sqrt(g.d2 - 1)
     tol = 1e-6 * sigma1

@@ -1,9 +1,14 @@
 """fp64 linear-algebra primitives shared by the rest of the package.
 
-``top_r_svd`` takes a dense array or a scipy sparse matrix.  A dense
-matrix no larger than the cutoff gets LAPACK's full SVD; a larger or a
-sparse one gets ARPACK's Lanczos (``svds``) from the all-ones start,
-which touches ``A`` only through products.  Both paths apply the same
+``top_r_svd`` is the one routine that picks between LAPACK and ARPACK.
+It takes a dense array, a scipy sparse matrix or a ``LinearOperator``
+and runs Lanczos (``svds``) from the all-ones start, which touches the
+input only through products, when ``r`` is below the smaller side and
+either the larger side exceeds ``DENSE_SVD_CUTOFF``, or the input is
+sparse or an operator with a smaller side of at least 200, at most a
+quarter of its entries stored (an operator stores none) and ``r`` below
+half the smaller side.  Everything else, and any input ARPACK fails on,
+gets LAPACK's SVD of the densified input.  Both paths apply the same
 deterministic sign convention, and ``operator_norm`` is the leading
 singular value it returns.
 """
@@ -55,37 +60,39 @@ def _fix_signs(U, V):
 
 
 def top_r_svd(A, r):
-    """Leading ``r`` singular triplets of a dense or sparse ``A``,
-    deterministically signed.
-
-    Lanczos needs ``r < min(A.shape)``; a sparse ``A`` that fails that is
-    densified.
-    """
+    """Leading ``r`` singular triplets of a dense, sparse or operator ``A``,
+    deterministically signed, by the route the module docstring states."""
+    operator = isinstance(A, scipy.sparse.linalg.LinearOperator)
     sparse = scipy.sparse.issparse(A)
-    A = A.astype(np.float64, copy=False) if sparse else as_matrix(A)
-    if sparse and not np.all(np.isfinite(A.data)):
-        raise InputError("matrix contains NaN or Inf entries")
-    n1, n2 = A.shape
-    if not 1 <= r <= min(n1, n2):
+    if sparse:
+        A = A.astype(np.float64, copy=False)
+        if not np.all(np.isfinite(A.data)):
+            raise InputError("matrix contains NaN or Inf entries")
+    elif not operator:
+        A = as_matrix(A)
+    (n1, n2), n = A.shape, min(A.shape)
+    if not 1 <= r <= n:
         raise ParameterError(f"rank {r} out of range for shape {A.shape}")
-    if r < min(n1, n2) and (sparse or max(n1, n2) > DENSE_SVD_CUTOFF):
+    thin = (sparse or operator) and n >= 200 and 4 * (A.nnz if sparse else 0) <= n1 * n2
+    if r < n and (max(n1, n2) > DENSE_SVD_CUTOFF or thin and r < n // 2):
         try:
-            U, S, Vt = scipy.sparse.linalg.svds(A, k=r, v0=np.ones(min(n1, n2)))
+            U, S, Vt = scipy.sparse.linalg.svds(A, k=r, v0=np.ones(n))
         except scipy.sparse.linalg.ArpackError:
-            # the all-ones start is in the kernel of A'A or AA' (A is zero,
-            # or its rows or columns all sum to zero): the dense SVD is exact
+            # e.g. the all-ones start is in the kernel of A'A or AA' (A is
+            # zero, or its rows or columns all sum to zero)
             pass
         else:
             order = np.argsort(-S)
             U, V = _fix_signs(U[:, order].copy(), Vt[order].T.copy())
             return TruncatedSVD(U=U, S=np.maximum(S[order], 0.0), V=V)
-    U, S, Vt = np.linalg.svd(A.toarray() if sparse else A, full_matrices=False)
+    dense = A.toarray() if sparse else A @ np.eye(n2) if operator else A
+    U, S, Vt = np.linalg.svd(dense, full_matrices=False)
     U, V = _fix_signs(U[:, :r].copy(), Vt[:r].T.copy())
     return TruncatedSVD(U=U, S=np.maximum(S[:r], 0.0), V=V)
 
 
 def operator_norm(A):
-    """Largest singular value of a dense or sparse ``A``."""
+    """Largest singular value of a dense, sparse or operator ``A``."""
     return float(top_r_svd(A, 1).S[0])
 
 

@@ -50,10 +50,11 @@ def gauge_distance(pair, gt):
     Minimizes ``||(X Q - X*) W||_F^2 + ||(Y Q^-T - Y*) W||_F^2`` over
     invertible ``Q``, with ``W`` the square root of the target singular
     values, by Newton steps on the two n x r residuals from a rotation
-    warm start.  Each step costs O((n1 + n2) r^5), and the distance is
-    measured on the residuals themselves, so it stays accurate down to
-    rounding of the factors.  ``converged`` means the objective's
-    gradient is at most ``_GAUGE_GRAD_TOL`` times
+    warm start.  The Newton matrix comes from r x r Grams, so a step costs
+    O((n1 + n2) r^2 + r^6); the distance is measured on the residuals
+    themselves, so it stays accurate down to rounding of the factors.
+    ``converged`` means the objective's gradient is at most
+    ``_GAUGE_GRAD_TOL`` times
     ``2 S[0] max(||X||_F^2, ||Y||_F^2, ||X*||_F^2, ||Y*||_F^2)``.  A
     finite minimizer is guaranteed only near the solution set; if the
     solve does not reach that bound, or meets a singular gauge, the
@@ -82,17 +83,17 @@ def gauge_distance(pair, gt):
 
     # stacked Procrustes aligns Z ~ Z* R, i.e. X R^T ~ X*, so Q0 = R^T.
     R, _ = orthogonal_procrustes(np.vstack([X, Y]), gt.stacked_factor)
-    # derivatives in row-major vec(Q); the X residual is linear in Q
-    Jx = np.kron(X, np.diag(w))
+    # derivatives in row-major vec(Q); the X residual is linear in Q, and
+    # the Y block of J^T J is a Kronecker product in transposed vec order
+    JxtJx = np.kron(X.T @ X, np.diag(S))
+    YtY = Y.T @ Y
+    swap = np.arange(r * r).reshape(r, r).T.ravel()
     Q = R.T
     try:
         for k in range(_NEWTON_STEPS + 1):
             P, Ex, Ey = residuals(Q)
-            Jy = np.kron(-(Y @ P), (P * w).T)
-            Jy = Jy.reshape(-1, r, r).transpose(0, 2, 1).reshape(-1, r * r)
-            J = np.vstack([Jx, Jy])
-            f = np.concatenate([Ex.ravel(), Ey.ravel()])
-            Jtf = J.T @ f
+            M = P.T @ (Y.T @ (Ey * w)) @ P.T
+            Jtf = (X.T @ (Ex * w)).ravel() - M.T.ravel()
             gnorm = 2.0 * np.linalg.norm(Jtf)
             # the value cannot resolve the optimum below sqrt(eps), so the
             # stop is on the gradient; written so that NaN stops too
@@ -102,14 +103,14 @@ def gauge_distance(pair, gt):
             # of P = Q^-T along (A, B) is P A^T P B^T P + P B^T P A^T P.
             # Gauss-Newton alone (J^T J) converges only linearly when the
             # minimum's residual is large, as it is outside the basin.
-            M = P.T @ (Y.T @ (Ey * w)) @ P.T
             T = np.einsum("jk,il->ijkl", M, P).reshape(r * r, r * r)
-            JtJ = J.T @ J
+            Pw = P * w
+            JtJ = JxtJx + np.kron(P.T @ YtY @ P, Pw @ Pw.T)[np.ix_(swap, swap)]
             H = JtJ + T + T.T
             if not np.linalg.eigvalsh(H)[0] > 0:
                 H = JtJ
             step = np.linalg.solve(H, -Jtf).reshape(r, r)
-            bound = (1.0 + 1e-12) * np.linalg.norm(f)
+            bound = (1.0 + 1e-12) * np.hypot(np.linalg.norm(Ex), np.linalg.norm(Ey))
             while not size(Q + step) <= bound:
                 step = 0.5 * step
             if np.array_equal(Q + step, Q):

@@ -52,19 +52,9 @@ def observe(M, pattern):
 
 
 def rescaled_top_svd(obs, r):
-    """Top-r SVD of the rescaled observation.
-
-    The operand is the CSR matrix of the m rescaled values, so
-    ``top_r_svd`` runs Lanczos on it when the pattern is large and sparse;
-    otherwise the CSR is densified (zeros off the pattern) and
-    ``top_r_svd`` takes a dense SVD.
-    """
-    n1, n2 = obs.shape
-    A = obs.pattern.csr_with_values(obs.values / obs.rate)
-    density = obs.pattern.m / (n1 * n2)
-    if not (min(n1, n2) >= 200 and density <= 0.25 and r < min(n1, n2) // 2):
-        A = A.toarray()
-    return top_r_svd(A, r)
+    """Top-r SVD of the rescaled observation: ``top_r_svd`` of the CSR of
+    its m rescaled values (zeros off the pattern when densified)."""
+    return top_r_svd(obs.pattern.csr_with_values(obs.values / obs.rate), r)
 
 
 def observed_residual(X, Y, obs, out=None):

@@ -22,6 +22,7 @@ import scipy.sparse.linalg
 from . import pgd, scaled_pgd
 from .errors import ParameterError
 from .graphs import certify
+from .kernels import operator_norm
 from .metrics import gauge_distance, rotation_distance
 from .sampling import observe, observed_residual, subset_isotropy_gap
 
@@ -147,9 +148,9 @@ def check_graph_deviation(gt, g):
     ||p^-1 P_Omega(M) - M||_2, against c0 mu r sigma1 / sqrt(d_min).
 
     The operand is the CSR of the rescaled observed values less the rank-r
-    product U S V', applied as a ``LinearOperator``, so no n1 x n2 array is
-    formed.  U S is one n1 x r matrix: ``svds`` also applies the operator
-    to (n, 1) blocks.  The graph's own deviation ||A/p - 11'||_2 is
+    product U S V', a ``LinearOperator`` (applied to (n, 1) blocks too)
+    whose ``operator_norm`` forms no n1 x n2 array when the smaller side
+    has at least 200 vertices.  The graph's own deviation ||A/p - 11'||_2 is
     sigma2/p, read from the certificate, and needs no check here: c0 is
     measured from the same sigma2.
     """
@@ -167,9 +168,7 @@ def check_graph_deviation(gt, g):
         # Lanczos, not power iteration: the top two singular values of
         # this matrix can be within 1% of each other, where power
         # iteration takes hundreds of steps and stops short of the value
-        v0 = np.random.default_rng(11).standard_normal(min(g.n1, g.n2))
-        dev = float(scipy.sparse.linalg.svds(
-            op, k=1, v0=v0, return_singular_vectors=False)[0])
+        dev = operator_norm(op)
     bound = cert.c0 * gt.coherence_mu * gt.rank / math.sqrt(min(g.d1, g.d2)) * gt.sigma1
     params = {**_base_params(gt, g, cert, None), "sigma2_over_p": cert.sigma2 / g.rate,
               "masked_deviation": dev}

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from detmc import graphs
+from detmc import graphs, kernels
 from detmc.errors import FormatError, ParameterError
 from support import complete_graph, constant_pair_residual, random_biregular_reference
 
@@ -215,19 +215,20 @@ class TestCertifyOracle:
         assert cert.sigma2 == pytest.approx(0.0, abs=1e-12)
 
     @pytest.mark.parametrize("build, calls", [
-        (lambda: graphs.random_biregular(40, 40, 6, seed=2), 1),
+        (lambda: graphs.random_biregular(40, 40, 6, seed=2), 0),  # a side below 200
+        (lambda: graphs.random_biregular(200, 300, 6, seed=2), 1),
         (lambda: complete_graph(4, 7), 0),
         (lambda: graphs.random_biregular(2, 4, 2, seed=4), 0),  # a two-vertex side
-    ], ids=["random", "complete", "two-vertex-side"])
+    ], ids=["random", "random-200", "complete", "two-vertex-side"])
     def test_one_lanczos_run_per_certificate(self, monkeypatch, build, calls):
         # built here, not shared: a certificate is measured once per graph
-        svds, seen = graphs.scipy.sparse.linalg.svds, []
+        svds, seen = kernels.scipy.sparse.linalg.svds, []
 
         def counting(*args, **kwargs):
             seen.append(kwargs.get("k"))
             return svds(*args, **kwargs)
 
-        monkeypatch.setattr(graphs.scipy.sparse.linalg, "svds", counting)
+        monkeypatch.setattr(kernels.scipy.sparse.linalg, "svds", counting)
         g = build()
         self.assert_matches_dense(g, graphs.certify(g))
         assert seen == [2] * calls
@@ -236,17 +237,17 @@ class TestCertifyOracle:
 class TestCertificateCache:
     def test_measured_once_and_shared(self, monkeypatch):
         measured = []
-        top_two = graphs._top_two
+        top_r_svd = graphs.top_r_svd
 
-        def counting(g):
-            measured.append(g)
-            return top_two(g)
+        def counting(A, r):
+            measured.append(A)
+            return top_r_svd(A, r)
 
-        monkeypatch.setattr(graphs, "_top_two", counting)
+        monkeypatch.setattr(graphs, "top_r_svd", counting)
         g = graphs.random_biregular(20, 20, 4, seed=0)
         first = graphs.certify(g)
         assert graphs.certify(g) is first is g.certificate
-        assert measured == [g]
+        assert len(measured) == 1 and measured[0] is g.adjacency
 
     def test_frozen(self):
         cert = graphs.certify(graphs.random_biregular(8, 8, 3, seed=0))

@@ -1,7 +1,11 @@
+import ast
+import pathlib
+
 import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse
+import scipy.sparse.linalg
 
 from detmc import kernels
 from detmc.errors import InputError, ParameterError
@@ -10,6 +14,21 @@ from detmc.errors import InputError, ParameterError
 def gesvd_oracle(A):
     """Classic Golub-Kahan bidiagonalization SVD (independent LAPACK driver)."""
     return scipy.linalg.svd(A, full_matrices=False, lapack_driver="gesvd")
+
+
+def permutation_difference(n):
+    """Dense I - P for a derangement P: every row and column sums to zero."""
+    return np.eye(n) - np.roll(np.eye(n), 1, axis=1)
+
+
+def sparse_with_stored(n1, n2, stored, seed):
+    """CSR with exactly ``stored`` nonzero entries at random positions."""
+    rng = np.random.default_rng(seed)
+    rows, cols = np.divmod(rng.choice(n1 * n2, size=stored, replace=False), n2)
+    return scipy.sparse.csr_matrix(
+        (rng.uniform(0.5, 1.5, stored) * rng.choice([-1.0, 1.0], stored), (rows, cols)),
+        shape=(n1, n2),
+    )
 
 
 class TestTopRSvd:
@@ -76,14 +95,16 @@ class TestTopRSvd:
         assert np.linalg.norm(tsvd.reconstruct() - best) <= 1e-6 * S[0]
 
     def test_sparse_matches_dense(self):
-        # r < min(shape) takes Lanczos on the CSR; r = min(shape) densifies
+        # the 240 x 210 CSR takes Lanczos at r = 3, the 40 x 30 one (a side
+        # below 200) LAPACK; r = min(shape) densifies both
         rng = np.random.default_rng(11)
-        A = rng.standard_normal((40, 30)) * (rng.random((40, 30)) < 0.3)
-        for r in (3, 30):
-            sp = kernels.top_r_svd(scipy.sparse.csr_matrix(A), r)
-            dense = kernels.top_r_svd(A, r)
-            assert np.all(np.abs(sp.S - dense.S) <= 1e-12 * dense.S[0])
-            assert np.allclose(sp.reconstruct(), dense.reconstruct(), atol=1e-10)
+        for shape, rate in (((40, 30), 0.3), ((240, 210), 0.2)):
+            A = rng.standard_normal(shape) * (rng.random(shape) < rate)
+            for r in (3, min(shape)):
+                sp = kernels.top_r_svd(scipy.sparse.csr_matrix(A), r)
+                dense = kernels.top_r_svd(A, r)
+                assert np.all(np.abs(sp.S - dense.S) <= 1e-12 * dense.S[0])
+                assert np.allclose(sp.reconstruct(), dense.reconstruct(), atol=1e-10)
 
     def test_parameter_errors(self):
         A = np.eye(3)
@@ -129,8 +150,10 @@ class TestOperatorNorm:
 
     def test_top_vector_orthogonal_to_ones(self):
         # the constant vector is in the kernel of A'A and AA', so the
-        # all-ones Lanczos start is degenerate
+        # all-ones Lanczos start is degenerate; the 200 x 200 CSR takes
+        # Lanczos, ARPACK refuses the start and the dense SVD answers
         self.assert_exact(np.array([[1.0, -1.0], [-1.0, 1.0]]))
+        self.assert_exact(permutation_difference(200))
 
     def test_zero_matrix(self):
         A = np.zeros((4, 3))
@@ -171,3 +194,71 @@ class TestOrthogonalProcrustes:
     def test_shape_mismatch(self):
         with pytest.raises(ParameterError):
             kernels.orthogonal_procrustes(np.eye(3), np.eye(4))
+
+
+class TestRouting:
+    """Which inputs ``top_r_svd`` gives Lanczos, one threshold at a time,
+    and every route against ``np.linalg.svd`` of the densified input."""
+
+    # (shape, stored, r, Lanczos runs for dense / CSR / operator)
+    TABLE = [
+        ((2049, 3), 2049 * 3, 1, (1, 1, 1)),  # larger side above the cutoff
+        ((2048, 3), 2048 * 3, 1, (0, 0, 0)),  # at the cutoff, a side below 200
+        ((2049, 3), 2049 * 3, 3, (0, 0, 0)),  # r is the smaller side
+        ((200, 260), 1000, 1, (0, 1, 1)),  # smaller side 200
+        ((199, 260), 1000, 1, (0, 0, 0)),  # smaller side 199
+        ((200, 260), 13000, 1, (0, 1, 1)),  # a quarter of the entries stored
+        ((200, 260), 13001, 1, (0, 0, 1)),  # one more: an operator stores none
+        ((200, 260), 1000, 99, (0, 1, 1)),  # r below half the smaller side
+        ((200, 260), 1000, 100, (0, 0, 0)),  # r at half of it
+    ]
+
+    @pytest.fixture
+    def lanczos_runs(self, monkeypatch):
+        """The ``k`` of every ``svds`` run ``top_r_svd`` makes."""
+        svds, seen = scipy.sparse.linalg.svds, []
+
+        def counting(*args, **kwargs):
+            seen.append(kwargs.get("k"))
+            return svds(*args, **kwargs)
+
+        monkeypatch.setattr(kernels.scipy.sparse.linalg, "svds", counting)
+        return seen
+
+    @pytest.mark.parametrize("shape, stored, r, runs", TABLE, ids=[
+        "above-cutoff", "at-cutoff", "r-is-side", "side-200", "side-199",
+        "quarter-stored", "quarter-stored+1", "r-below-half", "r-at-half"])
+    def test_route_and_result(self, lanczos_runs, shape, stored, r, runs):
+        csr = sparse_with_stored(*shape, stored, seed=sum(shape) + stored + r)
+        dense = csr.toarray()
+        S = np.linalg.svd(dense, compute_uv=False)
+        inputs = (dense, csr, scipy.sparse.linalg.aslinearoperator(csr))
+        for A, want in zip(inputs, runs):
+            lanczos_runs.clear()
+            tsvd = kernels.top_r_svd(A, r)
+            assert lanczos_runs == [r] * want, type(A)
+            assert np.all(np.abs(tsvd.S - S[:r]) <= 1e-10 * S[0])
+            assert np.linalg.norm(dense @ tsvd.V - tsvd.U * tsvd.S) <= 1e-10 * S[0]
+            assert np.linalg.norm(dense.T @ tsvd.U - tsvd.V * tsvd.S) <= 1e-10 * S[0]
+
+    def test_arpack_failure_takes_the_dense_svd(self, lanczos_runs):
+        # rows and columns summing to zero put the all-ones start in the
+        # kernel: ARPACK refuses it and LAPACK answers, for CSR and operator
+        csr = scipy.sparse.csr_matrix(permutation_difference(200))
+        for A in (csr, scipy.sparse.linalg.aslinearoperator(csr)):
+            lanczos_runs.clear()
+            assert kernels.operator_norm(A) == pytest.approx(2.0, rel=1e-12)
+            assert lanczos_runs == [1]
+
+
+def test_only_kernels_calls_svds():
+    # top_r_svd is the one place that picks Lanczos over LAPACK
+    src = pathlib.Path(__file__).resolve().parents[1] / "src" / "detmc"
+    callers = [
+        path.name
+        for path in sorted(src.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Call)
+        and "svds" in (getattr(node.func, "attr", None), getattr(node.func, "id", None))
+    ]
+    assert callers == ["kernels.py"]

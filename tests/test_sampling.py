@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.io import mmread
 
-from detmc import bench, graphs, sampling
+from detmc import bench, graphs, kernels, sampling
 from detmc.errors import FormatError, ParameterError
 from support import bernoulli_with_empty_row_and_column, complete_graph
 
@@ -76,10 +76,16 @@ class TestRescaledDense:
         assert tsvd.reconstruct()[i, j] == pytest.approx(2.0)
 
     def test_small_path_densifies_the_csr(self, monkeypatch):
-        # bit for bit the scattered rescaled values, on a graph and a mask
+        # the operand LAPACK factors is, bit for bit, the scattered
+        # rescaled values, on a graph and a mask
         rng = np.random.default_rng(3)
-        seen = []
-        monkeypatch.setattr(sampling, "top_r_svd", lambda A, r: seen.append(A))
+        svd, seen = np.linalg.svd, []
+
+        def spying(A, *args, **kwargs):
+            seen.append(A)
+            return svd(A, *args, **kwargs)
+
+        monkeypatch.setattr(kernels.np.linalg, "svd", spying)
         for pattern in (graphs.random_biregular(30, 20, 4, seed=1),
                         bernoulli_with_empty_row_and_column()):
             obs = sampling.observe(rng.standard_normal((pattern.n1, pattern.n2)), pattern)
