@@ -7,11 +7,8 @@ roughly in proportion to it.
 
 from detmc import bench
 
-cfg = bench.ExperimentConfig(
-    n1=256, n2=256, r=3, r_list=(3,), kappa_list=(1.0, 5.0, 10.0),
-    tol=1e-4, seed=4, max_iter=8000,
-)
-_, rates = bench.run_convergence_comparison(cfg, degree=40)
+cfg = bench.ExperimentConfig(n1=256, n2=256, tol=1e-4, seed=4, max_iter=8000)
+_, rates = bench.run_convergence_comparison(cfg, (3,), (1.0, 5.0, 10.0), degree=40)
 
 print(f"{'solver':>12} {'kappa':>6} {'fitted rate':>12} {'iters to 1e-4':>14}")
 for row in sorted(rates, key=lambda r: (r["solver"], r["kappa"])):

@@ -9,11 +9,8 @@ where their speed comes from.
 
 from detmc import bench
 
-cfg = bench.ExperimentConfig(
-    n1=256, n2=256, r=2, r_list=(2, 3), degrees=(64,), trials=3,
-    tol=1e-4, seed=9, max_iter=6000,
-)
-rows = bench.run_solver_comparison(cfg, kappa=1.2)
+cfg = bench.ExperimentConfig(n1=256, n2=256, tol=1e-4, seed=9, max_iter=6000)
+rows = bench.run_solver_comparison(cfg, (2, 3), (64,), 3, kappa=1.2)
 
 print(f"{'solver':>12} {'rank':>5} {'p':>7} {'iters':>7} {'wall (s)':>9} {'rel err':>10}")
 for row in rows:

@@ -9,11 +9,10 @@ here; expect a few minutes.
 from detmc import bench
 
 cfg = bench.ExperimentConfig(
-    n1=546, n2=546, r=3, degrees=(10, 12, 14, 17, 21), trials=10,
-    eta=0.35, max_iter=1200, eval_every=5, seed=1,
+    n1=546, n2=546, eta=0.35, max_iter=1200, eval_every=5, seed=1,
     tol=1e-6,
 )
-rows = bench.run_phase_transition(cfg, solver="pgd")
+rows = bench.run_phase_transition(cfg, 3, (10, 12, 14, 17, 21), 10, solver="pgd")
 
 print(f"{'sampler':>14} {'p':>8} {'success':>8} {'mean iters':>11}")
 for row in rows:

@@ -1,9 +1,9 @@
 """Experiment driver: synthetic instances, phase-transition sweeps,
 condition-number studies, and solver comparison tables.
 
-Experiments are deterministic per (config, seed): trial seeds are spawned
-from a master seed sequence, results are sorted before emission, and
-wall-time columns are the only nondeterministic output.
+Rows are deterministic per (config, axes), wall-time columns aside: trial
+seeds are spawned from a master seed sequence, and rows come in sweep
+order (degrees, then samplers; ranks, then kappas or degrees).
 """
 
 import csv
@@ -43,13 +43,10 @@ def synthetic_low_rank(n1, n2, r, cond, seed):
 
 @dataclass
 class ExperimentConfig:
+    """The settings every sweep reads; each sweep takes its own axes."""
+
     n1: int = 512
     n2: int = 512
-    r: int = 3
-    r_list: tuple = ()  # per-rank sweeps; defaults to (r,)
-    kappa_list: tuple = (1.0, 5.0, 10.0)
-    degrees: tuple = (8, 10, 12, 16, 24, 36)
-    trials: int = 20
     tol: float = 1e-4  # stop threshold; phase rows also count a success below it
     seed: int = 0
     eta: float | None = None  # solver default when None
@@ -59,23 +56,16 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.n1 < 1 or self.n2 < 1:
             raise ParameterError(f"matrix sizes must be at least 1, got {self.n1} x {self.n2}")
-        if self.trials < 1:
-            raise ParameterError("trials must be at least 1")
         if self.tol <= 0:
             raise ParameterError("tol must be positive")
-        degs = tuple(self.degrees)
-        if any(b <= a for a, b in zip(degs, degs[1:])):
-            raise ParameterError("sweep values must be strictly increasing")
-        if not self.r_list:
-            self.r_list = (self.r,)
 
 
-@dataclass
-class TrialRecord:
-    success: bool
-    iterations: int
-    wall_seconds: float
-    final_rel_error: float
+def _check_sweep(degrees, trials):
+    """Refuse a trial count below 1 and degrees that do not strictly increase."""
+    if trials < 1:
+        raise ParameterError("trials must be at least 1")
+    if any(b <= a for a, b in zip(degrees, degrees[1:])):
+        raise ParameterError("sweep values must be strictly increasing")
 
 
 SOLVERS = {
@@ -110,22 +100,16 @@ def solve(name, obs, r, gt=None, **settings):
 
 
 def run_trial(solver, obs, r, gt, cfg):
-    """One solver run wrapped into a TrialRecord (plus the trace)."""
+    """The trace of one solver run under ``cfg``, also of one that diverges."""
     try:
-        _, trace = solve(solver, obs, r, gt, max_iter=cfg.max_iter, tol=cfg.tol,
-                         eta=cfg.eta, eval_every=cfg.eval_every)
-        diverged = False
+        return solve(solver, obs, r, gt, max_iter=cfg.max_iter, tol=cfg.tol,
+                     eta=cfg.eta, eval_every=cfg.eval_every)[1]
     except DivergenceError as exc:
-        trace = exc.trace
-        diverged = True
-    rel = trace.final_rel_error
-    record = TrialRecord(
-        success=(not diverged) and rel < cfg.tol,
-        iterations=trace.iterations[-1] if trace.iterations else 0,
-        wall_seconds=trace.solver_seconds,
-        final_rel_error=rel,
-    )
-    return record, trace
+        return exc.trace
+
+
+def _succeeded(trace, tol):
+    return trace.meta["stop_reason"] != "diverged" and trace.final_rel_error < tol
 
 
 # ---------------------------------------------------------------------------
@@ -136,32 +120,31 @@ def run_trial(solver, obs, r, gt, cfg):
 SAMPLERS = ("deterministic", "bernoulli")
 
 
-def phase_trial(cfg, solver, graph, sampler, t):
-    """Trial ``t`` of ``sampler`` at ``graph``'s degree d, on the kappa = 1
-    ground truth and Bernoulli mask (at ``graph``'s rate) seeded by the two
-    children of ``SeedSequence((cfg.seed, d, t))``: ``(sampler, TrialRecord)``.
-    """
+def phase_trial(cfg, r, solver, graph, sampler, t):
+    """Trial ``t`` of ``sampler`` at ``graph``'s degree d, on the rank-``r``,
+    kappa = 1 ground truth and Bernoulli mask (at ``graph``'s rate) seeded by
+    the children of ``SeedSequence((cfg.seed, d, t))``: ``(sampler, trace)``."""
     gt_seed, mask_seed = np.random.SeedSequence((cfg.seed, graph.d1, t)).spawn(2)
-    gt = synthetic_low_rank(cfg.n1, cfg.n2, cfg.r, 1.0, gt_seed)
+    gt = synthetic_low_rank(cfg.n1, cfg.n2, r, 1.0, gt_seed)
     if sampler == "deterministic":
         pattern = graph
     else:
         pattern = bernoulli_mask(cfg.n1, cfg.n2, graph.rate, mask_seed)
-    rec, _ = run_trial(solver, observe(gt.matrix, pattern), cfg.r, gt, cfg)
-    return sampler, rec
+    return sampler, run_trial(solver, observe(gt.matrix, pattern), r, gt, cfg)
 
 
-def run_phase_transition(cfg, solver="pgd"):
-    """Success-ratio sweep over sampling rates for certified-graph vs
-    Bernoulli sampling; a trial stops, and succeeds, below ``cfg.tol``.
-    Returns rows (sampler, p, success_ratio, mean_iters).
+def run_phase_transition(cfg, r, degrees, trials, solver="pgd"):
+    """Success ratios of ``trials`` rank-``r`` trials per degree and sampler;
+    a trial stops, and succeeds, below ``cfg.tol``.  Returns rows (sampler, p,
+    success_ratio, mean_iters).
 
     The graphs (seed ``SeedSequence((cfg.seed, d)).entropy``) are built
     here; the trials run as ``phase_trial`` on one worker process per core,
     each taking its BLAS thread count from the environment it inherits.
     """
+    _check_sweep(degrees, trials)
     rows, tasks = [], []
-    for d in cfg.degrees:
+    for d in degrees:
         try:
             graph = random_biregular(
                 cfg.n1, cfg.n2, d, seed=np.random.SeedSequence((cfg.seed, d)).entropy
@@ -172,14 +155,14 @@ def run_phase_transition(cfg, solver="pgd"):
                          "success_ratio": float("nan"), "mean_iters": float("nan")})
             continue
         rows += [{"sampler": s, "p": graph.rate} for s in SAMPLERS]
-        tasks += [(cfg, solver, graph, s, t) for s in SAMPLERS for t in range(cfg.trials)]
+        tasks += [(cfg, r, solver, graph, s, t) for s in SAMPLERS for t in range(trials)]
     with ProcessPoolExecutor(min(len(tasks), os.cpu_count() or 1) or 1) as pool:
         results = pool.map(phase_trial, *zip(*tasks))  # in the order of tasks
     for row in rows:
         if row["sampler"] != "skipped":
-            recs = [next(results)[1] for _ in range(cfg.trials)]
-            row["success_ratio"] = sum(r.success for r in recs) / len(recs)
-            row["mean_iters"] = float(np.mean([r.iterations for r in recs]))
+            traces = [next(results)[1] for _ in range(trials)]
+            row["success_ratio"] = sum(_succeeded(tr, cfg.tol) for tr in traces) / trials
+            row["mean_iters"] = float(np.mean([tr.iterations[-1] for tr in traces]))
     return rows
 
 
@@ -188,23 +171,23 @@ def run_phase_transition(cfg, solver="pgd"):
 # ---------------------------------------------------------------------------
 
 
-def run_convergence_comparison(cfg, degree=60):
-    """Full error traces of PGD and scaled PGD per (kappa, r), and fitted rates.
+def run_convergence_comparison(cfg, ranks, kappas, degree=60):
+    """Full error traces of PGD and scaled PGD per (r, kappa), and fitted rates.
 
     Returns (trace_rows, rate_rows); trace rows are long-format
     (solver, kappa, r, iter, rel_error).
     """
     trace_rows = []
     rate_rows = []
-    for r in cfg.r_list:
-        for kappa in cfg.kappa_list:
+    for r in ranks:
+        for kappa in kappas:
             ss = np.random.SeedSequence((cfg.seed, int(10 * kappa), r))
             gt_seed, graph_seed = ss.spawn(2)
             gt = synthetic_low_rank(cfg.n1, cfg.n2, r, kappa, gt_seed)
             graph = random_biregular(cfg.n1, cfg.n2, degree, seed=graph_seed.entropy)
             obs = observe(gt.matrix, graph)
             for solver in ("pgd", "scaled-pgd"):
-                rec, trace = run_trial(solver, obs, r, gt, cfg)
+                trace = run_trial(solver, obs, r, gt, cfg)
                 errs = np.asarray(trace.rel_error)
                 for k, e in zip(trace.iterations, errs):
                     trace_rows.append({
@@ -221,7 +204,7 @@ def run_convergence_comparison(cfg, degree=60):
                     "solver": solver, "kappa": kappa, "r": r,
                     "rate": rate,
                     "iters_to_tol": -1 if iters_to_tol is None else iters_to_tol,
-                    "final_rel_error": rec.final_rel_error,
+                    "final_rel_error": trace.final_rel_error,
                 })
     return trace_rows, rate_rows
 
@@ -231,41 +214,42 @@ def run_convergence_comparison(cfg, degree=60):
 # ---------------------------------------------------------------------------
 
 
-def run_solver_comparison(cfg, kappa=1.0):
-    """Mean iterations / wall seconds per (solver, rank, degree), for IALM,
-    PGD and scaled PGD in that order.
+def run_solver_comparison(cfg, ranks, degrees, trials, kappa=1.0):
+    """Mean iterations / wall seconds of ``trials`` instances per (solver,
+    rank, degree), for IALM, PGD and scaled PGD in that order.
 
     The same ground truths and graph are shared across solvers at each
     sweep point; timing runs execute serially, the solvers of one instance
     back to back, so that a drift in machine speed reaches every solver.
     """
+    _check_sweep(degrees, trials)
     rows = []
-    for r in cfg.r_list:
-        for d in cfg.degrees:
+    for r in ranks:
+        for d in degrees:
             graph = random_biregular(
                 cfg.n1, cfg.n2, d,
                 seed=np.random.SeedSequence((cfg.seed, 1000 + d)).entropy,
             )
             runs = {solver: [] for solver in ("ialm", "pgd", "scaled-pgd")}
-            for t in range(cfg.trials):
+            for t in range(trials):
                 gt = synthetic_low_rank(
                     cfg.n1, cfg.n2, r, kappa,
                     np.random.SeedSequence((cfg.seed, d, r, t)),
                 )
                 obs = observe(gt.matrix, graph)
-                for solver, recs in runs.items():
-                    recs.append(run_trial(solver, obs, r, gt, cfg)[0])
-            for solver, recs in runs.items():
+                for solver, traces in runs.items():
+                    traces.append(run_trial(solver, obs, r, gt, cfg))
+            for solver, traces in runs.items():
                 rows.append({
                     "solver": solver,
                     "rank": r,
                     "degree": d,
                     "p": graph.rate,
-                    "mean_iters": float(np.mean([x.iterations for x in recs])),
-                    "mean_wall_seconds": float(np.mean([x.wall_seconds for x in recs])),
-                    "std_wall_seconds": float(np.std([x.wall_seconds for x in recs])),
-                    "mean_rel_error": float(np.mean([x.final_rel_error for x in recs])),
-                    "trials": cfg.trials,
+                    "mean_iters": float(np.mean([tr.iterations[-1] for tr in traces])),
+                    "mean_wall_seconds": float(np.mean([tr.solver_seconds for tr in traces])),
+                    "std_wall_seconds": float(np.std([tr.solver_seconds for tr in traces])),
+                    "mean_rel_error": float(np.mean([tr.final_rel_error for tr in traces])),
+                    "trials": trials,
                 })
     return rows
 

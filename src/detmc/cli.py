@@ -286,12 +286,12 @@ def _outdir(args):
 
 def cmd_bench_phase(args):
     cfg = bench.ExperimentConfig(
-        n1=args.n, n2=args.n, r=args.r, degrees=args.degrees, trials=args.trials,
-        tol=args.tol, seed=args.seed, max_iter=args.max_iter, eval_every=5,
-        **_tuning(args),
+        n1=args.n, n2=args.n, tol=args.tol, seed=args.seed, max_iter=args.max_iter,
+        eval_every=5, **_tuning(args),
     )
     out = os.path.join(_outdir(args), "phase.csv")
-    rows = bench.run_phase_transition(cfg, solver=args.solver)
+    rows = bench.run_phase_transition(cfg, args.r, args.degrees, args.trials,
+                                      solver=args.solver)
     bench.write_csv(rows, out)
     print(json.dumps({"path": out, "rows": len(rows)}))
     return 0
@@ -299,11 +299,12 @@ def cmd_bench_phase(args):
 
 def cmd_bench_convergence(args):
     cfg = bench.ExperimentConfig(
-        n1=args.n, n2=args.n, r_list=args.ranks, kappa_list=args.kappas, trials=1,
-        tol=args.tol, seed=args.seed, eta=args.eta, max_iter=args.max_iter,
+        n1=args.n, n2=args.n, tol=args.tol, seed=args.seed, eta=args.eta,
+        max_iter=args.max_iter,
     )
     outdir = _outdir(args)
-    traces, rates = bench.run_convergence_comparison(cfg, degree=args.degree)
+    traces, rates = bench.run_convergence_comparison(cfg, args.ranks, args.kappas,
+                                                     degree=args.degree)
     tpath = os.path.join(outdir, "convergence.csv")
     rpath = os.path.join(outdir, "convergence_rates.csv")
     bench.write_csv(traces, tpath)
@@ -314,11 +315,11 @@ def cmd_bench_convergence(args):
 
 def cmd_bench_compare(args):
     cfg = bench.ExperimentConfig(
-        n1=args.n, n2=args.n, r_list=args.ranks, degrees=args.degrees, trials=args.trials,
-        tol=args.tol, seed=args.seed, eta=args.eta, max_iter=args.max_iter,
+        n1=args.n, n2=args.n, tol=args.tol, seed=args.seed, eta=args.eta,
+        max_iter=args.max_iter,
     )
     outdir = _outdir(args)
-    rows = bench.run_solver_comparison(cfg)
+    rows = bench.run_solver_comparison(cfg, args.ranks, args.degrees, args.trials)
     cpath = os.path.join(outdir, "compare.csv")
     jpath = os.path.join(outdir, "compare.json")
     bench.write_csv(rows, cpath)

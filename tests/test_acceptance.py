@@ -56,11 +56,10 @@ def test_criterion_01_exact_recovery(desk_graph):
 
 def test_criterion_02_phase_transition():
     cfg = bench.ExperimentConfig(
-        n1=1092, n2=1092, r=3, degrees=(18, 20, 22, 23, 24), trials=20,
-        eta=0.35, max_iter=1200, eval_every=5, seed=1,
+        n1=1092, n2=1092, eta=0.35, max_iter=1200, eval_every=5, seed=1,
         tol=1e-6,
     )
-    rows = bench.run_phase_transition(cfg, solver="pgd")
+    rows = bench.run_phase_transition(cfg, 3, (18, 20, 22, 23, 24), 20, solver="pgd")
     det = {r["p"]: r["success_ratio"] for r in rows if r["sampler"] == "deterministic"}
     ber = {r["p"]: r["success_ratio"] for r in rows if r["sampler"] == "bernoulli"}
     hits = sorted(p for p in det if det[p] == 1.0 and ber[p] < 0.9)
@@ -112,11 +111,8 @@ def test_criterion_03_kappa_dependence(desk_graph):
 
 
 def test_criterion_04_solver_orderings():
-    cfg = bench.ExperimentConfig(
-        n1=512, n2=512, r=2, r_list=(2, 3), degrees=(60,), trials=3,
-        tol=1e-4, seed=9, max_iter=6000,
-    )
-    rows = bench.run_solver_comparison(cfg, kappa=1.2)
+    cfg = bench.ExperimentConfig(n1=512, n2=512, tol=1e-4, seed=9, max_iter=6000)
+    rows = bench.run_solver_comparison(cfg, (2, 3), (60,), 3, kappa=1.2)
     by = {(r["solver"], r["rank"]): r for r in rows}
     details = []
     for rank in (2, 3):

@@ -1,11 +1,10 @@
 import multiprocessing
-from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from detmc import bench, graphs, ialm, pgd, scaled_pgd
-from detmc.errors import ParameterError
+from detmc import bench, graphs, ialm, pgd, sampling, scaled_pgd
+from detmc.errors import DivergenceError, ParameterError
 
 
 class TestSyntheticLowRank:
@@ -44,12 +43,8 @@ class TestSyntheticLowRank:
 
 
 class TestExperimentConfig:
-    def test_sweep_must_increase(self):
-        with pytest.raises(ParameterError):
-            bench.ExperimentConfig(degrees=(10, 10))
-        with pytest.raises(ParameterError):
-            bench.ExperimentConfig(trials=0)
-        with pytest.raises(ParameterError):
+    def test_tol_must_be_positive(self):
+        with pytest.raises(ParameterError, match="tol must be positive"):
             bench.ExperimentConfig(tol=0.0)
 
     @pytest.mark.parametrize("sizes", [{"n1": 0}, {"n2": -5}, {"n1": -5, "n2": -5}])
@@ -59,53 +54,97 @@ class TestExperimentConfig:
             bench.ExperimentConfig(**sizes)
 
 
+class TestSweepRefusals:
+    """Phase and compare refuse a trial count below 1 and degrees that do not
+    strictly increase before they build any graph."""
+
+    @pytest.mark.parametrize("sweep", ["phase", "compare"])
+    @pytest.mark.parametrize("degrees, trials, message", [
+        ((10, 10), 1, "strictly increasing"),
+        ((10, 12), 0, "trials must be at least 1"),
+    ], ids=["repeated-degree", "no-trials"])
+    def test_refused_before_any_graph(self, monkeypatch, sweep, degrees, trials, message):
+        def fail(*args, **kwargs):
+            pytest.fail("a graph was built")
+
+        for module in (graphs, bench):  # bench calls its own binding
+            monkeypatch.setattr(module, "random_biregular", fail)
+        cfg = bench.ExperimentConfig(n1=48, n2=48)
+        with pytest.raises(ParameterError, match=message):
+            if sweep == "phase":
+                bench.run_phase_transition(cfg, 2, degrees, trials)
+            else:
+                bench.run_solver_comparison(cfg, (2,), degrees, trials)
+
+
 class TestPhaseTransition:
+    R = 2
+
     def make_cfg(self, **kw):
-        base = dict(
-            n1=48, n2=48, r=2, degrees=(16, 48), trials=2, tol=1e-6,
-            seed=1, eta=0.35, max_iter=400,
-        )
+        base = dict(n1=48, n2=48, tol=1e-6, seed=1, eta=0.35, max_iter=400)
         base.update(kw)
         return bench.ExperimentConfig(**base)
 
     def test_full_observation_point_succeeds(self):
-        rows = bench.run_phase_transition(self.make_cfg(), solver="pgd")
+        rows = bench.run_phase_transition(self.make_cfg(), self.R, (16, 48), 2, solver="pgd")
         by_key = {(r["sampler"], round(r["p"], 6)): r for r in rows}
         assert by_key[("deterministic", 1.0)]["success_ratio"] == 1.0
 
     def test_deterministic_rows_reproducible(self):
         cfg = self.make_cfg()
-        a = bench.run_phase_transition(cfg, solver="pgd")
-        b = bench.run_phase_transition(cfg, solver="pgd")
+        a = bench.run_phase_transition(cfg, self.R, (16, 48), 2, solver="pgd")
+        b = bench.run_phase_transition(cfg, self.R, (16, 48), 2, solver="pgd")
         assert a == b
 
     @pytest.mark.parametrize("solver, eta", [("pgd", 0.35), ("scaled-pgd", None)])
     def test_pool_gives_the_serial_rows(self, solver, eta):
         # the serial reference: every trial run in this process, on graphs
         # built with the sweep's seeds, and aggregated here
-        cfg = self.make_cfg(degrees=(16, 24), trials=3, max_iter=300, eta=eta)
+        cfg = self.make_cfg(max_iter=300, eta=eta)
+        degrees, trials = (16, 24), 3
         serial = []
-        for d in cfg.degrees:
+        for d in degrees:
             graph = graphs.random_biregular(
                 48, 48, d, seed=np.random.SeedSequence((cfg.seed, d)).entropy)
             for sampler in bench.SAMPLERS:
-                recs = [bench.phase_trial(cfg, solver, graph, sampler, t)
-                        for t in range(cfg.trials)]
-                assert all(s == sampler for s, _ in recs)
+                runs = [bench.phase_trial(cfg, self.R, solver, graph, sampler, t)
+                        for t in range(trials)]
+                assert all(s == sampler for s, _ in runs)
+                traces = [trace for _, trace in runs]
+                succeeded = [trace.meta["stop_reason"] != "diverged"
+                             and trace.final_rel_error < cfg.tol for trace in traces]
                 serial.append({
                     "sampler": sampler, "p": d / 48,
-                    "success_ratio": sum(r.success for _, r in recs) / cfg.trials,
-                    "mean_iters": float(np.mean([r.iterations for _, r in recs])),
+                    "success_ratio": sum(succeeded) / trials,
+                    "mean_iters": float(np.mean([trace.iterations[-1] for trace in traces])),
                 })
-        assert bench.run_phase_transition(cfg, solver=solver) == serial
+        assert bench.run_phase_transition(cfg, self.R, degrees, trials, solver=solver) == serial
 
     def test_no_worker_outlives_the_sweep(self):
-        bench.run_phase_transition(self.make_cfg(degrees=(16,), trials=2), solver="pgd")
+        bench.run_phase_transition(self.make_cfg(), self.R, (16,), 2, solver="pgd")
         assert multiprocessing.active_children() == []
         # a negative step makes every trial raise in its worker
         with pytest.raises(ParameterError, match="eta must be positive"):
-            bench.run_phase_transition(self.make_cfg(eta=-1.0), solver="pgd")
+            bench.run_phase_transition(self.make_cfg(eta=-1.0), self.R, (16, 48), 2,
+                                       solver="pgd")
         assert multiprocessing.active_children() == []
+
+    def test_a_diverged_trial_is_its_trace_and_no_success(self, monkeypatch):
+        # the trace a DivergenceError carries comes back; below tol or not,
+        # a run marked "diverged" is no success
+        trace = pgd.IterationTrace(meta={"stop_reason": "diverged"})
+        trace.append(1.0, 0.0)
+
+        def diverge(*args, **kwargs):
+            raise DivergenceError("loss is no longer finite", trace)
+
+        monkeypatch.setattr(bench, "solve", diverge)
+        graph = graphs.random_biregular(48, 48, 16, seed=0)
+        cfg = self.make_cfg()
+        assert bench.phase_trial(cfg, self.R, "pgd", graph, "bernoulli", 0) == ("bernoulli", trace)
+        assert not bench._succeeded(trace, cfg.tol)
+        trace.meta["stop_reason"] = "tol"
+        assert bench._succeeded(trace, cfg.tol)
 
     def test_bernoulli_rate_matches_expected_count(self):
         from detmc.graphs import bernoulli_mask
@@ -118,16 +157,13 @@ class TestPhaseTransition:
 
     def test_infeasible_degree_writes_warning_row(self):
         # 48 * 13 is not divisible by 36
-        cfg = bench.ExperimentConfig(
-            n1=48, n2=36, r=2, degrees=(13, 36), trials=1, tol=1e-6,
-            seed=1, eta=0.35, max_iter=200,
-        )
+        cfg = bench.ExperimentConfig(n1=48, n2=36, tol=1e-6, seed=1, eta=0.35, max_iter=200)
         with pytest.warns(UserWarning):
-            rows = bench.run_phase_transition(cfg, solver="pgd")
+            rows = bench.run_phase_transition(cfg, 2, (13, 36), 1, solver="pgd")
         assert [row["sampler"] for row in rows] == ["skipped", *bench.SAMPLERS]
         # a sweep with no feasible degree runs no trial
         with pytest.warns(UserWarning):
-            rows = bench.run_phase_transition(replace(cfg, degrees=(13,)), solver="pgd")
+            rows = bench.run_phase_transition(cfg, 2, (13,), 1, solver="pgd")
         assert [row["sampler"] for row in rows] == ["skipped"]
 
 
@@ -159,27 +195,38 @@ class TestSolve:
 
 class TestSolverComparison:
     def test_rows_schema_and_determinism(self):
-        cfg = bench.ExperimentConfig(
-            n1=64, n2=64, r=2, r_list=(2,), degrees=(24,), trials=2,
-            tol=1e-3, seed=3, max_iter=2000,
-        )
-        rows = bench.run_solver_comparison(cfg)
+        cfg = bench.ExperimentConfig(n1=64, n2=64, tol=1e-3, seed=3, max_iter=2000)
+        rows = bench.run_solver_comparison(cfg, (2,), (24,), 2)
         assert [row["solver"] for row in rows] == ["ialm", "pgd", "scaled-pgd"]
         for row in rows:
             assert row["mean_rel_error"] < 1e-3
-        again = bench.run_solver_comparison(cfg)
+        again = bench.run_solver_comparison(cfg, (2,), (24,), 2)
         for a, b in zip(rows, again):
             assert a["mean_iters"] == b["mean_iters"]
             assert a["mean_rel_error"] == b["mean_rel_error"]
 
+    def test_rows_are_the_means_of_the_solvers_own_runs(self):
+        # compare's seed scheme, restated: the degree-d graph from
+        # SeedSequence((seed, 1000 + d)), trial t's kappa-1 ground truth from
+        # SeedSequence((seed, d, r, t)); each instance re-run through solve
+        n, d, r, trials, seed, tol, max_iter = 64, 24, 2, 2, 3, 1e-3, 2000
+        cfg = bench.ExperimentConfig(n1=n, n2=n, tol=tol, seed=seed, max_iter=max_iter)
+        rows = bench.run_solver_comparison(cfg, (r,), (d,), trials)
+        graph = graphs.random_biregular(
+            n, n, d, seed=np.random.SeedSequence((seed, 1000 + d)).entropy)
+        truths = [bench.synthetic_low_rank(n, n, r, 1.0, np.random.SeedSequence((seed, d, r, t)))
+                  for t in range(trials)]
+        for row in rows:
+            traces = [bench.solve(row["solver"], sampling.observe(gt.matrix, graph), r, gt,
+                                  max_iter=max_iter, tol=tol)[1] for gt in truths]
+            assert row["mean_iters"] == np.mean([trace.iterations[-1] for trace in traces])
+            assert row["mean_rel_error"] == np.mean([trace.final_rel_error for trace in traces])
+
 
 class TestConvergenceComparison:
     def test_traces_and_rates(self):
-        cfg = bench.ExperimentConfig(
-            n1=64, n2=64, r=2, r_list=(2,), kappa_list=(1.0, 4.0),
-            trials=1, tol=1e-4, seed=4, max_iter=3000,
-        )
-        traces, rates = bench.run_convergence_comparison(cfg, degree=24)
+        cfg = bench.ExperimentConfig(n1=64, n2=64, tol=1e-4, seed=4, max_iter=3000)
+        traces, rates = bench.run_convergence_comparison(cfg, (2,), (1.0, 4.0), degree=24)
         assert {row["solver"] for row in rates} == {"pgd", "scaled-pgd"}
         assert len(rates) == 4
         for row in rates:
@@ -191,13 +238,10 @@ class TestConvergenceComparison:
 
 class TestCsvOutput:
     def test_byte_determinism_excluding_wall(self, tmp_path):
-        cfg = bench.ExperimentConfig(
-            n1=48, n2=48, r=2, degrees=(24,), trials=2, tol=1e-6,
-            seed=5, eta=0.35, max_iter=300,
-        )
+        cfg = bench.ExperimentConfig(n1=48, n2=48, tol=1e-6, seed=5, eta=0.35, max_iter=300)
         paths = []
         for name in ("a.csv", "b.csv"):
-            rows = bench.run_phase_transition(cfg, solver="pgd")
+            rows = bench.run_phase_transition(cfg, 2, (24,), 2, solver="pgd")
             path = tmp_path / name
             bench.write_csv(rows, path)
             paths.append(path)

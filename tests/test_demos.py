@@ -1,4 +1,4 @@
-"""The demos that reach ``certify`` run to the end as scripts."""
+"""The demos that reach ``certify`` or call a sweep run to the end as scripts."""
 
 import os
 import subprocess
@@ -10,7 +10,8 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 
-@pytest.mark.parametrize("demo", ["01_graphs_and_certificates.py", "05_theory_margins.py"])
+@pytest.mark.parametrize("demo", ["01_graphs_and_certificates.py", "03_condition_number_study.py",
+                                  "04_solver_comparison.py", "05_theory_margins.py"])
 def test_demo_exits_zero(demo, tmp_path):
     # the child finds detmc as the suite does, with src on PYTHONPATH
     env = dict(os.environ)

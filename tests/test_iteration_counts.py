@@ -14,11 +14,10 @@ def test_criterion_02_trial_counts():
     # criterion 02's trial 0 at d = 22 of its seed-1 ladder, on the certified
     # graph and on the Bernoulli mask of the same rate
     cfg = bench.ExperimentConfig(
-        n1=1092, n2=1092, r=3, degrees=(22,), trials=1,
-        eta=0.35, max_iter=1200, eval_every=5, seed=1,
+        n1=1092, n2=1092, eta=0.35, max_iter=1200, eval_every=5, seed=1,
         tol=1e-6,
     )
-    rows = bench.run_phase_transition(cfg, solver="pgd")
+    rows = bench.run_phase_transition(cfg, 3, (22,), 1, solver="pgd")
     iters = {row["sampler"]: row["mean_iters"] for row in rows}
     success = {row["sampler"]: row["success_ratio"] for row in rows}
     assert iters == {"deterministic": 360, "bernoulli": 645}
