@@ -32,13 +32,18 @@ def synthetic_low_rank(n1, n2, r, cond, seed):
         raise ParameterError(f"rank must be at least 1, got {r}")
     if r > min(n1, n2):
         raise ParameterError(f"rank {r} exceeds min dimension")
-    if cond < 1:
-        raise ParameterError("condition number must be at least 1")
+    _check_condition_number(cond)
     rng = np.random.default_rng(seed)
     U = np.linalg.qr(rng.standard_normal((n1, r)))[0]
     V = np.linalg.qr(rng.standard_normal((n2, r)))[0]
     S = cond ** np.linspace(1.0, 0.0, r) if r > 1 else np.array([float(cond)])
     return ground_truth_from_svd(U, S, V)
+
+
+def _check_condition_number(cond):
+    """Refuse a condition number below 1, NaN (which passes "cond < 1") or inf."""
+    if not 1 <= cond < np.inf:
+        raise ParameterError(f"condition number must be finite and at least 1, got {cond}")
 
 
 @dataclass
@@ -177,6 +182,8 @@ def run_convergence_comparison(cfg, ranks, kappas, degree=60):
     Returns (trace_rows, rate_rows); trace rows are long-format
     (solver, kappa, r, iter, rel_error).
     """
+    for kappa in kappas:  # before int(10 * kappa) seeds a trial with it
+        _check_condition_number(kappa)
     trace_rows = []
     rate_rows = []
     for r in ranks:

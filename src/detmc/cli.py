@@ -38,8 +38,19 @@ def load_config_file(path):
     return values
 
 
+def _seed(text):
+    """argparse type of ``--seed``: a non-negative integer, as numpy's seeding takes."""
+    try:
+        seed = int(text)
+    except ValueError:
+        seed = -1
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return seed
+
+
 _SHARED_FLAGS = {  # dest: add_argument keywords of the flags several commands take
-    "seed": {"type": int, "default": 0}, "out": {"default": None}, "tol": {"type": float},
+    "seed": {"type": _seed, "default": 0}, "out": {"default": None}, "tol": {"type": float},
     "eta": {"type": float, "default": None},
     "solver": {"choices": tuple(bench.SOLVERS), "default": "pgd"},
 }

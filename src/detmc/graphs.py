@@ -39,8 +39,9 @@ class SamplingPattern:
     """A set of observed index pairs of an ``n1 x n2`` matrix.
 
     Edges are stored as an ``(m, 2)`` integer array sorted lexicographically
-    with no duplicates.  Subclasses add structure (uniform degrees, or the
-    Bernoulli rate used to draw the mask).
+    with no duplicates; ``rate`` is the fraction observed, m / (n1 n2).
+    Subclasses add structure (uniform degrees, or the Bernoulli rate used
+    to draw the mask, which replaces ``rate``).
     """
 
     def __init__(self, n1, n2, edges):
@@ -60,33 +61,13 @@ class SamplingPattern:
         # a contiguous intp copy, the index np.take gathers by without a cast
         self.cols = edges[:, 1].astype(np.intp)
         self.cols.flags.writeable = False
-
-    @property
-    def m(self):
-        return self.edges.shape[0]
-
-    @cached_property
-    def row_ptr(self):
-        # CSR index pointer; valid because edges are sorted by row.
-        return np.searchsorted(self.rows, np.arange(self.n1 + 1)).astype(np.int64)
-
-    @cached_property
-    def _csr_index(self):
-        # Validated and cast once, then shared by every csr_with_values
-        # result; read-only so an in-place index edit (eliminate_zeros,
-        # prune) fails instead of corrupting the pattern's other matrices.
-        mat = scipy.sparse.csr_matrix(
-            (np.ones(self.m), self.cols.copy(), self.row_ptr), shape=(self.n1, self.n2)
-        )
-        indices, indptr = mat.indices, mat.indptr
-        indices.flags.writeable = False
-        indptr.flags.writeable = False
-        return indices, indptr
+        self.m = len(edges)
+        self.rate = self.m / (self.n1 * self.n2)
 
     @cached_property
     def row_counts(self):
         # edges per row; np.repeat by these gathers along the sorted rows
-        counts = np.diff(self.row_ptr)
+        counts = np.diff(self.adjacency.indptr)
         counts.flags.writeable = False
         return counts
 
@@ -95,16 +76,23 @@ class SamplingPattern:
         values = np.asarray(values, dtype=np.float64)
         if values.shape != (self.m,):
             raise ParameterError(f"expected {self.m} values, got {values.shape}")
-        indices, indptr = self._csr_index
-        mat = scipy.sparse.csr_matrix(
-            (values, indices, indptr), shape=(self.n1, self.n2), copy=False
-        )
+        mat = scipy.sparse.csr_matrix((values, self.adjacency.indices, self.adjacency.indptr),
+                                      shape=(self.n1, self.n2), copy=False)
         mat.has_canonical_format = True
         return mat
 
     @cached_property
     def adjacency(self):
-        return self.csr_with_values(np.ones(self.m))
+        # Validated and cast once, then its index arrays are shared by every
+        # csr_with_values result; read-only so an in-place index edit
+        # (eliminate_zeros, prune) fails instead of corrupting the pattern's
+        # other matrices.  The row pointer is valid because edges are sorted.
+        indptr = np.searchsorted(self.rows, np.arange(self.n1 + 1))
+        mat = scipy.sparse.csr_matrix((np.ones(self.m), self.cols.copy(), indptr),
+                                      shape=(self.n1, self.n2))
+        mat.indices.flags.writeable = False
+        mat.indptr.flags.writeable = False
+        return mat
 
     def __eq__(self, other):
         return (
@@ -128,11 +116,6 @@ class BiregularGraph(SamplingPattern):
             raise ParameterError("right degrees are not uniform")
         self.d1 = int(left_deg[0])
         self.d2 = int(right_deg[0])
-
-    @property
-    def rate(self):
-        """Fraction of entries observed: d1/n2 (= d2/n1)."""
-        return self.d1 / self.n2
 
     @cached_property
     def neighbors(self):

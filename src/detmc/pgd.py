@@ -8,17 +8,18 @@ of the stacked factor are clipped to an incoherence bound derived from the
 spectral initialization.
 
 ``iterate`` is the outer loop of both factored solvers (this one and
-``scaled_pgd``): timing, the trace and the ``StopRule`` (``ialm``'s too)
-live there, and each ``solve`` supplies only its loss, step and
+``scaled_pgd``): the residual matrix, timing, the trace and the ``StopRule``
+(``ialm``'s too) live there; a ``solve`` supplies its start, loss, step and
 projection.  ``bench.solve`` runs any solver by name.
 
 Inside the loop the factors are r-major, C-ordered r x n arrays ``Xt``
 and ``Yt`` (``FactorPair.r_major``), the layout the per-edge kernel
 gathers and dots fastest; the public ``loss``, ``gradient`` and
 ``project_rows`` run the loop's helpers, and callers always get n x r
-C-ordered pairs.  A solve refills one residual matrix (``observed_residual``
-with ``out``) and multiplies by it with ``residual_products``: O(m r + n r^2),
-about 0.6 ms per iteration at 1092 x 1092, d = 20, r = 3 on one BLAS thread.
+C-ordered pairs.  The loss refills ``iterate``'s one residual matrix
+(``observed_residual`` with ``out``) and ``residual_products`` multiplies by
+it: O(m r + n r^2), about 0.6 ms per iteration at 1092 x 1092, d = 20, r = 3
+on one BLAS thread.
 """
 
 import itertools
@@ -280,38 +281,33 @@ def solve(obs, r, config=None, gt=None):
 
     t0 = time.perf_counter()
     pair, znorm, clip_bound = spectral_init(obs, r, mu)
-    init_seconds = time.perf_counter() - t0
     denom = znorm**2
     step = config.eta / denom
-    K = obs.pattern.csr_with_values(np.empty(obs.pattern.m))
-
-    trace = IterationTrace(solver_seconds=init_seconds, meta={
-        "solver": "pgd", "eta": config.eta,
-        "clip_bound": clip_bound, "stepsize_denominator": denom,
-    })
-
-    def objective(Xt, Yt):
-        return _objective(Xt, Yt, obs, out=K)
 
     def advance(Xt, Yt, state):
         gXt, gYt = _gradient(Xt, Yt, state, obs)
         return _clip_rows(Xt - step * gXt, clip_bound), _clip_rows(Yt - step * gYt, clip_bound)
 
-    return iterate(pair, objective, advance, config, gt, trace)
+    meta = {"solver": "pgd", "eta": config.eta,
+            "clip_bound": clip_bound, "stepsize_denominator": denom}
+    return iterate(obs, pair, _objective, advance, config, gt, meta, t0)
 
 
-def iterate(pair, objective, advance, config, gt, trace):
-    """The outer loop of both factored solvers, started at ``pair``.
+def iterate(obs, pair, objective, advance, config, gt, meta, t0):
+    """The outer loop of both factored solvers on ``obs``, started at ``pair``.
 
+    It builds the run's residual matrix ``K`` and its trace, with ``meta``.
     Both callbacks take the factors r-major (``FactorPair.r_major``):
-    ``objective(Xt, Yt)`` returns ``(loss, state)`` and ``advance(Xt, Yt,
-    state)`` the next r-major iterate (step and projection).  A blind run
-    gives ``StopRule`` the labels "loss-floor" (the loss is below
-    ``_LOSS_FLOOR_REL`` times its initial value) and "stagnation" (it moved
-    by at most ``_LOSS_STALL_REL`` relative); a run with a ground truth
-    gives none.  Solver time accumulates on ``trace.solver_seconds``, which
-    the caller starts at the initialization's time.
+    ``objective(Xt, Yt, obs, K)`` refills ``K`` and returns ``(loss,
+    state)``, and ``advance(Xt, Yt, state)`` the next r-major iterate (step
+    and projection).  A blind run gives ``StopRule`` the labels "loss-floor"
+    (the loss is below ``_LOSS_FLOOR_REL`` times its initial value) and
+    "stagnation" (it moved by at most ``_LOSS_STALL_REL`` relative); a run
+    with a ground truth gives none.  Solver time counts from ``t0``, taken
+    before the caller's initialization.
     """
+    K = obs.pattern.csr_with_values(np.empty(obs.pattern.m))
+    trace = IterationTrace(solver_seconds=time.perf_counter() - t0, meta=meta)
     # the iterate stays as plain r-major arrays inside the loop; the
     # finite-loss check is what guards it against NaN and Inf, so numpy's
     # overflow warnings on the way there are noise
@@ -319,9 +315,9 @@ def iterate(pair, objective, advance, config, gt, trace):
     rule = StopRule(config, gt is not None, trace, "loss")
     with np.errstate(over="ignore", invalid="ignore"):
         for k in itertools.count():
-            t0 = time.perf_counter()
-            loss_k, state = objective(Xt, Yt)
-            trace.solver_seconds += time.perf_counter() - t0
+            tick = time.perf_counter()
+            loss_k, state = objective(Xt, Yt, obs, K)
+            trace.solver_seconds += time.perf_counter() - tick
 
             evaluate = gt is not None and (k % config.eval_every == 0 or k == config.max_iter)
             rel = metrics.relative_error(Xt.T, Yt.T, gt) if evaluate else float("nan")
@@ -336,8 +332,8 @@ def iterate(pair, objective, advance, config, gt, trace):
             if rule.update(k, loss_k, rel, settled):
                 break
 
-            t0 = time.perf_counter()
+            tick = time.perf_counter()
             Xt, Yt = advance(Xt, Yt, state)
-            trace.solver_seconds += time.perf_counter() - t0
+            trace.solver_seconds += time.perf_counter() - tick
 
     return FactorPair.from_r_major(Xt, Yt), trace

@@ -71,8 +71,8 @@ def observed_residual(X, Y, obs, out=None):
     ``detmc complete`` on 1024^2, d = 40, r = 5 faulted about 790 pages an
     iteration on the repeat, 24 on the neighbour table.  Both give the same
     values bit for bit.  Given ``out``, an ``obs.pattern.csr_with_values``
-    matrix the caller owns (a solver refills its one every iteration), the
-    values go into ``out.data`` and ``out`` is returned.
+    matrix the caller owns (``pgd.iterate`` refills one every iteration),
+    the values go into ``out.data`` and ``out`` is returned.
     """
     Xt = np.ascontiguousarray(np.transpose(X), dtype=np.float64)
     Yt = np.ascontiguousarray(np.transpose(Y), dtype=np.float64)
@@ -80,7 +80,7 @@ def observed_residual(X, Y, obs, out=None):
     if Xt.shape[1] != pat.n1 or Yt.shape[1] != pat.n2 or len(Xt) != len(Yt):
         raise ParameterError(f"factor shapes {Xt.T.shape}, {Yt.T.shape} do not match pattern")
     out = pat.csr_with_values(np.empty(pat.m)) if out is None else out
-    if not np.may_share_memory(out.indices, pat._csr_index[0]):
+    if not np.may_share_memory(out.indices, pat.adjacency.indices):
         raise ParameterError("out is not a residual matrix of this pattern")
     if isinstance(pat, BiregularGraph):
         np.einsum("ki,kij->ij", Xt, np.take(Yt, pat.neighbors, axis=1),
@@ -151,8 +151,8 @@ def ground_truth_from_svd(U, S, V):
     S = np.asarray(S, dtype=np.float64)
     if S.ndim != 1 or U.shape[1] != S.size or V.shape[1] != S.size:
         raise ParameterError("inconsistent SVD shapes")
-    if S[-1] <= 0 or np.any(np.diff(S) > 0):
-        raise ParameterError("singular values must be positive and nonincreasing")
+    if not (np.all(np.isfinite(S)) and S[-1] > 0 and np.all(np.diff(S) <= 0)):
+        raise ParameterError("singular values must be finite, positive and nonincreasing")
     r = S.size
     sq = np.sqrt(S)
     tsvd = TruncatedSVD(U=U, S=S, V=V)

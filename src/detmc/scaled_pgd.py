@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError
-from .pgd import FactorPair, IterationTrace, PgdConfig, iterate
+from .pgd import FactorPair, PgdConfig, iterate
 from .sampling import observed_residual, rescaled_top_svd, residual_products
 
 _ETA_CAP = 0.145
@@ -91,15 +91,12 @@ def incoherence_budget(mu, r, sigma1):
     return (1.0 + ALPHA) * math.sqrt(mu * r) * sigma1
 
 
-def spectral_init(obs, r, config=None, gt=None):
+def spectral_init(obs, r, mu):
     """Projected balanced square-root factors of the rescaled observation,
-    and the budget: at the ground truth's coherence when ``gt`` is given,
-    else at ``config.mu``."""
-    config = config or ScaledPgdConfig()
+    and the budget at incoherence ``mu``."""
     tsvd = rescaled_top_svd(obs, r)
     sq = np.sqrt(tsvd.S)
     pair = FactorPair(tsvd.U * sq, tsvd.V * sq)
-    mu = gt.coherence_mu if gt is not None else config.mu
     budget = incoherence_budget(mu, tsvd.S.size, float(tsvd.S[0]))
     return project_rows(pair, budget), budget
 
@@ -126,24 +123,22 @@ def _step(Xt, Yt, K, obs, eta):
     return Xt - (eta / obs.rate) * PX, Yt - (eta / obs.rate) * PY
 
 
+def _objective(Xt, Yt, obs, out):
+    """Half the rescaled squared residual at r-major factors, and ``out`` refilled with it."""
+    K = observed_residual(Xt.T, Yt.T, obs, out=out)
+    return 0.5 * float((K.data**2).sum()) / obs.rate, K
+
+
 def solve(obs, r, config=None, gt=None):
     """Run scaled projected gradient descent; mirrors ``pgd.solve``."""
     config = config or ScaledPgdConfig()
+    mu = gt.coherence_mu if gt is not None else config.mu
 
     t0 = time.perf_counter()
-    pair, budget = spectral_init(obs, r, config, gt=gt)
-    init_seconds = time.perf_counter() - t0
-    K = obs.pattern.csr_with_values(np.empty(obs.pattern.m))
-
-    trace = IterationTrace(solver_seconds=init_seconds, meta={
-        "solver": "scaled-pgd", "eta": config.eta, "budget": budget,
-    })
-
-    def objective(Xt, Yt):
-        observed_residual(Xt.T, Yt.T, obs, out=K)
-        return 0.5 * float((K.data**2).sum()) / obs.rate, K
+    pair, budget = spectral_init(obs, r, mu)
 
     def advance(Xt, Yt, K):
         return _scale_rows(*_step(Xt, Yt, K, obs, config.eta), budget)
 
-    return iterate(pair, objective, advance, config, gt, trace)
+    meta = {"solver": "scaled-pgd", "eta": config.eta, "budget": budget}
+    return iterate(obs, pair, _objective, advance, config, gt, meta, t0)

@@ -51,8 +51,8 @@ def replay(solver, obs, r, config, gt=None):
     measured on those views takes the loop's bits; on C-ordered n x r
     copies the gauge distance can move in its last digits.
     """
+    mu = gt.coherence_mu if gt is not None else config.mu
     if solver == "pgd":
-        mu = gt.coherence_mu if gt is not None else config.mu
         pair, znorm, clip = pgd.spectral_init(obs, r, mu)
         step = config.eta / znorm**2
 
@@ -63,7 +63,7 @@ def replay(solver, obs, r, config, gt=None):
 
         out, trace = pgd.solve(obs, r, config, gt=gt)
     else:
-        pair, budget = scaled_pgd.spectral_init(obs, r, config, gt=gt)
+        pair, budget = scaled_pgd.spectral_init(obs, r, mu)
 
         def advance(p):
             return scaled_pgd.project_rows(scaled_step(p, obs, config.eta), budget)

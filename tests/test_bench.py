@@ -41,6 +41,12 @@ class TestSyntheticLowRank:
             with pytest.raises(ParameterError, match="rank must be at least 1"):
                 bench.synthetic_low_rank(10, 10, r, 1.0, seed=0)
 
+    @pytest.mark.parametrize("cond", [float("nan"), float("inf")])
+    def test_non_finite_condition_number(self, cond):
+        # a NaN passed the "< 1" check and built singular values [nan, 1]
+        with pytest.raises(ParameterError, match="condition number"):
+            bench.synthetic_low_rank(8, 8, 2, cond, seed=0)
+
 
 class TestExperimentConfig:
     def test_tol_must_be_positive(self):

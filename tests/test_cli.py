@@ -24,6 +24,7 @@ def assert_usage_error(capsys, argv):
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert "error:" in err and "Traceback" not in err, err
+    return err
 
 
 def write_instance(tmp_path, n=40, d=12):
@@ -112,6 +113,20 @@ class TestGraphCommands:
         err = capsys.readouterr().err
         assert code == 2 and err.startswith("error: --kind "), err
         assert not out.exists()
+
+    @pytest.mark.parametrize("n, edges, ramanujan", [
+        (3, [(i, j) for i in range(3) for j in range(3)], True),  # K_{3,3}
+        # two disjoint copies of K_{2,2}: sigma2 = sigma1
+        (4, [(i + k, j + k) for k in (0, 2) for i in range(2) for j in range(2)], False),
+    ], ids=["K33", "two K22"])
+    def test_verify_out_holds_what_it_prints(self, tmp_path, capsys, n, edges, ramanujan):
+        graph, out = tmp_path / "g.edges", tmp_path / "v.json"
+        graphs.save_edges(graphs.BiregularGraph(n, n, edges), graph)
+        code, printed = run_cli(capsys, "graph", "verify", "--graph", str(graph),
+                                "--out", str(out))
+        assert out.read_text() == printed
+        assert json.loads(printed)["is_ramanujan"] is ramanujan
+        assert code == (0 if ramanujan else 1)
 
 
 class TestComplete:
@@ -449,6 +464,26 @@ def test_malformed_list_flag_exits_2(tmp_path, capsys, command, key, value):
     assert_usage_error(capsys, [*command.split(), "--config", str(cfg)])
 
 
+@pytest.mark.parametrize("command", ["graph gen", "bench phase", "bench convergence",
+                                     "bench compare", "theory run"])
+def test_negative_seed_exits_2(tmp_path, capsys, monkeypatch, command):
+    # each used to end in numpy's "expected non-negative integer" traceback
+    # with exit 1; a config-file value goes through the same argparse type
+    for module, name in ((graphs, "random_biregular"), (graphs, "lps_graph"),
+                         (bench, "run_phase_transition"),
+                         (bench, "run_convergence_comparison"),
+                         (bench, "run_solver_comparison")):
+        monkeypatch.setattr(module, name, lambda *a, **k: pytest.fail("work ran"))
+    argv = [*command.split(), *(("--kind", "random") if command == "graph gen" else ())]
+    for seed in ("-1", "x"):
+        err = assert_usage_error(capsys, [*argv, "--seed", seed])
+        assert f"--seed: expected a non-negative integer, got '{seed}'" in err
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("seed=-2\n")
+    err = assert_usage_error(capsys, [*argv, "--config", str(cfg)])
+    assert "--seed: expected a non-negative integer, got '-2'" in err
+
+
 def test_benchmark_cli_argv(tmp_path, monkeypatch):
     """The argv the benchmark's ``cli`` workload and its warm-up send resolve
     to the settings they always had."""
@@ -547,6 +582,19 @@ class TestErrorExitCodes:
         code = cli.main([*argv, "--out", str(tmp_path / "out")])
         err = self.assert_one_line_error(capsys, code)
         assert "rank must be at least 1" in err
+        assert not [path for path in tmp_path.rglob("*") if path.is_file()]
+
+    @pytest.mark.parametrize("argv", [
+        ("theory", "run", "--n", "32", "--d", "8", "--trials", "1", "--kappa", "nan"),
+        ("theory", "run", "--n", "32", "--d", "8", "--trials", "1", "--kappa", "inf"),
+        ("bench", "convergence", "--n", "32", "--degree", "8", "--kappas", "1,nan"),
+    ])
+    def test_non_finite_condition_number(self, tmp_path, capsys, argv):
+        # theory run used to fail later with "matrix contains NaN or Inf
+        # entries", and bench convergence to turn the NaN into a seed
+        code = cli.main([*argv, "--out", str(tmp_path / "out")])
+        err = self.assert_one_line_error(capsys, code)
+        assert "condition number" in err
         assert not [path for path in tmp_path.rglob("*") if path.is_file()]
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")

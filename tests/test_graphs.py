@@ -333,6 +333,27 @@ class TestEdgeFiles:
         assert len(lines) == 2 + g.m
 
 
+class TestRate:
+    """Every pattern has a rate, m / (n1 n2); on a biregular graph that is
+    d1 / n2 bit for bit, both the correctly rounded value of one rational."""
+
+    @pytest.mark.parametrize("build", [
+        lambda lps: graphs.random_biregular(60, 60, 7, seed=1),
+        lambda lps: graphs.random_biregular(96, 64, 8, seed=26),
+        lambda lps: lps,
+        lambda lps: complete_graph(9, 7),
+    ], ids=["square", "rectangular", "lps", "complete"])
+    def test_biregular_rate_is_d1_over_n2(self, lps_5_13, build):
+        g = build(lps_5_13)
+        assert g.rate == g.d1 / g.n2 == g.d2 / g.n1
+        plain = graphs.SamplingPattern(g.n1, g.n2, g.edges)
+        assert type(plain) is graphs.SamplingPattern and plain.rate == g.rate
+
+    def test_plain_pattern_rate(self):
+        pat = graphs.SamplingPattern(4, 5, [(0, 0), (3, 4), (1, 2)])
+        assert pat.rate == 3 / 20
+
+
 class TestBernoulliMask:
     def test_rate_and_determinism(self):
         m1 = graphs.bernoulli_mask(50, 40, 0.2, seed=1)

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -336,7 +338,7 @@ class TestLayout:
 
     # ``replay`` asserts the endpoints bit for bit.  Runs of 60 iterations
     # pin that nothing carries from one iteration to the next, such as the
-    # residual matrix that each solve refills.
+    # residual matrix that ``pgd.iterate`` refills.
     def test_pgd_iteration_is_the_public_gradient_step_and_projection(self, small_instance):
         gt, g, obs = small_instance
         config = pgd.PgdConfig(max_iter=60, eta=0.2, tol=1e-14)
@@ -351,6 +353,37 @@ class TestLayout:
         for truth in (gt, None):
             _, iterates = replay("scaled-pgd", obs, gt.rank, config, truth)
             assert len(iterates) == 61
+
+
+class TestRunSetup:
+    """``pgd.iterate`` sets up every factored run on any sampling pattern."""
+
+    @pytest.mark.parametrize("solver", ["pgd", "scaled-pgd"])
+    def test_plain_pattern_solves_as_the_graph(self, small_instance, solver):
+        # the plain pattern's residual repeats X's columns by the row
+        # counts, the graph's gathers by its neighbour table
+        gt, g, _ = small_instance
+        plain = graphs.SamplingPattern(g.n1, g.n2, g.edges)
+        runs = [[bench.solve(solver, sampling.observe(gt.matrix, pattern), gt.rank, truth,
+                             max_iter=60, mu=8.0) for truth in (gt, None)]
+                for pattern in (g, plain)]
+        for (pair, trace), (plain_pair, plain_trace) in zip(*runs):
+            assert np.array_equal(pair.X, plain_pair.X) and np.array_equal(pair.Y, plain_pair.Y)
+            assert trace.loss == plain_trace.loss
+
+    @pytest.mark.parametrize("solver, module", [("pgd", pgd), ("scaled-pgd", scaled_pgd)])
+    def test_solver_seconds_include_the_start(self, small_instance, monkeypatch,
+                                              solver, module):
+        gt, g, obs = small_instance
+        init = module.spectral_init
+
+        def slow_init(*args):
+            time.sleep(0.05)
+            return init(*args)
+
+        monkeypatch.setattr(module, "spectral_init", slow_init)
+        _, trace = bench.solve(solver, obs, gt.rank, gt, max_iter=1)
+        assert trace.solver_seconds >= 0.05
 
 
 class TestConfig:

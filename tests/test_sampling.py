@@ -185,7 +185,7 @@ class TestSparseProducts:
         ) - obs.values
         assert np.array_equal(K.data, fancy)
         assert np.array_equal(K.indices, pat.cols)
-        assert np.array_equal(K.indptr, pat.row_ptr)
+        assert np.array_equal(K.indptr, np.searchsorted(pat.rows, np.arange(pat.n1 + 1)))
 
     def test_residuals_share_read_only_index_arrays(self, small_instance):
         gt, g, obs = small_instance
@@ -193,6 +193,9 @@ class TestSparseProducts:
         K1 = sampling.observed_residual(X, Y, obs)
         K2 = sampling.observed_residual(2 * X, Y, obs)
         assert np.shares_memory(K1.indices, K2.indices)
+        # the pattern's adjacency is the one CSR whose index arrays they wrap
+        assert np.shares_memory(K1.indices, g.adjacency.indices)
+        assert np.shares_memory(K1.indptr, g.adjacency.indptr)
         with pytest.raises(ValueError):
             K1.indices[0] = K1.indices[1]
         assert np.array_equal(K2.indices, g.cols)
@@ -233,7 +236,7 @@ class TestResidualKernel:
         scale = r * np.abs(X).max() * np.abs(Y).max() + np.abs(obs.values).max()
         assert np.abs(K.data - dense).max() <= 1e-13 * scale
         assert np.array_equal(K.indices, pat.cols)
-        assert np.array_equal(K.indptr, pat.row_ptr)
+        assert np.array_equal(K.indptr, np.searchsorted(pat.rows, np.arange(pat.n1 + 1)))
         # the layout of the input does not change a bit of the result
         K_c = sampling.observed_residual(X, Y, obs)
         assert np.array_equal(K.data, K_c.data)
@@ -360,6 +363,15 @@ class TestGroundTruth:
         rng = np.random.default_rng(11)
         with pytest.raises(ParameterError):
             sampling.ground_truth(rng.standard_normal((8, 8)), 2)
+
+    @pytest.mark.parametrize("S", [[np.nan, 1.0], [np.inf, 1.0], [2.0, np.nan]])
+    def test_non_finite_singular_values_rejected(self, S):
+        # NaN fails every comparison, so the sign and order checks let it by
+        rng = np.random.default_rng(12)
+        U = np.linalg.qr(rng.standard_normal((8, 2)))[0]
+        V = np.linalg.qr(rng.standard_normal((6, 2)))[0]
+        with pytest.raises(ParameterError, match="finite"):
+            sampling.ground_truth_from_svd(U, S, V)
 
 
 class TestCoherence:

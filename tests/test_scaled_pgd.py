@@ -142,7 +142,7 @@ class TestSpectralInit:
     def test_full_observation_exact(self):
         gt = bench.synthetic_low_rank(16, 12, 2, 3.0, seed=5)
         obs = sampling.observe(gt.matrix, complete_graph(16, 12))
-        pair, budget = scaled_pgd.spectral_init(obs, 2, gt=gt)
+        pair, budget = scaled_pgd.spectral_init(obs, 2, gt.coherence_mu)
         res = metrics.gauge_distance(pair, gt)
         assert res.distance <= 1e-8
 
@@ -154,7 +154,7 @@ class TestSpectralInit:
         for d in (60, 256, 448):
             g = graphs.random_biregular(512, 512, d, seed=3)
             obs = sampling.observe(gt.matrix, g)
-            pair, _ = scaled_pgd.spectral_init(obs, 3, gt=gt)
+            pair, _ = scaled_pgd.spectral_init(obs, 3, gt.coherence_mu)
             dists.append(metrics.gauge_distance(pair, gt).distance)
         assert dists[2] < dists[1] < dists[0]
         assert dists[2] < 0.6 * gt.sigma_r
