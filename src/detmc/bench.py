@@ -17,7 +17,7 @@ import numpy as np
 
 from . import ialm, metrics, pgd, scaled_pgd
 from .errors import DivergenceError, ParameterError
-from .graphs import bernoulli_mask, random_biregular
+from .graphs import _rng, bernoulli_mask, random_biregular
 from .sampling import ground_truth_from_svd, observe
 
 
@@ -33,7 +33,7 @@ def synthetic_low_rank(n1, n2, r, cond, seed):
     if r > min(n1, n2):
         raise ParameterError(f"rank {r} exceeds min dimension")
     _check_condition_number(cond)
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed)
     U = np.linalg.qr(rng.standard_normal((n1, r)))[0]
     V = np.linalg.qr(rng.standard_normal((n2, r)))[0]
     S = cond ** np.linspace(1.0, 0.0, r) if r > 1 else np.array([float(cond)])
@@ -63,6 +63,8 @@ class ExperimentConfig:
             raise ParameterError(f"matrix sizes must be at least 1, got {self.n1} x {self.n2}")
         if self.tol <= 0:
             raise ParameterError("tol must be positive")
+        if self.seed < 0:
+            raise ParameterError(f"seed must be non-negative, got {self.seed}")
 
 
 def _check_sweep(degrees, trials):

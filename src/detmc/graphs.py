@@ -7,6 +7,12 @@ Two generators are provided:
   Legendre symbol (p|q) is -1.  The result is a (p+1)-regular bipartite
   graph on two copies of PSL(2, q), i.e. q(q^2-1)/2 vertices per side, and
   its second singular value provably meets the optimal bound 2*sqrt(p).
+  It is integer-array arithmetic mod q: the projective representatives
+  (0, 1, c, d) and (1, b, c, d) form one array, which a table of the
+  squares mod q splits into the two cosets by determinant.  Each of the
+  p+1 generators right-multiplies every left vertex in one vectorized 2x2
+  product; each image is scaled by the inverse of its first nonzero entry
+  and found among the right coset's base-q codes by binary search.
 
 * ``random_biregular(n1, n2, d1, seed)`` -- a configuration-model fallback
   with random 2-swap repair of duplicate edges, for degree/size
@@ -24,7 +30,6 @@ import math
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import product
 
 import numpy as np
 import scipy.sparse
@@ -143,11 +148,19 @@ class BernoulliMask(SamplingPattern):
         self.rate = float(rate)
 
 
+def _rng(seed):
+    """``np.random.default_rng(seed)``, refusing a negative integer seed with
+    ``ParameterError`` (numpy raises a bare ``ValueError``)."""
+    if isinstance(seed, (int, np.integer)) and seed < 0:
+        raise ParameterError(f"seed must be non-negative, got {seed}")
+    return np.random.default_rng(seed)
+
+
 def bernoulli_mask(n1, n2, rate, seed):
     """Draw a Bernoulli(rate) mask; retries the rare empty draw."""
     if not 0 < rate <= 1:
         raise ParameterError(f"rate must be in (0, 1], got {rate}")
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed)
     for _ in range(100):
         keep = rng.random((n1, n2)) < rate
         if keep.any():
@@ -177,6 +190,7 @@ def random_biregular(n1, n2, d1, seed):
     d2 = (n1 * d1) // n2
     if d2 > n1:
         raise ParameterError(f"infeasible right degree d2={d2} for n1={n1}")
+    rng = _rng(seed)
 
     if d1 == n2:  # complete bipartite
         rows, cols = np.divmod(np.arange(n1 * n2), n2)
@@ -188,7 +202,6 @@ def random_biregular(n1, n2, d1, seed):
         rows, cols = np.nonzero(keep)
         return BiregularGraph(n1, n2, np.column_stack([rows, cols]))
 
-    rng = np.random.default_rng(seed)
     m = n1 * d1
     rows = np.repeat(np.arange(n1), d1)
     cols = rng.permutation(np.repeat(np.arange(n2), d2))
@@ -241,25 +254,11 @@ def _is_prime(n):
     return True
 
 
-def _legendre(a, q):
-    a %= q
-    if a == 0:
-        return 0
-    return 1 if pow(a, (q - 1) // 2, q) == 1 else -1
-
-
-def _sqrt_minus_one(q):
-    for z in range(2, q):
-        if (z * z) % q == q - 1:
-            return z
-    raise ParameterError(f"-1 is not a square mod {q}")
-
-
 def _quaternion_solutions(p):
     """All (a0, a1, a2, a3) with a0^2+a1^2+a2^2+a3^2 = p, a0 odd positive,
     a1, a2, a3 even.  For p = 1 mod 4 there are exactly p+1 of them."""
     limit = int(math.isqrt(p))
-    evens = range(-limit, limit + 1, 2)
+    evens = range(-(limit - limit % 2), limit + 1, 2)
     sols = []
     for a0 in range(1, limit + 1, 2):
         rem0 = p - a0 * a0
@@ -279,25 +278,12 @@ def _quaternion_solutions(p):
     return sols
 
 
-def _canon(mat, q, inv):
-    """Canonical projective representative: scale so the first nonzero of
-    (a, b, c, d) equals 1."""
-    for x in mat:
-        if x != 0:
-            s = inv[x]
-            return tuple((y * s) % q for y in mat)
-    raise ValueError("zero matrix has no projective class")
-
-
-def _matmul2(g, h, q):
-    a, b, c, d = g
-    e, f, gg, hh = h
-    return (
-        (a * e + b * gg) % q,
-        (a * f + b * hh) % q,
-        (c * e + d * gg) % q,
-        (c * f + d * hh) % q,
-    )
+def _canon(mats, q, inv):
+    """Canonical projective representatives of the rows (a, b, c, d) of the
+    k x 4 array ``mats``, invertible matrices mod q: each row scaled so that
+    its first nonzero entry, a or else b, equals 1."""
+    lead = np.where(mats[:, 0] != 0, mats[:, 0], mats[:, 1])
+    return mats * inv[lead][:, None] % q
 
 
 def lps_graph(p, q):
@@ -312,61 +298,48 @@ def lps_graph(p, q):
         raise ParameterError("p and q must be distinct primes")
     if p % 4 != 1 or q % 4 != 1:
         raise ParameterError("p and q must both be congruent to 1 mod 4")
-    if _legendre(p, q) != -1:
+    if pow(p, (q - 1) // 2, q) != q - 1:  # Euler's criterion for (p|q) = -1
         raise ParameterError("(p|q) must be -1 for the bipartite construction")
     if q <= 2 * math.sqrt(p):
         raise ParameterError(f"q={q} must exceed 2*sqrt(p)={2 * math.sqrt(p):.3f}")
 
-    inv = [0] * q
-    for x in range(1, q):
-        inv[x] = pow(x, q - 2, q)
-    i_unit = _sqrt_minus_one(q)
+    x = np.arange(q)
+    inv = (np.outer(x, x) % q == 1).argmax(axis=1)  # inv[0] = 0 is never read
+    squares = np.zeros(q, dtype=bool)
+    squares[x * x % q] = True
+    i_unit = int((x * x % q == q - 1).argmax())  # the smaller root of -1
 
-    sols = _quaternion_solutions(p)
-    gens = set()
-    for a0, a1, a2, a3 in sols:
-        mat = (
-            (a0 + i_unit * a1) % q,
-            (a2 + i_unit * a3) % q,
-            (-a2 + i_unit * a3) % q,
-            (a0 - i_unit * a1) % q,
-        )
-        gens.add(_canon(mat, q, inv))
+    a0, a1, a2, a3 = np.array(_quaternion_solutions(p), dtype=np.int64).reshape(-1, 4).T
+    gens = np.column_stack([a0 + i_unit * a1, a2 + i_unit * a3,
+                            -a2 + i_unit * a3, a0 - i_unit * a1]) % q
+    gens = np.unique(_canon(gens, q, inv), axis=0)
     if len(gens) != p + 1:
         raise GenerationError(
             f"expected {p + 1} projective generators, found {len(gens)}"
         )
 
-    squares = {(x * x) % q for x in range(1, q)}
-
-    left = []  # determinant class square: PSL(2, q)
-    right = []  # non-square coset
-    for b, c, d in product(range(q), repeat=3):
-        det = (d - b * c) % q
-        if det == 0:
-            continue
-        (left if det in squares else right).append((1, b, c, d))
-    for c in range(1, q):
-        for d in range(q):
-            det = (-c) % q
-            (left if det in squares else right).append((0, 1, c, d))
+    # the representatives (0, 1, c, d) and (1, b, c, d) in lexicographic
+    # order, split by whether the determinant is a square: PSL(2, q) on the
+    # left, its non-square coset on the right
+    reps = np.indices((2, q, q, q)).reshape(4, -1).T
+    det = (reps[:, 0] * reps[:, 3] - reps[:, 1] * reps[:, 2]) % q
+    is_rep = ((reps[:, 0] == 1) | (reps[:, 1] == 1)) & (det != 0)
+    left, right = reps[is_rep & squares[det]], reps[is_rep & ~squares[det]]
     n_side = q * (q * q - 1) // 2
     if len(left) != n_side or len(right) != n_side:
         raise GenerationError("PGL(2, q) coset sizes are off")
-    left.sort()
-    right.sort()
-    right_index = {g: j for j, g in enumerate(right)}
 
-    gens = sorted(gens)
-    edges = np.empty((n_side * (p + 1), 2), dtype=np.int64)
-    k = 0
-    for i, g in enumerate(left):
-        for s in gens:
-            h = _canon(_matmul2(g, s, q), q, inv)
-            edges[k, 0] = i
-            edges[k, 1] = right_index[h]
-            k += 1
-    return BiregularGraph(n_side, n_side, edges)
+    digits = q ** np.arange(3, -1, -1)
+    right_codes = right @ digits  # increasing: right is in lexicographic order
+    cols = np.empty((n_side, p + 1), dtype=np.int64)
+    for k, s in enumerate(gens):
+        codes = _canon((left.reshape(-1, 2, 2) @ s.reshape(2, 2)).reshape(-1, 4) % q,
+                       q, inv) @ digits
+        cols[:, k] = np.searchsorted(right_codes, codes)
+        if not np.array_equal(right_codes.take(cols[:, k], mode="clip"), codes):
+            raise GenerationError("a generator maps a vertex outside the other coset")
+    rows = np.repeat(np.arange(n_side), p + 1)
+    return BiregularGraph(n_side, n_side, np.column_stack([rows, cols.ravel()]))
 
 
 # ---------------------------------------------------------------------------

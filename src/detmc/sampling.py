@@ -53,7 +53,10 @@ def observe(M, pattern):
 
 def rescaled_top_svd(obs, r):
     """Top-r SVD of the rescaled observation: ``top_r_svd`` of the CSR of
-    its m rescaled values (zeros off the pattern when densified)."""
+    its m rescaled values (zeros off the pattern when densified).  An
+    all-zero observation, which has no top-r subspace, is refused."""
+    if not obs.values.any():
+        raise ParameterError("observation is identically zero")
     return top_r_svd(obs.pattern.csr_with_values(obs.values / obs.rate), r)
 
 

@@ -21,7 +21,7 @@ import scipy.sparse.linalg
 
 from . import pgd, scaled_pgd
 from .errors import ParameterError
-from .graphs import certify
+from .graphs import _rng, certify
 from .kernels import operator_norm
 from .metrics import gauge_distance, rotation_distance
 from .sampling import observe, observed_residual, subset_isotropy_gap
@@ -70,7 +70,7 @@ def _sampled(name, trials, seed, draw, **report):
 
     A draw returns its margins and scales, or None when it is not counted.
     With no counted draw the worst margin is NaN, which does not pass."""
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed)
     worst, scale, counted = math.inf, 0.0, 0
     for _ in range(trials):
         drawn = draw(rng)

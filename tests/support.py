@@ -5,6 +5,9 @@ They live here, not in ``conftest.py``, because the suite also collects
 directory's under ``from conftest import ...``.
 """
 
+import itertools
+import math
+
 import numpy as np
 
 from detmc import graphs, metrics, pgd, sampling, scaled_pgd
@@ -129,3 +132,50 @@ def random_biregular_reference(n1, n2, d1, seed):
             break
 
     return graphs.BiregularGraph(n1, n2, np.column_stack([rows, cols]))
+
+
+def lps_graph_reference(p, q):
+    """``graphs.lps_graph`` as it was written before it moved to integer
+    arrays, with the quaternion search's range of even numbers mended: one
+    group element at a time, as tuples, with a dict from the right coset's
+    canonical tuples to their columns.  Takes valid ``p`` and ``q`` only."""
+    inv = [0] + [pow(x, q - 2, q) for x in range(1, q)]
+    i_unit = next(z for z in range(2, q) if (z * z) % q == q - 1)
+
+    def canon(mat):
+        s = inv[next(x for x in mat if x != 0)]
+        return tuple((y * s) % q for y in mat)
+
+    def matmul2(g, h):
+        a, b, c, d = g
+        e, f, gg, hh = h
+        return ((a * e + b * gg) % q, (a * f + b * hh) % q,
+                (c * e + d * gg) % q, (c * f + d * hh) % q)
+
+    limit = math.isqrt(p)
+    evens = range(-(limit - limit % 2), limit + 1, 2)
+    gens = set()
+    for a0, a1, a2 in itertools.product(range(1, limit + 1, 2), evens, evens):
+        rem = p - a0 * a0 - a1 * a1 - a2 * a2
+        a3 = math.isqrt(max(rem, 0))
+        if rem >= 0 and a3 * a3 == rem and a3 % 2 == 0:
+            for s3 in {a3, -a3}:
+                gens.add(canon(((a0 + i_unit * a1) % q, (a2 + i_unit * s3) % q,
+                                (-a2 + i_unit * s3) % q, (a0 - i_unit * a1) % q)))
+    assert len(gens) == p + 1
+
+    squares = {(x * x) % q for x in range(1, q)}
+    left, right = [], []  # square and non-square determinant
+    for b, c, d in itertools.product(range(q), repeat=3):
+        det = (d - b * c) % q
+        if det != 0:
+            (left if det in squares else right).append((1, b, c, d))
+    for c in range(1, q):
+        for d in range(q):
+            (left if (-c) % q in squares else right).append((0, 1, c, d))
+    left.sort()
+    right.sort()
+    right_index = {g: j for j, g in enumerate(right)}
+    edges = [(i, right_index[canon(matmul2(g, s))])
+             for i, g in enumerate(left) for s in sorted(gens)]
+    return graphs.BiregularGraph(len(left), len(right), edges)

@@ -41,6 +41,17 @@ class TestSyntheticLowRank:
             with pytest.raises(ParameterError, match="rank must be at least 1"):
                 bench.synthetic_low_rank(10, 10, r, 1.0, seed=0)
 
+    def test_negative_seed_refused(self):
+        # numpy raised a bare ValueError: expected non-negative integer
+        with pytest.raises(ParameterError, match="seed must be non-negative, got -1"):
+            bench.synthetic_low_rank(8, 8, 2, 1.0, seed=-1)
+
+    def test_sequence_and_tuple_seeds_go_through(self):
+        for seed in ((1, 2), np.random.SeedSequence((1, 2))):
+            gt = bench.synthetic_low_rank(8, 8, 2, 1.0, seed)
+            U = np.linalg.qr(np.random.default_rng((1, 2)).standard_normal((8, 2)))[0]
+            assert np.array_equal(gt.svd.U, U)
+
     @pytest.mark.parametrize("cond", [float("nan"), float("inf")])
     def test_non_finite_condition_number(self, cond):
         # a NaN passed the "< 1" check and built singular values [nan, 1]
@@ -58,6 +69,17 @@ class TestExperimentConfig:
         # n = -5 used to run and write one skipped row with p = -1.6
         with pytest.raises(ParameterError, match="matrix sizes must be at least 1"):
             bench.ExperimentConfig(**sizes)
+
+    def test_negative_seed_refused_before_any_graph(self, monkeypatch):
+        # compare used to build nothing and raise numpy's bare ValueError
+        def fail(*args, **kwargs):
+            pytest.fail("a graph was built")
+
+        for module in (graphs, bench):
+            monkeypatch.setattr(module, "random_biregular", fail)
+        with pytest.raises(ParameterError, match="seed must be non-negative, got -1"):
+            bench.run_solver_comparison(bench.ExperimentConfig(n1=32, n2=32, seed=-1),
+                                        (2,), (8,), 1)
 
 
 class TestSweepRefusals:
@@ -197,6 +219,14 @@ class TestSolve:
     def test_unknown_solver(self):
         with pytest.raises(ParameterError):
             bench.solve("sgd", None, 2)
+
+    @pytest.mark.parametrize("solver", list(bench.SOLVERS))
+    def test_all_zero_observation_refused(self, solver):
+        # the factored solvers used to name their clip bound or budget
+        g = graphs.random_biregular(24, 24, 6, seed=1)
+        obs = sampling.Observation(g, np.zeros(g.m))
+        with pytest.raises(ParameterError, match="^observation is identically zero$"):
+            bench.solve(solver, obs, 2)
 
 
 class TestSolverComparison:

@@ -85,6 +85,17 @@ class TestGraphCommands:
         info = json.loads(out)
         assert info["n1"] == 1092 and info["is_ramanujan"] is True
 
+    def test_gen_then_verify_lps_of_odd_root_degree(self, tmp_path, capsys):
+        # isqrt(29) is odd: generation used to stop on "found 0" generators
+        edges = tmp_path / "lps.edges"
+        code, out = run_cli(capsys, "graph", "gen", "--kind", "lps",
+                            "--p", "29", "--q", "17", "--out", str(edges))
+        assert code == 0
+        assert json.loads(out)["d1"] == 30
+        code, out = run_cli(capsys, "graph", "verify", "--graph", str(edges))
+        assert code == 0
+        assert json.loads(out)["is_ramanujan"] is True
+
     def test_gen_random_seed_defaults_to_0(self, tmp_path, capsys):
         # --seed defaults to None so that --kind lps can refuse it
         paths = tmp_path / "default.edges", tmp_path / "seed0.edges"
@@ -544,6 +555,17 @@ class TestErrorExitCodes:
         obs_path.write_text("not a MatrixMarket file\n")
         code = self.complete(obs_path, graph_path, tmp_path)
         self.assert_one_line_error(capsys, code)
+
+    @pytest.mark.parametrize("solver", ["pgd", "scaled-pgd", "ialm"])
+    def test_all_zero_observation(self, tmp_path, capsys, solver):
+        g = graphs.random_biregular(24, 24, 6, seed=2)
+        obs_path, graph_path = tmp_path / "obs.mtx", tmp_path / "g.edges"
+        sampling.save_observed(sampling.Observation(g, np.zeros(g.m)), obs_path)
+        graphs.save_edges(g, graph_path)
+        code = self.complete(obs_path, graph_path, tmp_path, "--solver", solver,
+                             rank=None if solver == "ialm" else 2)
+        err = self.assert_one_line_error(capsys, code)
+        assert err == "error: observation is identically zero\n"
 
     def test_entries_past_the_declared_count(self, tmp_path, capsys):
         obs_path, graph_path = write_instance(tmp_path)

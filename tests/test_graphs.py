@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import math
 
 import numpy as np
@@ -6,7 +7,8 @@ import pytest
 
 from detmc import graphs, kernels
 from detmc.errors import FormatError, ParameterError
-from support import complete_graph, constant_pair_residual, random_biregular_reference
+from support import (complete_graph, constant_pair_residual, lps_graph_reference,
+                     random_biregular_reference)
 
 
 def two_k22():
@@ -104,16 +106,50 @@ class TestLps:
         assert cert.is_ramanujan
 
     def test_parameter_guards(self):
-        with pytest.raises(ParameterError):
+        with pytest.raises(ParameterError, match=r"^q=5 must exceed 2\*sqrt\(p\)=7\.211$"):
             graphs.lps_graph(13, 5)  # q <= 2 sqrt(p)
-        with pytest.raises(ParameterError):
+        with pytest.raises(ParameterError, match="^p and q must be distinct primes$"):
             graphs.lps_graph(5, 5)  # not distinct
-        with pytest.raises(ParameterError):
+        with pytest.raises(ParameterError, match="^p and q must both be congruent to 1 mod 4$"):
             graphs.lps_graph(3, 13)  # p = 3 mod 4
-        with pytest.raises(ParameterError):
+        with pytest.raises(ParameterError,
+                           match=r"^\(p\|q\) must be -1 for the bipartite construction$"):
             graphs.lps_graph(13, 17)  # (13|17) = +1, not bipartite
-        with pytest.raises(ParameterError):
+        with pytest.raises(ParameterError, match="^p and q must be distinct primes$"):
             graphs.lps_graph(5, 15)  # q composite
+
+    def test_quaternion_search_finds_p_plus_one_solutions(self):
+        # Jacobi: 8(p+1) representations of p as four squares, one in eight
+        # with a0 odd positive and the rest even.  The search once stepped
+        # through odd numbers when isqrt(p) was odd (13, 29, 37, ...).
+        primes = [p for p in range(5, 400, 4) if graphs._is_prime(p)]
+        assert len(primes) == 37
+        for p in primes:
+            sols = graphs._quaternion_solutions(p)
+            assert len(set(sols)) == len(sols) == p + 1, p
+            assert all(sum(a * a for a in s) == p and s[0] > 0 and s[0] % 2 == 1
+                       and s[1] % 2 == s[2] % 2 == s[3] % 2 == 0 for s in sols), p
+
+    @pytest.mark.parametrize("p,q", [(5, 13), (37, 13), (41, 13), (29, 17)])
+    def test_matches_the_tuple_construction(self, p, q):
+        assert np.array_equal(graphs.lps_graph(p, q).edges, lps_graph_reference(p, q).edges)
+
+    def test_edges_are_pinned(self):
+        # sha256 of the edge array, as the tuple construction built it
+        pinned = {(5, 13): "ed5102895e4d1399", (37, 13): "5e81ff95aedb9bd0",
+                  (41, 13): "4f161f6ec3ae1223", (5, 37): "215ba3994fa0fda3"}
+        for (p, q), digest in pinned.items():
+            edges = graphs.lps_graph(p, q).edges
+            assert hashlib.sha256(edges.tobytes()).hexdigest()[:16] == digest, (p, q)
+
+    def test_odd_root_degree_certifies(self):
+        # isqrt(29) = 5 is odd: the search found no generator here before
+        g = graphs.lps_graph(29, 17)
+        assert (g.n1, g.n2, g.d1, g.d2) == (2448, 2448, 30, 30)
+        cert = graphs.certify(g)
+        assert abs(cert.sigma1 - 30.0) <= 1e-6 * 30.0
+        assert cert.sigma2 <= 2 * math.sqrt(29) + 1e-6
+        assert cert.is_ramanujan
 
     def test_large_sparse_certification_path(self):
         # n = 2448: a larger LPS graph on the same Lanczos route
@@ -368,3 +404,28 @@ class TestBernoulliMask:
     def test_invalid_rate(self):
         with pytest.raises(ParameterError):
             graphs.bernoulli_mask(5, 5, 0.0, seed=0)
+
+
+class TestSeeds:
+    """The seeded generators refuse a negative integer seed with
+    ``ParameterError``, where numpy raised a bare ``ValueError``; seed
+    sequences and tuples, which the sweeps and perfbench pass, go through."""
+
+    @pytest.mark.parametrize("seed", [-1, np.int64(-2)], ids=["int", "numpy int"])
+    @pytest.mark.parametrize("build", [
+        lambda seed: graphs.random_biregular(8, 8, 2, seed),
+        lambda seed: graphs.random_biregular(8, 8, 6, seed),
+        lambda seed: graphs.random_biregular(8, 8, 8, seed),
+        lambda seed: graphs.bernoulli_mask(8, 8, 0.5, seed),
+    ], ids=["random", "random complement", "random complete", "bernoulli"])
+    def test_negative_seed_refused(self, build, seed):
+        with pytest.raises(ParameterError, match="seed must be non-negative"):
+            build(seed)
+
+    def test_sequence_and_tuple_seeds_go_through(self):
+        g = graphs.random_biregular(12, 12, 4, np.random.SeedSequence((1, 2)))
+        ref = random_biregular_reference(12, 12, 4, np.random.SeedSequence((1, 2)))
+        assert np.array_equal(g.edges, ref.edges)
+        keep = np.random.default_rng((3, 4)).random((8, 8)) < 0.5
+        assert np.array_equal(graphs.bernoulli_mask(8, 8, 0.5, (3, 4)).edges,
+                              np.argwhere(keep))

@@ -280,6 +280,12 @@ class TestReports:
             with pytest.raises(ParameterError, match="trials must be at least 1"):
                 getattr(theory, "check_" + name)(*instance, trials=trials, seed=0)
 
+    def test_run_all_refuses_a_negative_seed(self, certified_instance):
+        # numpy raised a bare ValueError: expected non-negative integer
+        gt, g = certified_instance
+        with pytest.raises(ParameterError, match="seed must be non-negative, got -1"):
+            theory.run_all(gt, g, trials=1, seed=-1)
+
     def test_run_all_measures_the_certificate_once(self, monkeypatch):
         measured, certified = [], []
         top_r_svd, certify = graphs.top_r_svd, theory.certify
