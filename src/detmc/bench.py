@@ -11,13 +11,13 @@ import json
 import os
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
 from . import ialm, metrics, pgd, scaled_pgd
 from .errors import DivergenceError, ParameterError
-from .graphs import _rng, bernoulli_mask, random_biregular
+from .graphs import _check_sizes, _rng, bernoulli_mask, random_biregular
 from .sampling import ground_truth_from_svd, observe
 
 
@@ -59,8 +59,7 @@ class ExperimentConfig:
     eval_every: int = 1
 
     def __post_init__(self):
-        if self.n1 < 1 or self.n2 < 1:
-            raise ParameterError(f"matrix sizes must be at least 1, got {self.n1} x {self.n2}")
+        _check_sizes(self.n1, self.n2)
         if self.tol <= 0:
             raise ParameterError("tol must be positive")
         if self.seed < 0:
@@ -82,21 +81,25 @@ SOLVERS = {
 }
 
 
-def solve(name, obs, r, gt=None, **settings):
-    """Run solver ``name`` (a key of ``SOLVERS``) on ``obs`` at rank ``r``.
-
-    The config is built from the ``settings`` that are not None and are
-    fields of that solver's config class; the rest are ignored, so one set
-    of settings serves every solver (``bench convergence`` and ``compare``
-    give one ``eta`` to both factored solvers).  Returns the solver's
-    ``(factor pair or dense estimate, trace)``.
+def solver_config(name, **settings):
+    """The config of solver ``name`` (a key of ``SOLVERS``), built from the
+    ``settings`` that are not None and are fields of its config class; the
+    rest are ignored, so one set of settings serves every solver (``bench
+    convergence`` and ``compare`` give one ``eta`` to both factored solvers).
     """
     if name not in SOLVERS:
         raise ParameterError(f"unknown solver {name!r}")
     config_cls = SOLVERS[name]
     names = {f.name for f in fields(config_cls)}
-    config = config_cls(**{k: v for k, v in settings.items()
-                           if v is not None and k in names})
+    return config_cls(**{k: v for k, v in settings.items() if v is not None and k in names})
+
+
+def solve(name, obs, r, gt=None, **settings):
+    """Run solver ``name`` on ``obs`` at rank ``r``, configured by
+    ``solver_config(name, **settings)``.  Returns the solver's ``(factor
+    pair or dense estimate, trace)``.
+    """
+    config = solver_config(name, **settings)
     # the solve functions are looked up here, at call time, so that a
     # rebinding of ``pgd.solve`` and the like (tracing, tests) is honoured
     if name == "pgd":
@@ -106,11 +109,17 @@ def solve(name, obs, r, gt=None, **settings):
     return ialm.solve(obs, config, gt=gt)
 
 
+def _check_solvers(cfg, *names):
+    """Build the config of each solver a sweep runs from ``cfg``, so that a
+    setting one of them refuses is refused before the sweep's first graph."""
+    for name in names:
+        solver_config(name, **asdict(cfg))
+
+
 def run_trial(solver, obs, r, gt, cfg):
     """The trace of one solver run under ``cfg``, also of one that diverges."""
     try:
-        return solve(solver, obs, r, gt, max_iter=cfg.max_iter, tol=cfg.tol,
-                     eta=cfg.eta, eval_every=cfg.eval_every)[1]
+        return solve(solver, obs, r, gt, **asdict(cfg))[1]
     except DivergenceError as exc:
         return exc.trace
 
@@ -150,6 +159,7 @@ def run_phase_transition(cfg, r, degrees, trials, solver="pgd"):
     each taking its BLAS thread count from the environment it inherits.
     """
     _check_sweep(degrees, trials)
+    _check_solvers(cfg, solver)
     rows, tasks = [], []
     for d in degrees:
         try:
@@ -186,6 +196,8 @@ def run_convergence_comparison(cfg, ranks, kappas, degree=60):
     """
     for kappa in kappas:  # before int(10 * kappa) seeds a trial with it
         _check_condition_number(kappa)
+    factored = ("pgd", "scaled-pgd")
+    _check_solvers(cfg, *factored)
     trace_rows = []
     rate_rows = []
     for r in ranks:
@@ -195,7 +207,7 @@ def run_convergence_comparison(cfg, ranks, kappas, degree=60):
             gt = synthetic_low_rank(cfg.n1, cfg.n2, r, kappa, gt_seed)
             graph = random_biregular(cfg.n1, cfg.n2, degree, seed=graph_seed.entropy)
             obs = observe(gt.matrix, graph)
-            for solver in ("pgd", "scaled-pgd"):
+            for solver in factored:
                 trace = run_trial(solver, obs, r, gt, cfg)
                 errs = np.asarray(trace.rel_error)
                 for k, e in zip(trace.iterations, errs):
@@ -232,6 +244,7 @@ def run_solver_comparison(cfg, ranks, degrees, trials, kappa=1.0):
     back to back, so that a drift in machine speed reaches every solver.
     """
     _check_sweep(degrees, trials)
+    _check_solvers(cfg, *SOLVERS)
     rows = []
     for r in ranks:
         for d in degrees:

@@ -156,8 +156,15 @@ def _rng(seed):
     return np.random.default_rng(seed)
 
 
+def _check_sizes(n1, n2):
+    """Refuse a side below 1, before anything is drawn for it."""
+    if n1 < 1 or n2 < 1:
+        raise ParameterError(f"matrix sizes must be at least 1, got {n1} x {n2}")
+
+
 def bernoulli_mask(n1, n2, rate, seed):
     """Draw a Bernoulli(rate) mask; retries the rare empty draw."""
+    _check_sizes(n1, n2)
     if not 0 < rate <= 1:
         raise ParameterError(f"rate must be in (0, 1], got {rate}")
     rng = _rng(seed)
@@ -183,6 +190,7 @@ def random_biregular(n1, n2, d1, seed):
     is generated instead (2-swap repair degenerates near the complete
     graph) and its edge set inverted.
     """
+    _check_sizes(n1, n2)
     if d1 < 1 or d1 > n2:
         raise ParameterError(f"infeasible left degree d1={d1} for n2={n2}")
     if (n1 * d1) % n2 != 0:
@@ -417,10 +425,11 @@ def save_edges(g, path):
 def _parse_rows(lines, dtype, shape):
     """``lines`` parsed in one numpy pass, or None unless they parse cleanly.
 
-    Rows are whitespace-separated fields of ``dtype``; blank lines are
-    skipped, and a table whose shape is not ``shape`` (a ``None`` entry
-    matches any length) counts as unclean.  Readers fall back to their
-    line loop on None, which names the first bad line.
+    This one parse decides what a file holds.  Rows are whitespace-separated
+    fields of ``dtype``; blank lines are skipped, and a table whose shape is
+    not ``shape`` (a ``None`` entry matches any length) counts as unclean.
+    On None a reader walks its lines only to name the first one that this
+    same parse refuses, and raises.
     """
     try:
         with warnings.catch_warnings():
@@ -433,42 +442,33 @@ def _parse_rows(lines, dtype, shape):
     return table
 
 
-def _edges_by_line(path, lines, n1, n2):
-    edges = []
-    for lineno, line in enumerate(lines, start=2):
-        if not line.strip():
-            continue
-        parts = line.split()
-        if len(parts) != 2:
-            raise FormatError(f"{path}:{lineno}: expected 'i j'")
-        try:
-            i, j = int(parts[0]) - 1, int(parts[1]) - 1
-        except ValueError as exc:
-            raise FormatError(f"{path}:{lineno}: non-integer index") from exc
-        if not (0 <= i < n1 and 0 <= j < n2):
-            raise FormatError(f"{path}:{lineno}: index out of range")
-        edges.append((i, j))
-    return np.asarray(edges, dtype=np.int64)
-
-
 def load_edges(path):
     """Read a graph written by ``save_edges``; validates degrees and dupes."""
     with open(path) as fh:
         header = fh.readline().split()
         if len(header) != 5 or header[0] != _HEADER:
             raise FormatError(f"bad header in {path}")
-        try:
-            n1, n2, d1, d2 = (int(x) for x in header[1:])
-        except ValueError as exc:
-            raise FormatError(f"non-integer header field in {path}") from exc
+        sizes = _parse_rows([" ".join(header[1:])], np.int64, (1, 4))
+        if sizes is None:
+            raise FormatError(f"non-integer header field in {path}")
+        n1, n2, d1, d2 = sizes[0].tolist()
         lines = fh.read().split("\n")
     edges = _parse_rows(lines, np.int64, (None, 2))
     if edges is None or edges.min() < 1 or (edges.max(axis=0) > (n1, n2)).any():
-        edges = _edges_by_line(path, lines, n1, n2)
-    else:
-        edges -= 1
+        for lineno, line in enumerate(lines, start=2):
+            fields = line.split()
+            if not fields:
+                continue
+            if len(fields) != 2:
+                raise FormatError(f"{path}:{lineno}: expected 'i j'")
+            row = _parse_rows([line], np.int64, (1, 2))
+            if row is None:
+                raise FormatError(f"{path}:{lineno}: non-integer index")
+            if not (1 <= row[0, 0] <= n1 and 1 <= row[0, 1] <= n2):
+                raise FormatError(f"{path}:{lineno}: index out of range")
+        raise FormatError(f"{path}: empty edge set")  # no line refused: all are blank
     try:
-        g = BiregularGraph(n1, n2, edges)
+        g = BiregularGraph(n1, n2, edges - 1)
     except ParameterError as exc:
         raise FormatError(f"{path}: {exc}") from exc
     if g.d1 != d1 or g.d2 != d2:

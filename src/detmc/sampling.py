@@ -170,22 +170,27 @@ def ground_truth_from_svd(U, S, V):
     )
 
 
+_RANK_TOL = 1e-10  # relative tolerance of ``ground_truth``'s rank checks
+
+
 def ground_truth(M, rank):
     """Wrap an exactly rank-``rank`` matrix; rejects matrices that are not.
 
     The stored ``matrix`` is ``M`` itself, which may differ from its
     truncated SVD ``svd`` by up to 1e-10 relative in Frobenius norm;
-    ``metrics.relative_error`` measures against ``svd``.
+    ``metrics.relative_error`` measures against ``svd``.  A singular value
+    at or below 1e-10 times the first counts as zero, so the rank is below
+    ``rank``.
     """
     M = as_matrix(M)
     tsvd = top_r_svd(M, rank)
     err = np.linalg.norm(M - tsvd.reconstruct())
     scale = max(np.linalg.norm(M), 1e-300)
-    if err > 1e-10 * scale:
+    if err > _RANK_TOL * scale:
         raise ParameterError(
             f"matrix is not rank {rank} (relative defect {err / scale:.2e})"
         )
-    if tsvd.S[-1] <= 0:
+    if tsvd.S[-1] <= _RANK_TOL * tsvd.S[0]:
         raise ParameterError(f"matrix has rank below {rank}")
     gt = ground_truth_from_svd(tsvd.U, tsvd.S, tsvd.V)
     gt.matrix = M
@@ -281,35 +286,26 @@ def load_observed(path, pattern):
         line = fh.readline()
         while line.startswith("%"):
             line = fh.readline()
-        parts = line.split()
-        if len(parts) != 3:
+        dims = _parse_rows([line], np.int64, (1, 3))
+        if dims is None:
             raise FormatError(f"bad dimensions line in {path}")
-        n1, n2, m = (int(x) for x in parts)
+        n1, n2, m = dims[0].tolist()
         if (n1, n2) != (pattern.n1, pattern.n2) or m != pattern.m:
             raise FormatError(f"{path}: dimensions do not match the pattern")
         lines = fh.read().split("\n", m)
     rest = lines.pop() if len(lines) > m else ""  # all after the m-th entry
     table = _parse_rows(lines, _OBSERVED_ROW, (m,))
-    if table is not None:
-        coords = np.column_stack([table["i"] - 1, table["j"] - 1])
-        values = table["v"]
-    else:
-        # the line loop runs only when the one-pass parse fails: it names
-        # the first bad entry
-        coords = np.empty((m, 2), dtype=np.int64)
-        values = np.empty(m)
+    if table is None:  # name the first entry that the same parse refuses
         for k in range(m):
-            parts = lines[k].split() if k < len(lines) else []
-            if len(parts) != 3:
+            line = lines[k] if k < len(lines) else ""
+            if len(line.split()) != 3:
                 raise FormatError(f"{path}: truncated or malformed entry {k}")
-            try:
-                coords[k] = (int(parts[0]) - 1, int(parts[1]) - 1)
-                values[k] = float(parts[2])
-            except ValueError as exc:
-                raise FormatError(f"{path}: non-numeric entry {k}") from exc
+            if _parse_rows([line], _OBSERVED_ROW, (1,)) is None:
+                raise FormatError(f"{path}: non-numeric entry {k}")
     if rest.strip():
         raise FormatError(f"{path}: more entries than the {m} its size line declares")
+    coords = np.column_stack([table["i"] - 1, table["j"] - 1])
     order = np.lexsort((coords[:, 1], coords[:, 0]))
     if not np.array_equal(coords[order], pattern.edges):
         raise FormatError(f"{path}: coordinates do not match the pattern")
-    return Observation(pattern, values[order])
+    return Observation(pattern, table["v"][order])

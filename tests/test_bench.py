@@ -84,7 +84,8 @@ class TestExperimentConfig:
 
 class TestSweepRefusals:
     """Phase and compare refuse a trial count below 1 and degrees that do not
-    strictly increase before they build any graph."""
+    strictly increase, and every sweep a setting one of its solvers refuses,
+    before they build any graph."""
 
     @pytest.mark.parametrize("sweep", ["phase", "compare"])
     @pytest.mark.parametrize("degrees, trials, message", [
@@ -103,6 +104,35 @@ class TestSweepRefusals:
                 bench.run_phase_transition(cfg, 2, degrees, trials)
             else:
                 bench.run_solver_comparison(cfg, (2,), degrees, trials)
+
+    @pytest.mark.parametrize("sweep, solver, settings, message", [
+        ("phase", "pgd", {"max_iter": 0}, "max_iter must be at least 1"),
+        ("phase", "ialm", {"tol": float("nan")}, "tol must be finite"),
+        ("phase", "pgd", {"eval_every": 0}, "eval_every must be at least 1"),
+        ("phase", "scaled-pgd", {"eta": 0.2}, "eta=0.2 exceeds the step cap"),
+        ("phase", "sgd", {}, "unknown solver 'sgd'"),
+        ("convergence", None, {"eta": 0.2}, "eta=0.2 exceeds the step cap"),
+        ("convergence", None, {"tol": float("nan")}, "tol must be finite"),
+        ("convergence", None, {"eta": -1.0}, "eta must be positive and finite"),
+        ("compare", None, {"eta": 1.0}, "eta=1.0 exceeds the step cap"),
+        ("compare", None, {"max_iter": 0}, "max_iter must be at least 1"),
+    ])
+    def test_setting_a_solver_refuses_is_refused_before_any_graph(
+            self, monkeypatch, sweep, solver, settings, message):
+        # compare must not run IALM and PGD before scaled PGD refuses eta=1.0
+        def fail(*args, **kwargs):
+            pytest.fail("a graph was built")
+
+        for module in (graphs, bench):
+            monkeypatch.setattr(module, "random_biregular", fail)
+        cfg = bench.ExperimentConfig(n1=64, n2=64, **settings)
+        with pytest.raises(ParameterError, match=message):
+            if sweep == "phase":
+                bench.run_phase_transition(cfg, 2, (8,), 1, solver=solver)
+            elif sweep == "convergence":
+                bench.run_convergence_comparison(cfg, (2,), (1.0,), degree=8)
+            else:
+                bench.run_solver_comparison(cfg, (2,), (8,), 1)
 
 
 class TestPhaseTransition:

@@ -318,6 +318,15 @@ class TestConfigFile:
                          str(graph_path), "--rank", "2", "--config", str(cfg)])
         assert code == 2 and "unknown config keys: lam" in capsys.readouterr().err
 
+    def test_line_without_equals_sign(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("# tuning\nseed=3\n\nd1 4\n")
+        code = cli.main(["graph", "gen", "--kind", "random", "--n1", "8", "--n2", "8",
+                         "--config", str(cfg), "--out", str(tmp_path / "g.edges")])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {cfg}:4: expected key=value\n"
+        assert not (tmp_path / "g.edges").exists()
+
     @pytest.mark.parametrize("argv, line", [
         (("graph", "gen", "--kind", "random", "--n1", "8", "--n2", "8"), "d1=abc"),
         (("theory", "run"), "trials=2.5"),

@@ -1,6 +1,8 @@
+import ast
 import dataclasses
 import hashlib
 import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -353,6 +355,36 @@ class TestEdgeFiles:
         path.write_text("\n".join(lines) + "\n\n")
         assert graphs.load_edges(path) == g
 
+    def test_underscored_index_refused(self, tmp_path):
+        # Python's int() reads "0_3" as 3; numpy's parse, the one parser,
+        # refuses it, so the file is not the original graph
+        g = graphs.random_biregular(12, 8, 4, seed=2)
+        path = tmp_path / "g.edges"
+        graphs.save_edges(g, path)
+        lines = path.read_text().splitlines()
+        assert lines[10] == "3 3"
+        lines[10] = "0_3 3"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(FormatError) as info:
+            graphs.load_edges(path)
+        assert str(info.value) == f"{path}:11: non-integer index"
+
+    def test_blank_body_is_an_empty_edge_set(self, tmp_path):
+        path = tmp_path / "blank.edges"
+        path.write_text("%%biregular 2 2 1 1\n\n  \n\t\n")
+        with pytest.raises(FormatError) as info:
+            graphs.load_edges(path)
+        assert str(info.value) == f"{path}: empty edge set"
+
+    @pytest.mark.parametrize("sizes", ["2 2 1 one", "0_2 2 1 1", "2 2 1.0 1"])
+    def test_non_integer_header_field_rejected(self, tmp_path, sizes):
+        # Python's int() reads "0_2" as 2; the header goes through numpy's parse too
+        path = tmp_path / "hdr.edges"
+        path.write_text(f"%%biregular {sizes}\n1 1\n2 2\n")
+        with pytest.raises(FormatError) as info:
+            graphs.load_edges(path)
+        assert str(info.value) == f"non-integer header field in {path}"
+
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "nohdr.edges"
         path.write_text("1 1\n1 2\n")
@@ -367,6 +399,73 @@ class TestEdgeFiles:
         assert lines[0] == "%%MatrixMarket matrix coordinate pattern general"
         assert lines[1].split() == ["4", "4", "8"]
         assert len(lines) == 2 + g.m
+
+
+def test_only_parse_rows_calls_loadtxt():
+    # graphs._parse_rows is the one parser of the text formats: a reader's
+    # line loop only names the line that it refuses
+    src = pathlib.Path(__file__).resolve().parents[1] / "src" / "detmc"
+    callers = []
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        functions = [node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)]
+        callers += [
+            (path.name, [f.name for f in functions if f.lineno <= node.lineno <= f.end_lineno])
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and "loadtxt" in (getattr(node.func, "attr", None), getattr(node.func, "id", None))
+        ]
+    assert callers == [("graphs.py", ["_parse_rows"])]
+
+
+class TestPatternRefusals:
+    def test_empty_edge_set(self):
+        with pytest.raises(ParameterError, match="^empty edge set$"):
+            graphs.SamplingPattern(3, 3, np.empty((0, 2), dtype=np.int64))
+
+    @pytest.mark.parametrize("edge", [(3, 0), (0, 4), (-1, 0)])
+    def test_index_out_of_range(self, edge):
+        with pytest.raises(ParameterError, match="^edge index out of range$"):
+            graphs.SamplingPattern(3, 4, [(0, 0), edge])
+
+    @pytest.mark.parametrize("count", [2, 4])
+    def test_csr_with_the_wrong_number_of_values(self, count):
+        pat = graphs.SamplingPattern(3, 4, [(0, 0), (1, 2), (2, 3)])
+        with pytest.raises(ParameterError, match=rf"^expected 3 values, got \({count},\)$"):
+            pat.csr_with_values(np.ones(count))
+
+    def test_non_uniform_right_degrees(self):
+        # every left degree is 1; right vertex 0 has degree 2, vertex 1 none
+        with pytest.raises(ParameterError, match="^right degrees are not uniform$"):
+            graphs.BiregularGraph(2, 2, [(0, 0), (1, 0)])
+
+    def test_certify_needs_a_biregular_graph(self):
+        pat = graphs.SamplingPattern(2, 2, [(0, 0), (1, 1)])
+        with pytest.raises(ParameterError, match="^certification requires a biregular graph$"):
+            graphs.certify(pat)
+
+
+class TestSizes:
+    """The generators refuse a side below 1 with ``ParameterError`` naming the
+    sizes, before any draw."""
+
+    @pytest.mark.parametrize("generate, message", [
+        (lambda: graphs.bernoulli_mask(0, 5, 0.5, 0), "0 x 5"),
+        (lambda: graphs.bernoulli_mask(-2, 5, 0.5, 0), "-2 x 5"),
+        (lambda: graphs.bernoulli_mask(5, 0, 0.5, 0), "5 x 0"),
+        (lambda: graphs.random_biregular(0, 5, 1, 0), "0 x 5"),
+        (lambda: graphs.random_biregular(-3, 6, 2, 0), "-3 x 6"),
+        (lambda: graphs.random_biregular(4, -4, 2, 0), "4 x -4"),
+    ], ids=["mask n1=0", "mask n1<0", "mask n2=0", "biregular n1=0", "biregular n1<0",
+            "biregular n2<0"])
+    def test_side_below_one_refused_before_any_draw(self, monkeypatch, generate, message):
+        def fail(seed):
+            pytest.fail("a generator was seeded")
+
+        monkeypatch.setattr(graphs, "_rng", fail)
+        with pytest.raises(ParameterError,
+                           match=f"^matrix sizes must be at least 1, got {message}$"):
+            generate()
 
 
 class TestRate:

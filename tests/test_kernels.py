@@ -1,5 +1,6 @@
 import ast
 import pathlib
+import re
 
 import numpy as np
 import pytest
@@ -29,6 +30,17 @@ def sparse_with_stored(n1, n2, stored, seed):
         (rng.uniform(0.5, 1.5, stored) * rng.choice([-1.0, 1.0], stored), (rows, cols)),
         shape=(n1, n2),
     )
+
+
+class TestAsMatrix:
+    @pytest.mark.parametrize("a", [np.zeros((0, 3)), np.zeros((3, 0)), [], [1.0, 2.0],
+                                   np.ones((2, 2, 2))],
+                             ids=["0x3", "3x0", "empty list", "1-D", "3-D"])
+    def test_not_a_nonempty_matrix(self, a):
+        shape = np.shape(a)
+        with pytest.raises(InputError, match=rf"^expected a non-empty 2-D matrix, got shape "
+                                             rf"{re.escape(str(shape))}$"):
+            kernels.as_matrix(a)
 
 
 class TestTopRSvd:

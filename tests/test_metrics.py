@@ -99,6 +99,13 @@ class TestRotationDistance:
         assert np.linalg.norm(res.H) == pytest.approx(res.distance, rel=1e-12)
 
 
+    def test_shape_mismatch(self):
+        gt = bench.synthetic_low_rank(10, 8, 2, 2.0, seed=9)
+        pair = pgd.FactorPair(gt.left_factor[:9], gt.right_factor)
+        with pytest.raises(ParameterError, match=r"^shape mismatch: \(17, 2\) vs \(18, 2\)$"):
+            metrics.rotation_distance(pair, gt)
+
+
 class TestGaugeDistance:
     def test_exact(self):
         gt = bench.synthetic_low_rank(14, 10, 3, 2.0, seed=9)

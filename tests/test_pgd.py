@@ -156,6 +156,12 @@ class TestProjectRows:
         assert np.array_equal(out.X, pair.X)
         assert np.array_equal(out.Y, pair.Y)
 
+    @pytest.mark.parametrize("bound", [0.0, -1.0])
+    def test_bound_must_be_positive(self, bound):
+        pair = pgd.FactorPair(np.ones((2, 1)), np.ones((3, 1)))
+        with pytest.raises(ParameterError, match="^clip bound must be positive$"):
+            pgd.project_rows(pair, bound)
+
     def test_clips_single_row(self):
         pair = pgd.FactorPair(np.array([[6.0, 8.0]]), np.array([[0.0, 1.0]]))
         out = pgd.project_rows(pair, 5.0)
@@ -400,6 +406,32 @@ class TestConfig:
                             {"max_iter": 0}):
                 with pytest.raises(ParameterError):
                     config_cls(**setting)
+
+
+class TestFactorPair:
+    @pytest.mark.parametrize("X, Y", [
+        (np.ones((4, 2)), np.ones((3, 3))),
+        (np.ones(4), np.ones((3, 1))),
+        (np.ones((4, 1)), np.ones((3, 1, 1))),
+    ], ids=["ranks differ", "1-D X", "3-D Y"])
+    def test_inconsistent_shapes(self, X, Y):
+        with pytest.raises(ParameterError, match="^inconsistent factor shapes"):
+            pgd.FactorPair(X, Y)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("side", ["X", "Y"])
+    def test_non_finite_entries(self, side, bad):
+        factors = {"X": np.ones((4, 2)), "Y": np.ones((3, 2))}
+        factors[side][1, 0] = bad
+        with pytest.raises(ParameterError, match="^factors contain NaN or Inf$"):
+            pgd.FactorPair(**factors)
+
+
+class TestIterationTrace:
+    def test_iterations_to_a_tolerance_never_reached(self):
+        trace = pgd.IterationTrace(rel_error=[1.0, None, float("nan"), 0.5, 0.2])
+        assert trace.iterations_to(0.2) is None
+        assert trace.iterations_to(0.3) == 4
 
 
 class TestStopRule:

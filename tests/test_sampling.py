@@ -38,6 +38,12 @@ class TestObserve:
         with pytest.raises(ParameterError):
             sampling.observe(np.zeros((5, 6)), g)
 
+    @pytest.mark.parametrize("count", [11, 13])
+    def test_wrong_number_of_values(self, count):
+        g = graphs.random_biregular(6, 6, 2, seed=0)
+        with pytest.raises(ParameterError, match=rf"^expected 12 values, got \({count},\)$"):
+            sampling.Observation(g, np.ones(count))
+
     def test_idempotent_in_dense_form(self):
         rng = np.random.default_rng(1)
         g = graphs.random_biregular(8, 8, 3, seed=2)
@@ -374,6 +380,32 @@ class TestGroundTruth:
             sampling.ground_truth_from_svd(U, S, V)
 
 
+    def test_rank_deficient_matrix_rejected(self):
+        # exactly rank 1: its second singular value is rounding (1.5e-15),
+        # which passes a check against zero with a condition number of 4.8e16
+        M = np.outer(np.arange(1.0, 7.0), np.arange(1.0, 6.0))
+        with pytest.raises(ParameterError, match="^matrix has rank below 2$"):
+            sampling.ground_truth(M, 2)
+
+    def test_zero_matrix_rejected(self):
+        with pytest.raises(ParameterError, match="^matrix has rank below 1$"):
+            sampling.ground_truth(np.zeros((4, 3)), 1)
+
+    def test_well_conditioned_rank_two_accepted(self):
+        gt = bench.synthetic_low_rank(6, 5, 2, 10.0, seed=13)
+        gt2 = sampling.ground_truth(gt.matrix, 2)
+        assert gt2.rank == 2
+        assert gt2.condition_number == pytest.approx(10.0, rel=1e-9)
+
+    @pytest.mark.parametrize("shapes", [((8, 2), (3,), (6, 3)), ((8, 3), (3,), (6, 2)),
+                                        ((8, 2), (2, 1), (6, 2))],
+                             ids=["U", "V", "S not 1-D"])
+    def test_inconsistent_svd_shapes_rejected(self, shapes):
+        U, S, V = (np.ones(shape) for shape in shapes)
+        with pytest.raises(ParameterError, match="^inconsistent SVD shapes$"):
+            sampling.ground_truth_from_svd(U, S, V)
+
+
 class TestCoherence:
     def test_flat_rank_one(self):
         n = 16
@@ -505,6 +537,51 @@ class TestMatrixMarket:
         with pytest.raises(FormatError) as info:
             sampling.load_observed(path, g)
         assert str(info.value) == f"{path}: {message}"
+
+    def test_underscored_value_refused(self, tmp_path):
+        # Python's float() reads "1_0.5" as 10.5; numpy's parse, the one
+        # parser, refuses it, as the MatrixMarket format has no such number
+        g = graphs.random_biregular(12, 8, 4, seed=2)
+        obs = sampling.observe(bench.synthetic_low_rank(12, 8, 2, 1.0, seed=1).matrix, g)
+        path = tmp_path / "obs.mtx"
+        sampling.save_observed(obs, path)
+        lines = path.read_text().splitlines()
+        i, j, _ = lines[2 + 3].split()
+        lines[2 + 3] = f"{i} {j} 1_0.5"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(FormatError) as info:
+            sampling.load_observed(path, g)
+        assert str(info.value) == f"{path}: non-numeric entry 3"
+
+    def test_comment_before_the_size_line_accepted(self, small_instance, tmp_path):
+        gt, g, obs = small_instance
+        path = tmp_path / "obs.mtx"
+        sampling.save_observed(obs, path)
+        header, body = path.read_text().split("\n", 1)
+        path.write_text(f"{header}\n% written by hand\n%\n{body}")
+        assert np.array_equal(sampling.load_observed(path, g).values, obs.values)
+
+    @pytest.mark.parametrize("size_line, message", [
+        ("30 30", "bad dimensions line in {path}"),
+        ("30 30 180 1", "bad dimensions line in {path}"),
+        ("30 30 x", "bad dimensions line in {path}"),  # not a bare ValueError
+        ("30 30 180.0", "bad dimensions line in {path}"),
+        ("", "bad dimensions line in {path}"),
+        ("31 30 180", "{path}: dimensions do not match the pattern"),
+        ("30 29 180", "{path}: dimensions do not match the pattern"),
+        ("30 30 179", "{path}: dimensions do not match the pattern"),
+    ])
+    def test_size_line_refused(self, small_instance, tmp_path, size_line, message):
+        gt, g, obs = small_instance
+        path = tmp_path / "obs.mtx"
+        sampling.save_observed(obs, path)
+        lines = path.read_text().splitlines()
+        assert lines[1] == f"30 30 {g.m}"
+        lines[1] = size_line
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(FormatError) as info:
+            sampling.load_observed(path, g)
+        assert str(info.value) == message.format(path=path)
 
     def test_dense_round_trip(self, tmp_path):
         M = np.random.default_rng(24).standard_normal((5, 3))

@@ -77,6 +77,12 @@ class TestProjectRows:
         assert out.X[0, 0] == pytest.approx(1.0)
         assert out.Y[0, 0] == pytest.approx(0.5)
 
+    @pytest.mark.parametrize("budget", [0.0, -1.0])
+    def test_budget_must_be_positive(self, budget):
+        pair = pgd.FactorPair(np.ones((2, 1)), np.ones((3, 1)))
+        with pytest.raises(ParameterError, match="^incoherence budget must be positive$"):
+            scaled_pgd.project_rows(pair, budget)
+
     def test_scales_rows_whose_products_overflow(self):
         # 1e200**2 overflows in the Gram form on both sides; the rows must
         # still come out at the budget against the input co-factor
