@@ -81,14 +81,21 @@ SOLVERS = {
 }
 
 
+_SOLVER_SETTINGS = {f.name for config_cls in SOLVERS.values() for f in fields(config_cls)}
+
+
 def solver_config(name, **settings):
     """The config of solver ``name`` (a key of ``SOLVERS``), built from the
-    ``settings`` that are not None and are fields of its config class; the
-    rest are ignored, so one set of settings serves every solver (``bench
-    convergence`` and ``compare`` give one ``eta`` to both factored solvers).
+    ``settings`` that are not None and are fields of its config class.  A
+    setting only another solver reads is ignored, so one set of settings
+    serves every solver (``bench convergence`` and ``compare`` give one
+    ``eta`` to both factored solvers); one that no solver reads is refused.
     """
     if name not in SOLVERS:
         raise ParameterError(f"unknown solver {name!r}")
+    unread = sorted(settings.keys() - _SOLVER_SETTINGS)
+    if unread:
+        raise ParameterError(f"no solver reads the setting {', '.join(unread)}")
     config_cls = SOLVERS[name]
     names = {f.name for f in fields(config_cls)}
     return config_cls(**{k: v for k, v in settings.items() if v is not None and k in names})
@@ -109,17 +116,22 @@ def solve(name, obs, r, gt=None, **settings):
     return ialm.solve(obs, config, gt=gt)
 
 
+def _solver_settings(cfg):
+    """The settings of ``cfg`` that solvers read: all but the sizes and the seed."""
+    return {k: v for k, v in asdict(cfg).items() if k not in ("n1", "n2", "seed")}
+
+
 def _check_solvers(cfg, *names):
     """Build the config of each solver a sweep runs from ``cfg``, so that a
     setting one of them refuses is refused before the sweep's first graph."""
     for name in names:
-        solver_config(name, **asdict(cfg))
+        solver_config(name, **_solver_settings(cfg))
 
 
 def run_trial(solver, obs, r, gt, cfg):
     """The trace of one solver run under ``cfg``, also of one that diverges."""
     try:
-        return solve(solver, obs, r, gt, **asdict(cfg))[1]
+        return solve(solver, obs, r, gt, **_solver_settings(cfg))[1]
     except DivergenceError as exc:
         return exc.trace
 

@@ -233,11 +233,9 @@ def cmd_graph_verify(args):
     g = graphs.load_edges(args.graph)
     cert = graphs.certify(g)
     payload = {"n1": g.n1, "n2": g.n2, "d1": g.d1, "d2": g.d2, **asdict(cert)}
-    text = json.dumps(payload, sort_keys=True, indent=2)
-    print(text)
+    print(json.dumps(payload, sort_keys=True, indent=2))
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
+        bench.write_json(payload, args.out)
     return 0 if cert.is_ramanujan else 1
 
 
@@ -290,32 +288,43 @@ def cmd_complete(args):
 
 
 def _outdir(args):
-    out = args.out or "."
-    os.makedirs(out, exist_ok=True)
+    """The directory of a sweep's ``--out`` ("." without one), refused before
+    any work when it, or the part of its path that exists, is not a
+    directory.  The command creates it only once the sweep has run, so a
+    refused setting leaves no directory behind."""
+    out = head = args.out or "."
+    while not os.path.lexists(head):
+        head = os.path.dirname(head) or "."
+    if not os.path.isdir(head):
+        raise InputError(f"--out {out} is not a directory" if head == out
+                         else f"--out {out} is under {head}, which is not a directory")
     return out
 
 
 def cmd_bench_phase(args):
+    outdir = _outdir(args)
     cfg = bench.ExperimentConfig(
         n1=args.n, n2=args.n, tol=args.tol, seed=args.seed, max_iter=args.max_iter,
         eval_every=5, **_tuning(args),
     )
-    out = os.path.join(_outdir(args), "phase.csv")
     rows = bench.run_phase_transition(cfg, args.r, args.degrees, args.trials,
                                       solver=args.solver)
+    os.makedirs(outdir, exist_ok=True)
+    out = os.path.join(outdir, "phase.csv")
     bench.write_csv(rows, out)
     print(json.dumps({"path": out, "rows": len(rows)}))
     return 0
 
 
 def cmd_bench_convergence(args):
+    outdir = _outdir(args)
     cfg = bench.ExperimentConfig(
         n1=args.n, n2=args.n, tol=args.tol, seed=args.seed, eta=args.eta,
         max_iter=args.max_iter,
     )
-    outdir = _outdir(args)
     traces, rates = bench.run_convergence_comparison(cfg, args.ranks, args.kappas,
                                                      degree=args.degree)
+    os.makedirs(outdir, exist_ok=True)
     tpath = os.path.join(outdir, "convergence.csv")
     rpath = os.path.join(outdir, "convergence_rates.csv")
     bench.write_csv(traces, tpath)
@@ -325,12 +334,13 @@ def cmd_bench_convergence(args):
 
 
 def cmd_bench_compare(args):
+    outdir = _outdir(args)
     cfg = bench.ExperimentConfig(
         n1=args.n, n2=args.n, tol=args.tol, seed=args.seed, eta=args.eta,
         max_iter=args.max_iter,
     )
-    outdir = _outdir(args)
     rows = bench.run_solver_comparison(cfg, args.ranks, args.degrees, args.trials)
+    os.makedirs(outdir, exist_ok=True)
     cpath = os.path.join(outdir, "compare.csv")
     jpath = os.path.join(outdir, "compare.json")
     bench.write_csv(rows, cpath)

@@ -26,6 +26,7 @@ once per graph and cached on it, like ``adjacency``: a graph's edges are
 not to be edited after construction.
 """
 
+import io
 import math
 import warnings
 from dataclasses import dataclass
@@ -33,6 +34,7 @@ from functools import cached_property
 
 import numpy as np
 import scipy.sparse
+from scipy.io import mmwrite
 
 from .errors import FormatError, GenerationError, ParameterError
 from .kernels import top_r_svd
@@ -412,14 +414,32 @@ def certify(g):
 _HEADER = "%%biregular"
 
 
-def _edge_text(g):
-    return "".join(map("{} {}\n".format, (g.rows + 1).tolist(), (g.cols + 1).tolist()))
-
-
 def save_edges(g, path):
     """Write the edge list: header line, then 1-indexed sorted ``i j`` pairs."""
-    with open(path, "w") as fh:
-        fh.write(f"{_HEADER} {g.n1} {g.n2} {g.d1} {g.d2}\n" + _edge_text(g))
+    _write_matrixmarket(path, g.adjacency, "pattern",
+                        header=f"{_HEADER} {g.n1} {g.n2} {g.d1} {g.d2}\n")
+
+
+def _write_matrixmarket(path, A, field, header=None):
+    """Write ``A`` to ``path`` by scipy's compiled MatrixMarket writer, the
+    one writer of every file that ``_parse_rows`` reads.  Each value is its
+    shortest round-trip decimal (``1.257302210933933E-1``, ``-7``, ``-0``),
+    so every float64 reads back exactly, and explicit zeros are kept.  Only
+    scipy's ``%`` comment lines are dropped (readers take the size from line
+    2); a ``header`` replaces its banner and size line too.  The symmetry
+    is always "general": scipy would store a square symmetric ``A`` as its
+    lower triangle.  Through a buffer, ``path`` is written as given, without
+    scipy's ``.mtx`` suffix."""
+    buf = io.BytesIO()
+    mmwrite(buf, A, field=field, symmetry="general")
+    buf.seek(0)
+    head = buf.readline()  # scipy's banner, then its comment lines, then its size line
+    line = buf.readline()
+    while line.startswith(b"%"):
+        line = buf.readline()
+    with open(path, "wb") as fh:
+        fh.write(head + line if header is None else header.encode())
+        fh.write(buf.getbuffer()[buf.tell():])
 
 
 def _parse_rows(lines, dtype, shape):
@@ -480,6 +500,4 @@ def load_edges(path):
 
 def save_matrixmarket_pattern(g, path):
     """Adjacency as MatrixMarket coordinate pattern (1-indexed)."""
-    with open(path, "w") as fh:
-        fh.write("%%MatrixMarket matrix coordinate pattern general\n"
-                 f"{g.n1} {g.n2} {g.m}\n" + _edge_text(g))
+    _write_matrixmarket(path, g.adjacency, "pattern")

@@ -8,15 +8,13 @@ O(m * r).  ``observed_residual`` and ``residual_products`` read the factors
 r-major (r x n), the layout the factored solvers keep them in.
 """
 
-import io
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.io import mmwrite
 from scipy.sparse import _sparsetools
 
 from .errors import FormatError, InputError, ParameterError
-from .graphs import BiregularGraph, SamplingPattern, _parse_rows
+from .graphs import BiregularGraph, SamplingPattern, _parse_rows, _write_matrixmarket
 from .kernels import TruncatedSVD, as_matrix, top_r_svd
 
 
@@ -231,46 +229,20 @@ def subset_isotropy_gap(gt, graph):
 # MatrixMarket serialization of observations
 # ---------------------------------------------------------------------------
 
-_MM_HEADER = "%%MatrixMarket matrix coordinate real general"
 _OBSERVED_ROW = np.dtype([("i", np.int64), ("j", np.int64), ("v", np.float64)])
 
 
 def save_observed(obs, path):
-    """Write the observation in MatrixMarket coordinate real format."""
-    pat = obs.pattern
-    with open(path, "w") as fh:
-        fh.write(_MM_HEADER + "\n")
-        fh.write(f"{pat.n1} {pat.n2} {pat.m}\n")
-        entries = map("{} {} {!r}".format, (pat.rows + 1).tolist(),
-                      (pat.cols + 1).tolist(), obs.values.tolist())
-        fh.write("\n".join(entries) + "\n")
+    """Write the observation in MatrixMarket coordinate real format: entry k,
+    ``i j v`` in the pattern's edge order, on line 2 + k."""
+    _write_matrixmarket(path, obs.pattern.csr_with_values(obs.values), "real")
 
 
 def save_dense_array(M, path):
-    """Write a dense matrix in MatrixMarket array format (column-major).
-
-    scipy's compiled writer prints each entry as its shortest round-trip
-    decimal (``9.189949701578548E-1``, ``-7``, ``-0``), so every float64
-    reads back exactly. The file holds the banner, the ``n1 n2`` line and
-    the n1*n2 values: scipy's ``%`` comment lines are dropped, because
-    readers take the size from line 2. ``symmetry="general"`` keeps scipy
-    from storing a small symmetric matrix as its lower triangle, so every
-    file holds all n1*n2 values. The body goes through a buffer, so
-    ``path`` is written as given, without scipy's ``.mtx`` suffix.
-    ``scipy.io.mmread`` reads the file back bit for bit, except that it
-    reads ``-0`` as ``+0.0``.
-    """
-    M = as_matrix(M)
-    n1, n2 = M.shape
-    buf = io.BytesIO()
-    mmwrite(buf, M, symmetry="general")
-    buf.seek(0)
-    buf.readline()  # scipy's banner, then its comment lines, then its size line
-    while buf.readline().startswith(b"%"):
-        pass
-    with open(path, "wb") as fh:
-        fh.write(f"%%MatrixMarket matrix array real general\n{n1} {n2}\n".encode())
-        fh.write(buf.getbuffer()[buf.tell():])
+    """Write a dense matrix in MatrixMarket array format (column-major): the
+    banner, the ``n1 n2`` line and all n1*n2 values.  ``scipy.io.mmread``
+    reads it back bit for bit, except that it reads ``-0`` as ``+0.0``."""
+    _write_matrixmarket(path, as_matrix(M), "real")
 
 
 def load_observed(path, pattern):

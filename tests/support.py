@@ -179,3 +179,21 @@ def lps_graph_reference(p, q):
     edges = [(i, right_index[canon(matmul2(g, s))])
              for i, g in enumerate(left) for s in sorted(gens)]
     return graphs.BiregularGraph(len(left), len(right), edges)
+
+
+def edge_text_reference(g):
+    """The 1-indexed ``i j`` lines of an edge list or pattern export, from the
+    per-line Python formatter that wrote them before scipy's compiled writer
+    did.  Those files keep these bytes."""
+    return "".join(map("{} {}\n".format, (g.rows + 1).tolist(), (g.cols + 1).tolist()))
+
+
+def observed_text_reference(obs):
+    """An observation file as the per-line Python formatter wrote it before
+    scipy's compiled writer did: the banner, the size line, then entry k as
+    ``i j repr(v)`` on line 2 + k."""
+    pat = obs.pattern
+    entries = map("{} {} {!r}".format, (pat.rows + 1).tolist(),
+                  (pat.cols + 1).tolist(), obs.values.tolist())
+    return (f"%%MatrixMarket matrix coordinate real general\n{pat.n1} {pat.n2} {pat.m}\n"
+            + "\n".join(entries) + "\n")

@@ -251,6 +251,17 @@ class TestSolve:
             bench.solve("sgd", None, 2)
 
     @pytest.mark.parametrize("solver", list(bench.SOLVERS))
+    def test_setting_no_solver_reads_is_refused(self, solver):
+        # a misspelled max_iter used to be dropped, and the run went on to
+        # the default 2000 iterations
+        g = graphs.random_biregular(40, 40, 8, seed=1)
+        obs = sampling.observe(bench.synthetic_low_rank(40, 40, 2, 1.0, seed=2).matrix, g)
+        with pytest.raises(ParameterError, match="^no solver reads the setting max_iters$"):
+            bench.solve(solver, obs, 2, max_iters=5)
+        with pytest.raises(ParameterError, match="^no solver reads the setting n1, seed$"):
+            bench.solve(solver, obs, 2, seed=0, n1=40)
+
+    @pytest.mark.parametrize("solver", list(bench.SOLVERS))
     def test_all_zero_observation_refused(self, solver):
         # the factored solvers used to name their clip bound or budget
         g = graphs.random_biregular(24, 24, 6, seed=1)

@@ -771,3 +771,25 @@ class TestErrorExitCodes:
         code = cli.main(["bench", command, "--out", str(out)])
         self.assert_one_line_error(capsys, code)
         assert out.read_text() == ""
+
+    @pytest.mark.parametrize("command, refused", [
+        ("phase", ["--max-iter", "0"]),
+        ("convergence", ["--eta", "0.2"]),
+        ("compare", ["--eta", "0.2"]),
+    ], ids=["phase", "convergence", "compare"])
+    def test_bench_refusal_leaves_no_out_dir(self, tmp_path, capsys, monkeypatch,
+                                             command, refused):
+        # the directory used to be made before the sweep refused its
+        # settings, and a file --out was named by a bare [Errno 17]
+        monkeypatch.setattr(bench, "random_biregular", lambda *a, **k: pytest.fail("work ran"))
+        out = tmp_path / "new" / "dir"
+        code = cli.main(["bench", command, *refused, "--out", str(out)])
+        self.assert_one_line_error(capsys, code)
+        assert list(tmp_path.iterdir()) == []
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        for given, message in ((taken, f"--out {taken} is not a directory"),
+                               (taken / "dir", f"--out {taken / 'dir'} is under {taken}, "
+                                               "which is not a directory")):
+            code = cli.main(["bench", command, "--out", str(given)])
+            assert self.assert_one_line_error(capsys, code) == f"error: {message}\n"

@@ -401,9 +401,9 @@ class TestEdgeFiles:
         assert len(lines) == 2 + g.m
 
 
-def test_only_parse_rows_calls_loadtxt():
-    # graphs._parse_rows is the one parser of the text formats: a reader's
-    # line loop only names the line that it refuses
+def src_callers(name):
+    """(file, enclosing functions) of every call to a function or method
+    ``name`` in ``src/detmc``."""
     src = pathlib.Path(__file__).resolve().parents[1] / "src" / "detmc"
     callers = []
     for path in sorted(src.glob("*.py")):
@@ -413,9 +413,20 @@ def test_only_parse_rows_calls_loadtxt():
             (path.name, [f.name for f in functions if f.lineno <= node.lineno <= f.end_lineno])
             for node in ast.walk(tree)
             if isinstance(node, ast.Call)
-            and "loadtxt" in (getattr(node.func, "attr", None), getattr(node.func, "id", None))
+            and name in (getattr(node.func, "attr", None), getattr(node.func, "id", None))
         ]
-    assert callers == [("graphs.py", ["_parse_rows"])]
+    return callers
+
+
+def test_only_parse_rows_calls_loadtxt():
+    # graphs._parse_rows is the one parser of the text formats: a reader's
+    # line loop only names the line that it refuses
+    assert src_callers("loadtxt") == [("graphs.py", ["_parse_rows"])]
+
+
+def test_only_write_matrixmarket_calls_mmwrite():
+    # graphs._write_matrixmarket is the one writer of the text formats
+    assert src_callers("mmwrite") == [("graphs.py", ["_write_matrixmarket"])]
 
 
 class TestPatternRefusals:

@@ -4,7 +4,8 @@ from scipy.io import mmread
 
 from detmc import bench, graphs, kernels, sampling
 from detmc.errors import FormatError, ParameterError
-from support import bernoulli_with_empty_row_and_column, complete_graph
+from support import (bernoulli_with_empty_row_and_column, complete_graph, edge_text_reference,
+                     observed_text_reference)
 
 
 def dense_mask(g):
@@ -622,37 +623,60 @@ class TestMatrixMarket:
         sampling.save_dense_array(np.eye(3), out)
         assert [p.name for p in tmp_path.iterdir()] == ["result.txt"]
 
-    def test_writers_match_the_per_element_reference(self, tmp_path):
-        # the one-write writers must keep every byte of the plain loop,
-        # including signed zeros, tiny and subnormal values and full repr
-        M = self.EDGE_VALUES
-        g = complete_graph(3, 3)
-        obs = sampling.observe(M, g)
-        ref = tmp_path / "ref_obs.mtx"
-        with open(ref, "w") as fh:
-            fh.write("%%MatrixMarket matrix coordinate real general\n3 3 9\n")
-            for (i, j), v in zip(g.edges, obs.values):
-                fh.write(f"{i + 1} {j + 1} {float(v)!r}\n")
-        out = tmp_path / "obs.mtx"
-        sampling.save_observed(obs, out)
-        assert out.read_bytes() == ref.read_bytes()
 
-        g = graphs.random_biregular(12, 8, 4, seed=2)
-        ref = tmp_path / "ref.edges"
-        with open(ref, "w") as fh:
-            fh.write(f"%%biregular {g.n1} {g.n2} {g.d1} {g.d2}\n")
-            for i, j in g.edges:
-                fh.write(f"{i + 1} {j + 1}\n")
-        out = tmp_path / "g.edges"
-        graphs.save_edges(g, out)
-        assert out.read_bytes() == ref.read_bytes()
+class TestWriters:
+    """Every MatrixMarket and edge-list file goes through scipy's compiled
+    writer.  Edge lists, pattern exports and dense arrays keep the bytes of
+    the per-line writers before it; observed values read back bit for bit."""
 
-        ref = tmp_path / "ref_pattern.mtx"
-        with open(ref, "w") as fh:
-            fh.write("%%MatrixMarket matrix coordinate pattern general\n")
-            fh.write(f"{g.n1} {g.n2} {g.m}\n")
-            for i, j in g.edges:
-                fh.write(f"{i + 1} {j + 1}\n")
-        out = tmp_path / "pattern.mtx"
-        graphs.save_matrixmarket_pattern(g, out)
-        assert out.read_bytes() == ref.read_bytes()
+    @pytest.mark.parametrize("make", [
+        lambda: graphs.random_biregular(12, 8, 4, seed=2),
+        lambda: graphs.lps_graph(5, 13),
+        # the cli benchmark instance's graph, before its relabelling
+        lambda: graphs.random_biregular(1024, 1024, 40,
+                                        seed=np.random.SeedSequence((0, 0, 1)).entropy),
+        lambda: complete_graph(12, 12),  # square and symmetric: no lower triangle
+    ], ids=["random-12-8", "lps-5-13", "cli", "complete-12"])
+    def test_edge_and_pattern_files_match_the_reference(self, tmp_path, make):
+        g = make()
+        graphs.save_edges(g, tmp_path / "g.edges")
+        graphs.save_matrixmarket_pattern(g, tmp_path / "g.mtx")
+        body = edge_text_reference(g)
+        assert body.count("\n") == g.m
+        assert (tmp_path / "g.edges").read_text() == (
+            f"%%biregular {g.n1} {g.n2} {g.d1} {g.d2}\n" + body)
+        assert (tmp_path / "g.mtx").read_text() == (
+            f"%%MatrixMarket matrix coordinate pattern general\n{g.n1} {g.n2} {g.m}\n" + body)
+        assert graphs.load_edges(tmp_path / "g.edges") == g
+
+    @pytest.mark.parametrize("values", [
+        # TestMatrixMarket's edge values, a 17-digit value, the largest
+        # float and a negative subnormal
+        np.array([-0.0, 5e-324, 1e300, 1 / 3, 0.1257302210933933, -7.0, 2.5, 1e-300,
+                  -1e-310, 0.0, -5e-324, 1.7976931348623157e308]),
+        np.zeros(12),  # explicit zeros are written, not dropped
+    ], ids=["edge-values", "zeros"])
+    def test_observed_values_read_back_bit_for_bit(self, tmp_path, values):
+        g = complete_graph(3, 4)
+        obs = sampling.Observation(g, values)
+        path = tmp_path / "obs.mtx"
+        sampling.save_observed(obs, path)
+        back = sampling.load_observed(path, g).values
+        assert np.array_equal(back.view(np.int64), values.view(np.int64))
+        # line for line the repr formatter's file: the same banner, size
+        # line and i j, and values of the same bits
+        lines = path.read_text().splitlines()
+        ref = observed_text_reference(obs).splitlines()
+        assert lines[:2] == ref[:2] and len(lines) == len(ref) == 2 + g.m
+        for line, ref_line in zip(lines[2:], ref[2:]):
+            (i, j, v), (ri, rj, rv) = line.split(), ref_line.split()
+            assert (i, j) == (ri, rj)
+            assert np.float64(v).view(np.int64) == np.float64(rv).view(np.int64)
+
+    def test_dense_bytes_unchanged(self, tmp_path):
+        # TestMatrixMarket's edge values, column-major
+        path = tmp_path / "dense.mtx"
+        sampling.save_dense_array(TestMatrixMarket.EDGE_VALUES, path)
+        assert path.read_bytes() == (
+            b"%%MatrixMarket matrix array real general\n3 3\n"
+            b"-0\n3.333333333333333E-1\n0\n1E-300\n2.5\n1E300\n5E-324\n-7\n-1E-310\n")
