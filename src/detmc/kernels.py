@@ -2,15 +2,19 @@
 
 ``top_r_svd`` is the one routine that picks between LAPACK and ARPACK.
 It takes a dense array, a scipy sparse matrix or a ``LinearOperator``
-and runs Lanczos (``svds``) from the all-ones start, which touches the
-input only through products, when ``r`` is below the smaller side and
-either the larger side exceeds ``DENSE_SVD_CUTOFF``, or the input is
-sparse or an operator with a smaller side of at least 200, at most a
-quarter of its entries stored (an operator stores none) and ``r`` below
-half the smaller side.  Everything else, and any input ARPACK fails on,
-gets LAPACK's SVD of the densified input.  Both paths apply the same
-deterministic sign convention, and ``operator_norm`` is the leading
-singular value it returns.
+and runs Lanczos (``svds``), which touches the input only through
+products, when ``r`` is below the smaller side and either the larger
+side exceeds ``DENSE_SVD_CUTOFF``, or the input is sparse or an operator
+with a smaller side of at least 200, at most a quarter of its entries
+stored (an operator stores none) and ``r`` below half the smaller side.
+Everything else, and any input ARPACK fails on, gets LAPACK's SVD of the
+densified input.  Both paths apply the same deterministic sign
+convention, and ``operator_norm`` is the leading singular value it
+returns.  Lanczos starts at the all-ones vector, unless the input's row
+sums and column sums are each constant (every biregular adjacency): that
+vector is then a singular vector, ARPACK goes on from its own random
+state and the last bits vary from call to call, so such an input starts
+at ``cos(0.7 k) + 1``.
 """
 
 from dataclasses import dataclass
@@ -75,11 +79,13 @@ def top_r_svd(A, r):
         raise ParameterError(f"rank {r} out of range for shape {A.shape}")
     thin = (sparse or operator) and n >= 200 and 4 * (A.nnz if sparse else 0) <= n1 * n2
     if r < n and (max(n1, n2) > DENSE_SVD_CUTOFF or thin and r < n // 2):
+        v0 = np.ones(n)
+        if np.ptp(A @ np.ones(n2)) == 0 and np.ptp(A.T @ np.ones(n1)) == 0:
+            v0 = np.cos(0.7 * np.arange(n)) + 1  # see the module docstring
         try:
-            U, S, Vt = scipy.sparse.linalg.svds(A, k=r, v0=np.ones(n))
+            U, S, Vt = scipy.sparse.linalg.svds(A, k=r, v0=v0)
         except scipy.sparse.linalg.ArpackError:
-            # e.g. the all-ones start is in the kernel of A'A or AA' (A is
-            # zero, or its rows or columns all sum to zero)
+            # e.g. the start is in the kernel of A'A or AA' (A is zero)
             pass
         else:
             order = np.argsort(-S)

@@ -9,8 +9,9 @@ spectral initialization.
 
 ``iterate`` is the outer loop of both factored solvers (this one and
 ``scaled_pgd``): the residual matrix, timing, the trace and the ``StopRule``
-(``ialm``'s too) live there; a ``solve`` supplies its start, loss, step and
-projection.  ``bench.solve`` runs any solver by name.
+(``ialm``'s too) live there, and every run, with a ground truth or blind,
+tells the rule alike when its loss has settled; a ``solve`` supplies its
+start, loss, step and projection.  ``bench.solve`` runs any solver by name.
 
 Inside the loop the factors are r-major, C-ordered r x n arrays ``Xt``
 and ``Yt`` (``FactorPair.r_major``), the layout the per-edge kernel
@@ -146,8 +147,8 @@ class StopRule:
     ends the run:
 
     * "tol": a ground truth is given and ``rel < tol``;
-    * the label ("loss-floor" or "stagnation" from a blind factored run,
-      "tol" from IALM) on a blind run; with a ground truth, "stall" if
+    * the label ("loss-floor" or "stagnation" from a factored run, "tol"
+      from IALM) on a blind run; with a ground truth, "stall" if
       ``rel > 10 * tol``, else the run goes on;
     * "max-iter" at ``k == max_iter``.
 
@@ -300,11 +301,11 @@ def iterate(obs, pair, objective, advance, config, gt, meta, t0):
     Both callbacks take the factors r-major (``FactorPair.r_major``):
     ``objective(Xt, Yt, obs, K)`` refills ``K`` and returns ``(loss,
     state)``, and ``advance(Xt, Yt, state)`` the next r-major iterate (step
-    and projection).  A blind run gives ``StopRule`` the labels "loss-floor"
-    (the loss is below ``_LOSS_FLOOR_REL`` times its initial value) and
-    "stagnation" (it moved by at most ``_LOSS_STALL_REL`` relative); a run
-    with a ground truth gives none.  Solver time counts from ``t0``, taken
-    before the caller's initialization.
+    and projection).  Every run, with a ground truth or blind, gives
+    ``StopRule`` the labels "loss-floor" (the loss is below
+    ``_LOSS_FLOOR_REL`` times its initial value) and "stagnation" (it moved
+    by at most ``_LOSS_STALL_REL`` relative).  Solver time counts from
+    ``t0``, taken before the caller's initialization.
     """
     K = obs.pattern.csr_with_values(np.empty(obs.pattern.m))
     trace = IterationTrace(solver_seconds=time.perf_counter() - t0, meta=meta)
@@ -324,10 +325,9 @@ def iterate(obs, pair, objective, advance, config, gt, meta, t0):
             trace.append(loss_k, rel)
 
             settled = None
-            if gt is None and loss_k <= _LOSS_FLOOR_REL * max(trace.loss[0], 1e-300):
+            if loss_k <= _LOSS_FLOOR_REL * max(trace.loss[0], 1e-300):
                 settled = "loss-floor"
-            elif gt is None and k and abs(rule.previous - loss_k) <= (
-                    _LOSS_STALL_REL * max(loss_k, 1e-300)):
+            elif k and abs(rule.previous - loss_k) <= _LOSS_STALL_REL * max(loss_k, 1e-300):
                 settled = "stagnation"
             if rule.update(k, loss_k, rel, settled):
                 break

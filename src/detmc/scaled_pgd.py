@@ -7,7 +7,8 @@ the product exceeds an incoherence budget, using the closed form evaluated
 against the pre-projection co-factor.  The analysis fixes both the budget
 (``incoherence_budget``) and the step cap ``eta <= _ETA_CAP``; neither is
 a setting: ``ScaledPgdConfig`` is ``PgdConfig`` with the scaled step's
-default, the cap itself, and a refusal of any ``eta`` above it.
+default, the cap itself, a refusal of any ``eta`` above it, and its own
+blind ``mu`` default.
 
 ``solve`` runs the loop shared with the unscaled solver, ``pgd.iterate``,
 on r-major factors (see ``pgd``); the public ``project_rows`` runs the
@@ -35,6 +36,7 @@ class ScaledPgdConfig(PgdConfig):
     """``PgdConfig`` whose step defaults to, and may not exceed, ``_ETA_CAP``."""
 
     eta: float = _ETA_CAP
+    mu: float = 8.0  # at PgdConfig's 2 the budget over-clips blind runs
 
     def __post_init__(self):
         super().__post_init__()

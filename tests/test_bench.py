@@ -178,6 +178,19 @@ class TestPhaseTransition:
                 })
         assert bench.run_phase_transition(cfg, self.R, degrees, trials, solver=solver) == serial
 
+    def test_criterion_02_blow_up_stops_on_stall(self):
+        # criterion 02's trial 1 at d = 18: on the graph and on its mask the
+        # run blows up onto a flat loss at error above 10, and it stops on
+        # "stall" at the first evaluated iteration once the loss has settled
+        cfg = bench.ExperimentConfig(n1=1092, n2=1092, eta=0.35, max_iter=1200,
+                                     eval_every=5, seed=1, tol=1e-6)
+        graph = graphs.random_biregular(
+            1092, 1092, 18, seed=np.random.SeedSequence((cfg.seed, 18)).entropy)
+        for sampler, stop in (("deterministic", 35), ("bernoulli", 40)):
+            _, trace = bench.phase_trial(cfg, 3, "pgd", graph, sampler, 1)
+            assert (trace.meta["stop_reason"], trace.iterations[-1]) == ("stall", stop)
+            assert trace.final_rel_error > 10
+
     def test_no_worker_outlives_the_sweep(self):
         bench.run_phase_transition(self.make_cfg(), self.R, (16,), 2, solver="pgd")
         assert multiprocessing.active_children() == []

@@ -1,7 +1,11 @@
 import csv
 import json
 import keyword
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +13,8 @@ from scipy.io import mmread
 
 from detmc import bench, cli, graphs, pgd, sampling, scaled_pgd, theory
 from detmc.errors import GenerationError
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def run_cli(capsys, *argv):
@@ -271,6 +277,24 @@ class TestTheoryCommand:
         with pytest.raises(Recorded):
             cli.main(["theory", "run"])
         assert seen == [((512, 512, 60), {"seed": 0})]
+
+    def test_lps_outputs_are_the_same_bytes_in_every_process(self, tmp_path, capsys):
+        # every number built on LPS(5,13)'s certificate, in two fresh processes
+        graph = tmp_path / "lps.edges"
+        assert run_cli(capsys, "graph", "gen", "--kind", "lps", "--p", "5", "--q", "13",
+                       "--out", str(graph))[0] == 0
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                                          env.get("PYTHONPATH")]))
+        detmc = [sys.executable, "-c", "import sys; from detmc.cli import main; "
+                                       "sys.exit(main(sys.argv[1:]))"]
+        for argv in (["graph", "verify", "--graph", str(graph)],
+                     ["theory", "run", "--lps", "5,13", "--r", "3", "--trials", "20"]):
+            outs = [tmp_path / f"{argv[0]}{k}.json" for k in range(2)]
+            for out in outs:
+                subprocess.run(detmc + argv + ["--out", str(out)], env=env, check=True,
+                               capture_output=True, timeout=300)
+            assert outs[0].read_bytes() == outs[1].read_bytes()
 
 
 class TestConfigFile:

@@ -161,9 +161,8 @@ class TestOperatorNorm:
             self.assert_exact(rng.standard_normal(shape))
 
     def test_top_vector_orthogonal_to_ones(self):
-        # the constant vector is in the kernel of A'A and AA', so the
-        # all-ones Lanczos start is degenerate; the 200 x 200 CSR takes
-        # Lanczos, ARPACK refuses the start and the dense SVD answers
+        # the constant vector is in the kernel of A'A and AA'; the 200 x 200
+        # CSR takes Lanczos, whose start is not in it
         self.assert_exact(np.array([[1.0, -1.0], [-1.0, 1.0]]))
         self.assert_exact(permutation_difference(200))
 
@@ -254,13 +253,30 @@ class TestRouting:
             assert np.linalg.norm(dense.T @ tsvd.U - tsvd.V * tsvd.S) <= 1e-10 * S[0]
 
     def test_arpack_failure_takes_the_dense_svd(self, lanczos_runs):
-        # rows and columns summing to zero put the all-ones start in the
-        # kernel: ARPACK refuses it and LAPACK answers, for CSR and operator
-        csr = scipy.sparse.csr_matrix(permutation_difference(200))
+        # every start is in the kernel of a zero matrix: ARPACK refuses it
+        # and LAPACK answers, for CSR and operator
+        csr = scipy.sparse.csr_matrix((200, 200))
         for A in (csr, scipy.sparse.linalg.aslinearoperator(csr)):
             lanczos_runs.clear()
-            assert kernels.operator_norm(A) == pytest.approx(2.0, rel=1e-12)
+            assert kernels.operator_norm(A) == 0.0
             assert lanczos_runs == [1]
+
+    def test_all_ones_start_unless_it_is_a_singular_vector(self, monkeypatch):
+        # constant row and column sums (a 4-regular 200 x 200 CSR) make the
+        # all-ones vector a singular vector; any other input keeps it as the
+        # start, so a spectral init on an observation starts where it did
+        svds, starts = scipy.sparse.linalg.svds, []
+
+        def recording(A, k, v0):
+            starts.append(v0)
+            return svds(A, k=k, v0=v0)
+
+        monkeypatch.setattr(kernels.scipy.sparse.linalg, "svds", recording)
+        regular = scipy.sparse.csr_matrix(np.kron(np.eye(50), np.ones((4, 4))))
+        for A in (regular, sparse_with_stored(200, 260, 1000, seed=0)):
+            kernels.top_r_svd(A, 2)
+        assert np.array_equal(starts[0], np.cos(0.7 * np.arange(200)) + 1)
+        assert np.array_equal(starts[1], np.ones(200))
 
 
 def test_only_kernels_calls_svds():

@@ -313,10 +313,21 @@ class TestStopReason:
         assert trace.meta["stop_reason"] == "tol"
         assert trace.final_rel_error < 1e-6
 
+    @pytest.mark.parametrize("solver, settings, stop", [
+        ("pgd", {"eta": 0.25, "max_iter": 3000}, 2844),
+        ("scaled-pgd", {}, 1605),
+    ])
+    def test_settled_away_from_the_truth(self, solver, settings, stop):
+        # d = 8 samples too few entries: the loss settles at a point that
+        # fits them and is not the truth, and the run stops on "stall"
+        gt, obs = self.instance(graphs.random_biregular(30, 30, 8, seed=3))
+        _, trace = bench.solve(solver, obs, gt.rank, gt, **settings)
+        assert (trace.meta["stop_reason"], trace.iterations[-1]) == ("stall", stop)
+        assert abs(trace.loss[-1] - trace.loss[-2]) <= pgd._LOSS_STALL_REL * trace.loss[-1]
+        assert trace.final_rel_error > 0.5
+
     @pytest.mark.parametrize("solver, settings", [
         ("pgd", {"eta": 0.25}),
-        # the default incoherence estimate over-clips the scaled solver's
-        # blind runs here; 8 is the value of the README's blind example
         ("scaled-pgd", {"mu": 8.0}),
     ])
     def test_without_ground_truth(self, solver, settings):

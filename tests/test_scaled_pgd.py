@@ -286,10 +286,31 @@ class TestSolve:
     def test_divergence_guard(self, monkeypatch, small_instance):
         gt, g, obs = small_instance
         monkeypatch.setattr(scaled_pgd, "_ETA_CAP", np.inf)
-        cfg = scaled_pgd.ScaledPgdConfig(eta=50.0, max_iter=400, tol=1e-10)
-        with pytest.raises(DivergenceError) as exc:
-            scaled_pgd.solve(obs, gt.rank, cfg, gt=gt)
+        # blind, so that mu = 1e300 lifts the budget: the loss rises 50 times
+        cfg = scaled_pgd.ScaledPgdConfig(eta=5.0, max_iter=400, tol=1e-10, mu=1e300)
+        with pytest.raises(DivergenceError, match="increased for 50") as exc:
+            scaled_pgd.solve(obs, gt.rank, cfg)
         assert exc.value.trace.meta["stop_reason"] == "diverged"
+        # with the truth's budget a step this long collapses the iterate
+        # onto a flat loss at error 1 instead, and the run says so
+        cfg = scaled_pgd.ScaledPgdConfig(eta=50.0, max_iter=400, tol=1e-10)
+        _, trace = scaled_pgd.solve(obs, gt.rank, cfg, gt=gt)
+        assert (trace.meta["stop_reason"], trace.iterations[-1]) == ("stall", 6)
+        assert trace.final_rel_error > 0.99
+
+    def test_blind_runs_at_the_default_mu(self):
+        # at mu = 2 the budget over-clipped both blind runs onto a rising
+        # loss, and each raised DivergenceError (at iterations 51 and 301)
+        assert scaled_pgd.ScaledPgdConfig().mu == 8.0
+        for pattern, gt, stop in (
+            (complete_graph(24, 24), bench.synthetic_low_rank(24, 24, 2, 1.0, seed=0),
+             ("stagnation", 35)),
+            (graphs.random_biregular(30, 30, 12, seed=3),
+             bench.synthetic_low_rank(30, 30, 2, 2.0, seed=4), ("loss-floor", 1149)),
+        ):
+            pair, trace = bench.solve("scaled-pgd", sampling.observe(gt.matrix, pattern), 2)
+            assert (trace.meta["stop_reason"], trace.iterations[-1]) == stop
+            assert metrics.relative_error(pair.X, pair.Y, gt) < 1e-11
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_non_finite_iterate_raises_divergence(self, monkeypatch, small_instance):
