@@ -7,6 +7,10 @@ analysis fixes (``theory.check_pgd_geometry``'s constants assume it).  Rows
 of the stacked factor are clipped to an incoherence bound derived from the
 spectral initialization.
 
+``_row_norms`` measures rows for both factored projections (here a row's
+norm, in ``scaled_pgd`` that of its product with the co-factor), and it
+alone rescues a finite row whose squares overflow.
+
 ``iterate`` is the outer loop of both factored solvers (this one and
 ``scaled_pgd``): the residual matrix, timing, the trace and the ``StopRule``
 (``ialm``'s too) live there, and every run, with a ground truth or blind,
@@ -192,30 +196,51 @@ class StopRule:
         return DivergenceError(message, self.trace)
 
 
+def _row_norms(At, Bt=None):
+    """The norm of every column A_i of the r-major ``At`` (a factor row),
+    or with the r-major co-factor ``Bt`` that of A_i @ B.T, through B'B.
+
+    Squares overflow for entries above ~1e154: a finite column whose norm
+    did is measured again scaled by its largest entry, and B by its own, so
+    that it is clipped or scaled to its bound instead of zeroed.  A norm
+    beyond the float range keeps the plain arithmetic's inf, or NaN where
+    the Gram form met inf - inf, so a scaled step that blew up still turns
+    the iterate non-finite.  The caller ignores overflow and invalid values.
+    """
+    GAt = At if Bt is None else (Bt @ Bt.T) @ At
+    norms = np.sqrt(np.maximum(np.einsum("ki,ki->i", GAt, At), 0.0))
+    if math.isfinite(norms @ norms):  # one dot; inf or NaN if any norm is
+        return norms
+    bad = ~np.isfinite(norms) & np.isfinite(At).all(axis=0)
+    if bad.any() and (Bt is None or np.isfinite(Bt).all()):
+        peak = np.abs(At[:, bad]).max(axis=0)
+        peak[peak == 0] = 1.0  # a zero row against an overflowed Gram matrix
+        top = 1.0 if Bt is None else np.abs(Bt).max()
+        unit = _row_norms(At[:, bad] / peak, None if Bt is None else Bt / top)
+        rescued = peak * unit * top
+        norms[bad] = np.where(np.isfinite(rescued), rescued, norms[bad])
+    return norms
+
+
 def _clip_rows(At, clip_bound):
-    """Clip every column of the r-major ``At`` (a row of the factor)."""
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        norms = np.sqrt(np.einsum("ki,ki->i", At, At))
-        if not (norms > clip_bound).any():  # an overflowed norm is inf, so over
-            return At
-        inf = np.isinf(norms)
-        if inf.any():
-            # squares overflow for entries above ~1e154: measure those
-            # finite rows again scaled by their largest entry, so that they
-            # are clipped to the bound instead of zeroed
-            big = inf & np.isfinite(At).all(axis=0)
-            peak = np.abs(At[:, big]).max(axis=0, keepdims=True)
-            norms[big] = peak[0] * np.sqrt(((At[:, big] / peak) ** 2).sum(axis=0))
-        scale = np.where(norms > clip_bound, clip_bound / norms, 1.0)
-    return At * scale
+    """Clip every column of the r-major ``At`` (a row of the factor) to norm
+    ``clip_bound``; rows within it, the common case, return before any
+    overflow test."""
+    norms = np.sqrt(np.einsum("ki,ki->i", At, At))
+    if not (norms > clip_bound).any():  # an overflowed norm is inf, so over
+        return At
+    if np.isinf(norms).any():
+        norms = _row_norms(At)
+    return At * np.minimum(1.0, clip_bound / norms)
 
 
 def project_rows(pair, clip_bound):
     """Clip every row of the stacked factor to norm at most ``clip_bound``."""
-    if clip_bound <= 0:
+    if not clip_bound > 0:
         raise ParameterError("clip bound must be positive")
     Xt, Yt = pair.r_major()
-    return FactorPair.from_r_major(_clip_rows(Xt, clip_bound), _clip_rows(Yt, clip_bound))
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        return FactorPair.from_r_major(_clip_rows(Xt, clip_bound), _clip_rows(Yt, clip_bound))
 
 
 def spectral_init(obs, r, mu):
@@ -311,10 +336,10 @@ def iterate(obs, pair, objective, advance, config, gt, meta, t0):
     trace = IterationTrace(solver_seconds=time.perf_counter() - t0, meta=meta)
     # the iterate stays as plain r-major arrays inside the loop; the
     # finite-loss check is what guards it against NaN and Inf, so numpy's
-    # overflow warnings on the way there are noise
+    # warnings on the way there (and a zero row's divide) are noise
     Xt, Yt = pair.r_major()
     rule = StopRule(config, gt is not None, trace, "loss")
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         for k in itertools.count():
             tick = time.perf_counter()
             loss_k, state = objective(Xt, Yt, obs, K)

@@ -4,7 +4,9 @@ Gradient steps are right-preconditioned by the inverses of the opposite
 factor's Gram matrix, which removes the condition-number dependence of
 the convergence rate.  The projection rescales rows whose contribution to
 the product exceeds an incoherence budget, using the closed form evaluated
-against the pre-projection co-factor.  The analysis fixes both the budget
+against the pre-projection co-factor; ``pgd._row_norms`` measures each
+row's product, with unscaled PGD's rescue for rows whose squares overflow.
+The analysis fixes both the budget
 (``incoherence_budget``) and the step cap ``eta <= _ETA_CAP``; neither is
 a setting: ``ScaledPgdConfig`` is ``PgdConfig`` with the scaled step's
 default, the cap itself, a refusal of any ``eta`` above it, and its own
@@ -23,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError
-from .pgd import FactorPair, PgdConfig, iterate
+from .pgd import FactorPair, PgdConfig, _row_norms, iterate
 from .sampling import observed_residual, rescaled_top_svd, residual_products
 
 _ETA_CAP = 0.145
@@ -48,44 +50,20 @@ def project_rows(pair, budget):
     """Closed-form projection onto the product-incoherence constraint.
 
     Row i of X is rescaled by min(1, B / (sqrt(n1) * ||X_i @ Y.T||)), with
-    the row-product norms computed against the input co-factor through the
-    r x r Gram matrix (O(n r^2), no n1 x n2 product).  Same rule for Y.
+    the row-product norms measured against the input co-factor by
+    ``pgd._row_norms`` (O(n r^2), no n1 x n2 product).  Same rule for Y.
     """
-    if budget <= 0:
+    if not budget > 0:
         raise ParameterError("incoherence budget must be positive")
-    return FactorPair.from_r_major(*_scale_rows(*pair.r_major(), budget))
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        return FactorPair.from_r_major(*_scale_rows(*pair.r_major(), budget))
 
 
 def _scale_rows(Xt, Yt, budget):
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        sx = _row_scales(Xt, Yt, budget)
-        sy = _row_scales(Yt, Xt, budget)
-    return Xt * sx, Yt * sy
-
-
-def _row_scales(At, Bt, budget):
-    """min(1, budget / (sqrt(n) * ||A_i @ B.T||)) for every column i of r-major At."""
-    prod = np.sqrt(np.maximum(_gram_norms(At, Bt), 0.0))
-    bad = ~np.isfinite(prod)
-    if bad.any() and np.isfinite(Bt).all():
-        bad &= np.isfinite(At).all(axis=0)
-        # the Gram form squares entries and overflows above ~1e154: measure
-        # those finite rows again with the row and B scaled by their largest
-        # entries, so that they are scaled to the budget instead of zeroed.
-        # A product norm beyond the float range keeps the plain arithmetic,
-        # so a step that blew up still turns the iterate non-finite.
-        peak = np.abs(At[:, bad]).max(axis=0)
-        peak[peak == 0] = 1.0
-        top = np.abs(Bt).max()
-        unit = np.sqrt(np.maximum(_gram_norms(At[:, bad] / peak, Bt / top), 0.0))
-        rescued = peak * top * unit
-        prod[bad] = np.where(np.isfinite(rescued), rescued, prod[bad])
-    return np.minimum(1.0, budget / (np.sqrt(At.shape[1]) * prod))
-
-
-def _gram_norms(At, Bt):
-    """||A_i @ B.T||^2 = A_i (B'B) A_i' for every column i of r-major At."""
-    return np.einsum("ki,ki->i", (Bt @ Bt.T) @ At, At)
+    """``project_rows`` on r-major factors; both sides see the input co-factor."""
+    def scaled(At, Bt):
+        return At * np.minimum(1.0, budget / (math.sqrt(At.shape[1]) * _row_norms(At, Bt)))
+    return scaled(Xt, Yt), scaled(Yt, Xt)
 
 
 def incoherence_budget(mu, r, sigma1):

@@ -13,6 +13,7 @@ margin is the min over the counted draws' margins and the scale the max
 over their scales.
 """
 
+import dataclasses
 import math
 from dataclasses import dataclass, field
 
@@ -24,7 +25,7 @@ from .errors import ParameterError
 from .graphs import _rng, certify
 from .kernels import operator_norm
 from .metrics import gauge_distance, rotation_distance
-from .sampling import observe, observed_residual, subset_isotropy_gap
+from .sampling import Observation, observe, observed_residual, subset_isotropy_gap
 
 _PASS_SLACK = 1e-9
 
@@ -45,17 +46,7 @@ class TheoryCheckReport:
         return self.worst_margin >= -_PASS_SLACK * self.scale
 
     def to_dict(self):
-        return {
-            "check_name": self.check_name,
-            "instances_tested": int(self.instances_tested),
-            "worst_margin": float(self.worst_margin),
-            "scale": float(self.scale),
-            "delta_tilde": None if self.delta_tilde is None else float(self.delta_tilde),
-            "params": dict(self.params),
-            "out_of_regime": bool(self.out_of_regime),
-            "seed": int(self.seed),
-            "passed": bool(self.passed),
-        }
+        return {**dataclasses.asdict(self), "passed": bool(self.passed)}
 
 
 def _check_trials(trials):
@@ -176,9 +167,9 @@ def check_graph_deviation(gt, g):
 
 
 def _masked_product_energy(HU, HV, g):
-    """(1/p) * ||masked(HU @ HV.T)||_F^2 computed on the edge set, gathered
-    by the biregular graph's neighbour table as ``observed_residual`` does."""
-    vals = np.einsum("ij,ikj->ik", HU, HV[g.neighbors])
+    """(1/p) * ||masked(HU @ HV.T)||_F^2 on the edge set: the residual of
+    ``observed_residual`` against all-zero observed values."""
+    vals = observed_residual(HU, HV, Observation(g, np.zeros(g.m))).data
     return float((vals * vals).sum()) / g.rate
 
 

@@ -1,3 +1,4 @@
+import math
 import time
 
 import numpy as np
@@ -156,8 +157,9 @@ class TestProjectRows:
         assert np.array_equal(out.X, pair.X)
         assert np.array_equal(out.Y, pair.Y)
 
-    @pytest.mark.parametrize("bound", [0.0, -1.0])
+    @pytest.mark.parametrize("bound", [0.0, -1.0, float("nan")])
     def test_bound_must_be_positive(self, bound):
+        # NaN compares false with 0, so ``bound <= 0`` alone lets it through
         pair = pgd.FactorPair(np.ones((2, 1)), np.ones((3, 1)))
         with pytest.raises(ParameterError, match="^clip bound must be positive$"):
             pgd.project_rows(pair, bound)
@@ -194,6 +196,72 @@ class TestProjectRows:
             lhs = np.linalg.norm(pz.stacked() - Zbar)
             rhs = np.linalg.norm(Z - Zbar)
             assert lhs <= rhs + 1e-12
+
+
+class TestRowNorms:
+    """``pgd._row_norms``, the row measure of both factored projections."""
+
+    @staticmethod
+    def norms(At, Bt=None):
+        with np.errstate(over="ignore", invalid="ignore"):
+            return pgd._row_norms(np.ascontiguousarray(At),
+                                  None if Bt is None else np.ascontiguousarray(Bt))
+
+    def test_match_dense_norms(self):
+        rng = np.random.default_rng(11)
+        A, B = rng.standard_normal((40, 3)), rng.standard_normal((25, 3))
+        np.testing.assert_allclose(self.norms(A.T), np.linalg.norm(A, axis=1), rtol=1e-12)
+        np.testing.assert_allclose(self.norms(A.T, B.T), np.linalg.norm(A @ B.T, axis=1),
+                                   rtol=1e-12)
+
+    @pytest.mark.parametrize("a, b", [(1e200, 1.0), (1.0, 1e200), (1e100, 1e100)])
+    def test_rows_whose_squares_overflow(self, a, b):
+        rng = np.random.default_rng(12)
+        A, B = rng.standard_normal((40, 3)), rng.standard_normal((25, 3))
+        np.testing.assert_allclose(self.norms(a * A.T), a * np.linalg.norm(A, axis=1),
+                                   rtol=1e-12)
+        np.testing.assert_allclose(self.norms(a * A.T, b * B.T),
+                                   a * b * np.linalg.norm(A @ B.T, axis=1), rtol=1e-12)
+
+    def test_a_norm_beyond_the_float_range_stays_inf(self):
+        At = np.array([[1.5e308, 1.0], [1.5e308, 2.0]])
+        norms = self.norms(At)
+        assert norms[0] == np.inf and norms[1] == pytest.approx(math.sqrt(5.0), rel=1e-15)
+
+    @pytest.mark.parametrize("solver", ["pgd", "scaled-pgd"])
+    @pytest.mark.parametrize("row", ["overflowing", "zero", "inf entry"])
+    def test_through_both_projections(self, solver, row):
+        X = np.array([[0.0, 0.0], [3.0, 4.0], [0.5, -0.5]])
+        Y = np.array([[1.0, 2.0], [0.5, -1.0]])
+        if row == "overflowing":
+            X[0] = [1e200, -1e200]
+        pair = pgd.FactorPair(X, Y)
+        if row == "inf entry":  # FactorPair refuses one, so it is set afterwards
+            pair.X[0, 0] = np.inf
+        project = pgd.project_rows if solver == "pgd" else scaled_pgd.project_rows
+        if row == "inf entry":
+            with pytest.raises(ParameterError, match="^factors contain NaN or Inf$"):
+                project(pair, 1.0)
+            return
+        out = project(pair, 1.0)
+        # the length each projection bounds by 1: the row's norm for PGD, and
+        # sqrt(n1) times its product with the input co-factor for scaled PGD
+        lengths = (np.linalg.norm(out.X, axis=1) if solver == "pgd"
+                   else math.sqrt(3) * np.linalg.norm(out.X @ Y.T, axis=1))
+        if row == "zero":
+            assert np.array_equal(out.X[0], [0.0, 0.0])
+        else:
+            assert lengths[0] == pytest.approx(1.0, rel=1e-12)
+            assert out.X[0, 0] == -out.X[0, 1] > 0
+        assert np.all(lengths <= 1.0 + 1e-12) and np.all(np.isfinite(out.Y))
+
+    @pytest.mark.parametrize("solver", ["pgd", "scaled-pgd"])
+    def test_an_infinite_bound_changes_nothing(self, solver):
+        rng = np.random.default_rng(13)
+        pair = pgd.FactorPair(rng.standard_normal((6, 2)) * 1e3, rng.standard_normal((5, 2)))
+        project = pgd.project_rows if solver == "pgd" else scaled_pgd.project_rows
+        out = project(pair, math.inf)
+        assert np.array_equal(out.X, pair.X) and np.array_equal(out.Y, pair.Y)
 
 
 class TestSolve:

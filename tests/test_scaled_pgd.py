@@ -77,8 +77,9 @@ class TestProjectRows:
         assert out.X[0, 0] == pytest.approx(1.0)
         assert out.Y[0, 0] == pytest.approx(0.5)
 
-    @pytest.mark.parametrize("budget", [0.0, -1.0])
+    @pytest.mark.parametrize("budget", [0.0, -1.0, float("nan")])
     def test_budget_must_be_positive(self, budget):
+        # NaN compares false with 0, so ``budget <= 0`` alone lets it through
         pair = pgd.FactorPair(np.ones((2, 1)), np.ones((3, 1)))
         with pytest.raises(ParameterError, match="^incoherence budget must be positive$"):
             scaled_pgd.project_rows(pair, budget)
